@@ -71,6 +71,11 @@ run_release() {
     --max_rss_mb=1024 --workdir="${smoke_dir}" \
     --out=build/BENCH_auxgen_million.json
   rm -rf "${smoke_dir}"
+  echo "=== End-to-end benchmark smoke (BENCHMARK.json workloads) ==="
+  # Builds perfbench/ against the libraries' public calls and runs every
+  # workload briefly, traced and untraced; fails unless each metric named
+  # in BENCHMARK.json is emitted with its unit.
+  python3 perfbench/run.py --smoke
 }
 
 # Portable lane: same (portable-flags) Release binaries, but with the

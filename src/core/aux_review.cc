@@ -5,6 +5,7 @@
 #include "common/check.h"
 #include "common/threadpool.h"
 #include "obs/metrics.h"
+#include "text/document.h"
 
 namespace omnimatch {
 namespace core {
@@ -133,6 +134,15 @@ std::vector<std::string> AuxReviewGenerator::GenerateForUser(
   return aux_reviews;
 }
 
+std::vector<std::string> AuxReviewGenerator::SourceReviews(
+    int user_id) const {
+  std::vector<std::string> texts;
+  for (int idx : cross_->source().RecordsOfUser(user_id)) {
+    texts.emplace_back(TextAt(cross_->source(), idx));
+  }
+  return texts;
+}
+
 std::vector<std::vector<std::string>> AuxReviewGenerator::GenerateAll(
     const std::vector<int>& cold_users, Rng* rng) const {
   std::vector<std::vector<std::string>> out;
@@ -155,6 +165,25 @@ std::vector<std::vector<std::string>> AuxReviewGenerator::GenerateAll(
                 }
               });
   return out;
+}
+
+std::vector<std::vector<int>> ColdStartDocs(const AuxReviewGenerator& generator,
+                                            const OmniMatchConfig& config,
+                                            const text::Vocabulary& vocab,
+                                            int user_id, Rng* rng) {
+  const int samples =
+      config.use_aux_reviews ? std::max(1, config.aux_eval_samples) : 1;
+  std::vector<std::vector<int>> docs;
+  docs.reserve(static_cast<size_t>(samples));
+  for (int k = 0; k < samples; ++k) {
+    std::vector<std::string> reviews;
+    if (config.use_aux_reviews) {
+      reviews = generator.GenerateForUser(user_id, rng);
+    }
+    if (reviews.empty()) reviews = generator.SourceReviews(user_id);
+    docs.push_back(text::BuildDocumentIds(reviews, vocab, config.doc_len));
+  }
+  return docs;
 }
 
 }  // namespace core

@@ -9,6 +9,7 @@
 #include "common/rng.h"
 #include "core/config.h"
 #include "data/dataset.h"
+#include "text/vocabulary.h"
 
 namespace omnimatch {
 namespace core {
@@ -88,6 +89,9 @@ class AuxReviewGenerator {
            SplitMix64(static_cast<uint64_t>(static_cast<uint32_t>(user_id)));
   }
 
+  /// The user's own source-domain review texts, in record order.
+  std::vector<std::string> SourceReviews(int user_id) const;
+
   const std::vector<int>& eligible_users() const {
     return eligible_sorted_;
   }
@@ -103,6 +107,17 @@ class AuxReviewGenerator {
   data::CsrIndex<long long> eligible_ir_;
   TextField field_;
 };
+
+/// The cold-start target documents of `user_id` (§5.2 evaluation
+/// ensemble): aux_eval_samples Algorithm 1 documents drawn from `rng` in
+/// order (first = primary, rest = ensemble variants), each falling back to
+/// the user's raw source reviews when Algorithm 1 finds no like-minded
+/// match. With use_aux_reviews off (the w/o-AuxReviews ablation) it is one
+/// document of the raw source reviews, and `rng` is not drawn from.
+std::vector<std::vector<int>> ColdStartDocs(const AuxReviewGenerator& generator,
+                                            const OmniMatchConfig& config,
+                                            const text::Vocabulary& vocab,
+                                            int user_id, Rng* rng);
 
 }  // namespace core
 }  // namespace omnimatch

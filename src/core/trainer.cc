@@ -16,6 +16,7 @@
 #include "common/threadpool.h"
 #include "common/io.h"
 #include "core/checkpoint.h"
+#include "core/scoring.h"
 #include "nn/health.h"
 #include "nn/losses.h"
 #include "nn/ops.h"
@@ -38,6 +39,9 @@ namespace {
 obs::Histogram* PhaseHist(const char* name) {
   return obs::MetricsRegistry::Global().GetHistogram(name);
 }
+
+/// Evaluation block size in (user, item) pairs, rounded up to whole users.
+constexpr size_t kEvalBlockPairs = 1024;
 }  // namespace
 
 OmniMatchTrainer::OmniMatchTrainer(const OmniMatchConfig& config,
@@ -199,31 +203,19 @@ void OmniMatchTrainer::BuildDocuments() {
   std::vector<int> cold_users = split_.validation_users;
   cold_users.insert(cold_users.end(), split_.test_users.begin(),
                     split_.test_users.end());
-  int samples = std::max(1, config_.aux_eval_samples);
   {
     OM_TRACE_SPAN_TIMED("auxgen", PhaseHist("trainer.auxgen_ns"));
     for (int u : cold_users) {
-      for (int k = 0; k < (config_.use_aux_reviews ? samples : 1); ++k) {
-        std::vector<std::string> reviews =
-            config_.use_aux_reviews
-                ? aux_generator_->GenerateForUser(u, &rng_)
-                : reviews_of(cross_->source(), u);
-        if (reviews.empty()) reviews = reviews_of(cross_->source(), u);
-        std::vector<int> doc =
-            text::BuildDocumentIds(reviews, vocab_, config_.doc_len);
-        if (k == 0) {
-          user_target_docs_[u] = std::move(doc);
-        } else {
-          cold_aux_doc_variants_[u].push_back(std::move(doc));
-        }
-      }
+      std::vector<std::vector<int>> docs =
+          ColdStartDocs(*aux_generator_, config_, vocab_, u, &rng_);
+      user_target_docs_[u] = std::move(docs[0]);
+      docs.erase(docs.begin());
+      if (!docs.empty()) cold_aux_doc_variants_[u] = std::move(docs);
     }
   }
 
   // Item documents from training users' target reviews only (test users'
   // reviews are hidden).
-  empty_item_doc_.assign(static_cast<size_t>(config_.item_doc_len),
-                         text::Vocabulary::kPadId);
   for (int item : cross_->target().items()) {
     std::vector<std::string> texts;
     for (int idx : cross_->target().RecordsOfItem(item)) {
@@ -232,10 +224,9 @@ void OmniMatchTrainer::BuildDocuments() {
         texts.emplace_back(TextAt(cross_->target(), i));
       }
     }
-    item_docs_[item] = texts.empty()
-                           ? empty_item_doc_
-                           : text::BuildDocumentIds(texts, vocab_,
-                                                    config_.item_doc_len);
+    // All pads when no training user reviewed the item.
+    item_docs_[item] =
+        text::BuildDocumentIds(texts, vocab_, config_.item_doc_len);
     item_reviews_[item] = encode_each(texts);
   }
 
@@ -746,88 +737,31 @@ TrainStats OmniMatchTrainer::Train() {
 
 std::vector<float> OmniMatchTrainer::PredictBatch(
     const std::vector<TrainSample>& batch) {
-  int b = static_cast<int>(batch.size());
-  std::vector<int> users, items;
-  int max_variants = 0;
-  for (const TrainSample& s : batch) {
-    users.push_back(s.user);
-    items.push_back(s.item);
-    auto it = cold_aux_doc_variants_.find(s.user);
-    if (it != cold_aux_doc_variants_.end()) {
-      max_variants = std::max(max_variants,
-                              static_cast<int>(it->second.size()));
-    }
-  }
   model_->set_training(false);
-  Tensor item_rep = model_->ExtractItem(
-      GatherDocs(item_docs_, items, config_.item_doc_len), b);
-  int classes = config_.num_rating_classes;
-
-  std::vector<float> preds(static_cast<size_t>(b), 0.0f);
-  int passes = 1 + max_variants;
-  int readouts_per_pass = config_.use_hybrid_inference ? 2 : 1;
-  float weight = 1.0f / static_cast<float>(passes * readouts_per_pass);
-  auto accumulate = [&](const Tensor& logits) {
-    for (int i = 0; i < b; ++i) {
-      float max_v = logits.At(i, 0);
-      for (int c = 1; c < classes; ++c) {
-        max_v = std::max(max_v, logits.At(i, c));
-      }
-      double sum = 0.0, weighted = 0.0;
-      for (int c = 0; c < classes; ++c) {
-        double e = std::exp(static_cast<double>(logits.At(i, c)) - max_v);
-        sum += e;
-        weighted += e * (c + 1);
-      }
-      preds[static_cast<size_t>(i)] +=
-          weight * static_cast<float>(weighted / sum);
+  // Each distinct user and item is extracted once for the whole batch.
+  std::unordered_map<int, size_t> user_slot, item_slot;
+  std::vector<UserDocs> user_docs;
+  std::vector<const std::vector<int>*> item_docs;
+  for (const TrainSample& s : batch) {
+    if (user_slot.emplace(s.user, user_docs.size()).second) {
+      user_docs.push_back(FrozenUserDocs(s.user, user_target_docs_,
+                                         cold_aux_doc_variants_,
+                                         user_source_docs_));
     }
-  };
-
-  // The user's own source-domain features (for hybrid inference) do not
-  // depend on the auxiliary-document ensemble pass.
-  OmniMatchModel::UserFeatures src;
-  if (config_.use_hybrid_inference) {
-    src = model_->ExtractUser(
-        DomainSide::kSource,
-        GatherDocs(user_source_docs_, users, config_.doc_len), b);
-  }
-
-  // Average expected ratings over the auxiliary-document ensemble. Pass 0
-  // uses the primary documents; later passes substitute each cold user's
-  // k-th variant (users without variants keep their primary document).
-  for (int pass = 0; pass < passes; ++pass) {
-    std::vector<int> flat;
-    flat.reserve(users.size() * static_cast<size_t>(config_.doc_len));
-    for (int u : users) {
-      const std::vector<int>* doc = nullptr;
-      if (pass > 0) {
-        auto it = cold_aux_doc_variants_.find(u);
-        if (it != cold_aux_doc_variants_.end() &&
-            pass - 1 < static_cast<int>(it->second.size())) {
-          doc = &it->second[static_cast<size_t>(pass - 1)];
-        }
-      }
-      if (doc == nullptr) {
-        auto it = user_target_docs_.find(u);
-        doc = it == user_target_docs_.end() ? nullptr : &it->second;
-      }
-      if (doc == nullptr) {
-        flat.insert(flat.end(), static_cast<size_t>(config_.doc_len),
-                    text::Vocabulary::kPadId);
-      } else {
-        flat.insert(flat.end(), doc->begin(), doc->end());
-      }
-    }
-    auto tgt = model_->ExtractUser(DomainSide::kTarget, flat, b);
-    accumulate(model_->RatingLogits(
-        OmniMatchModel::UserRepresentation(tgt), item_rep));
-    if (config_.use_hybrid_inference) {
-      Tensor hybrid = nn::ConcatCols({src.invariant, tgt.specific});
-      accumulate(model_->RatingLogits(hybrid, item_rep));
+    if (item_slot.emplace(s.item, item_docs.size()).second) {
+      item_docs.push_back(FindDoc(item_docs_, s.item));
     }
   }
-  return preds;
+  std::vector<UserRows> user_rows = ExtractUserRows(model_.get(), user_docs);
+  std::vector<std::vector<float>> item_rows =
+      ExtractItemRows(model_.get(), item_docs);
+  std::vector<ScorePair> pairs;
+  pairs.reserve(batch.size());
+  for (const TrainSample& s : batch) {
+    pairs.push_back(
+        {&user_rows[user_slot[s.user]], &item_rows[item_slot[s.item]]});
+  }
+  return ExpectedRatings(FloatLogits(model_.get()), pairs);
 }
 
 eval::Metrics OmniMatchTrainer::Evaluate(const std::vector<int>& users) {
@@ -851,8 +785,10 @@ eval::Metrics OmniMatchTrainer::Evaluate(const std::vector<int>& users) {
       s.item = cross_->target().ReviewItem(i);
       batch.push_back(s);
       gold.push_back(cross_->target().ReviewRating(i));
-      if (static_cast<int>(batch.size()) >= config_.batch_size) flush();
     }
+    // Blocks end on user boundaries, so each user's rows are extracted
+    // once per Evaluate; block size affects speed only, never a score.
+    if (batch.size() >= kEvalBlockPairs) flush();
   }
   flush();
   // Zero cold-start records (e.g. every user filtered out of a split) is a
@@ -1105,6 +1041,8 @@ void OmniMatchTrainer::UseOracleTargetDocs(const std::vector<int>& users) {
     if (texts.empty()) continue;
     user_target_docs_[u] =
         text::BuildDocumentIds(texts, vocab_, config_.doc_len);
+    // The oracle document replaces the whole ensemble, not just pass 0.
+    cold_aux_doc_variants_.erase(u);
   }
 }
 

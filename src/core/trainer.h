@@ -76,10 +76,13 @@ class OmniMatchTrainer {
 
   /// RMSE/MAE over the target-domain records of `users` (they are treated
   /// as cold-start: their target documents are the auxiliary documents).
+  /// Each pair is predicted exactly as PredictRating would, whatever other
+  /// users share its batch.
   eval::Metrics Evaluate(const std::vector<int>& users);
 
-  /// Expected rating (sum_k k * p(k)) for one user-item pair. Unknown users
-  /// or items fall back to the target domain's global mean rating.
+  /// Expected rating (sum_k k * p(k)) for one user-item pair. Users without
+  /// target documents fall back to the target domain's global mean rating;
+  /// unknown items are scored from the all-pad item document.
   float PredictRating(int user_id, int item_id);
 
   /// Diagnostic: replaces the stored target documents of `users` with
@@ -194,9 +197,10 @@ class OmniMatchTrainer {
   /// overhead budget leaves no room for heap churn).
   void CaptureGuardSnapshot(GuardSnapshot* snap) const;
   void RestoreGuardSnapshot(const GuardSnapshot& snapshot);
-  /// Batched expected-rating predictions (eval mode).
+  /// Batched expected-rating predictions (eval mode) through the shared
+  /// scoring routine (core/scoring.h).
   std::vector<float> PredictBatch(const std::vector<TrainSample>& batch);
-  /// Flattened fixed-length documents for a batch (evaluation path).
+  /// Flattened fixed-length documents for a batch; unknown keys get pads.
   std::vector<int> GatherDocs(
       const std::unordered_map<int, std::vector<int>>& docs,
       const std::vector<int>& keys, int doc_len) const;
@@ -246,7 +250,6 @@ class OmniMatchTrainer {
   /// (aux_eval_samples - 1 of them; the first sample is user_target_docs_).
   std::unordered_map<int, std::vector<std::vector<int>>> cold_aux_doc_variants_;
   std::vector<TrainSample> train_samples_;
-  std::vector<int> empty_item_doc_;
   bool prepared_ = false;
 
   /// --- resumable training state (checkpointed) ---

@@ -8,26 +8,21 @@
 #include <unordered_map>
 #include <vector>
 
+#include "core/scoring.h"
+
 namespace omnimatch {
 namespace serve {
 
-/// A user's precomputed target-side representations — the expensive part of
-/// a request (the TextCNN forward over the user document dominates; the
-/// per-item tail is two small GEMMs). One row per ensemble pass; row k is
-/// the [2f] user representation from the k-th auxiliary document. For
-/// hybrid inference, hybrid_rows[k] is [source-invariant ⊕ k-th target
-/// specific]. `fallback` entries carry no rows: the user had no usable
-/// documents at all and is served the global mean rating.
-struct UserEntry {
-  std::vector<std::vector<float>> rep_rows;
-  std::vector<std::vector<float>> hybrid_rows;  // empty unless hybrid
+/// A user's cached per-pass representation rows (core::UserRows) — the
+/// expensive part of a request: the TextCNN forward over the user documents
+/// dominates, and the per-item tail is two small GEMMs. `fallback` entries
+/// carry no rows: the user had no usable documents at all and is served the
+/// global mean rating.
+struct UserEntry : core::UserRows {
   bool fallback = false;
   /// True when the documents were generated online at admission (user
   /// unknown to the snapshot) rather than frozen in it.
   bool cold_admitted = false;
-  int passes() const {
-    return fallback ? 0 : static_cast<int>(rep_rows.size());
-  }
 };
 
 /// LRU cache of UserEntry keyed by (snapshot version, user id). Keying on

@@ -31,106 +31,64 @@ std::unique_ptr<QuantizedRatingHead> QuantizedRatingHead::Build(
   head->use_interaction_ = inter != nullptr;
   head->user_width_ = 2 * f;
   head->item_width_ = f;
-  head->num_classes_ =
-      mlp.layer(n_layers - 1).out_features();
-
-  const int rows = calibration.rows;
-  const int feat_width =
-      head->user_width_ + head->item_width_ + (inter ? head->item_width_ : 0);
-  OM_CHECK_EQ(mlp.layer(0).in_features(), feat_width);
+  head->num_classes_ = mlp.layer(n_layers - 1).out_features();
+  OM_CHECK_EQ(mlp.layer(0).in_features(),
+              head->user_width_ + head->item_width_ +
+                  (inter ? head->item_width_ : 0));
   OM_CHECK_EQ(calibration.user_rows.size(),
-              static_cast<size_t>(rows) * head->user_width_);
+              static_cast<size_t>(calibration.rows) * head->user_width_);
   OM_CHECK_EQ(calibration.item_rows.size(),
-              static_cast<size_t>(rows) * head->item_width_);
+              static_cast<size_t>(calibration.rows) * head->item_width_);
 
-  // --- Float calibration pass -------------------------------------------
-  // Replays the eval-mode RatingLogits math (model.cc) with the exact float
-  // kernels while an ActivationCalibrator watches every GEMM node's input.
-  // Eval mode means dropout is identity, so this IS the serving float path.
-  ActivationCalibrator inter_calib;
-  std::vector<ActivationCalibrator> mlp_calibs(n_layers);
-
-  const float* user = calibration.user_rows.data();
-  const float* item = calibration.item_rows.data();
-  std::vector<float> inter_out;
-  if (inter) {
-    inter_calib.Observe(user, calibration.user_rows.size());
-    inter_out.assign(static_cast<size_t>(rows) * f, 0.0f);
-    nn::FusedLinearForward(user, inter->weight().data().data(),
-                           inter->bias().data().data(), inter_out.data(), rows,
-                           head->user_width_, f, /*relu=*/false);
-  }
-
-  std::vector<float> cur(static_cast<size_t>(rows) * feat_width);
-  for (int r = 0; r < rows; ++r) {
-    float* dst = cur.data() + static_cast<size_t>(r) * feat_width;
-    const float* u = user + static_cast<size_t>(r) * head->user_width_;
-    const float* it = item + static_cast<size_t>(r) * f;
-    std::memcpy(dst, u, sizeof(float) * head->user_width_);
-    std::memcpy(dst + head->user_width_, it, sizeof(float) * f);
-    if (inter) {
-      const float* io = inter_out.data() + static_cast<size_t>(r) * f;
-      float* mul = dst + head->user_width_ + f;
-      for (int c = 0; c < f; ++c) mul[c] = io[c] * it[c];
-    }
-  }
-
-  std::vector<float> next;
+  // Float nodes first: this head's forward is then exactly the eval-mode
+  // float RatingLogits (dropout is identity in eval), so one pass of it
+  // over the sample calibrates every node's input.
+  if (inter) head->interaction_ = Node(*inter, /*relu=*/false);
   for (size_t i = 0; i < n_layers; ++i) {
-    const nn::Linear& layer = mlp.layer(i);
-    OM_CHECK_EQ(layer.in_features(),
-                static_cast<int>(cur.size()) / rows);
-    mlp_calibs[i].Observe(cur.data(), cur.size());
-    next.assign(static_cast<size_t>(rows) * layer.out_features(), 0.0f);
-    nn::FusedLinearForward(cur.data(), layer.weight().data().data(),
-                           layer.bias().data().data(), next.data(), rows,
-                           layer.in_features(), layer.out_features(),
-                           /*relu=*/i + 1 < n_layers);
-    cur.swap(next);
+    head->mlp_.emplace_back(mlp.layer(i), /*relu=*/i + 1 < n_layers);
   }
+  std::vector<ActivationCalibrator> calibrators(n_layers + 1);
+  std::vector<float> logits;
+  head->Forward(calibration.user_rows.data(), calibration.item_rows.data(),
+                calibration.rows, &logits, &calibrators);
 
   // --- Plan + quantize ---------------------------------------------------
   head->plan_.isa = std::min(ActiveIsa(), nn::int8gemm::BestCompiledIsa());
   if (inter) {
-    BuildNode(*inter, "interaction_proj", /*relu=*/false, options, inter_calib,
-              &head->interaction_, &head->plan_.nodes);
+    QuantizeNode(*inter, "interaction_proj", options, calibrators[0],
+                 &head->interaction_, &head->plan_.nodes);
   }
-  head->mlp_.resize(n_layers);
   for (size_t i = 0; i < n_layers; ++i) {
-    BuildNode(mlp.layer(i), "rating_mlp." + std::to_string(i),
-              /*relu=*/i + 1 < n_layers, options, mlp_calibs[i],
-              &head->mlp_[i], &head->plan_.nodes);
+    QuantizeNode(mlp.layer(i), "rating_mlp." + std::to_string(i), options,
+                 calibrators[i + 1], &head->mlp_[i], &head->plan_.nodes);
   }
   return head;
 }
 
-void QuantizedRatingHead::BuildNode(
-    const nn::Linear& linear, const std::string& name, bool relu,
+void QuantizedRatingHead::QuantizeNode(
+    const nn::Linear& linear, const std::string& name,
     const QuantOptions& options, const ActivationCalibrator& calibrator,
     Node* node, std::vector<QuantNode>* plan_nodes) {
   QuantNode record;
   record.name = name;
-  record.k = linear.in_features();
-  record.n = linear.out_features();
+  record.k = node->in;
+  record.n = node->out;
   record.int8 =
       ShouldQuantizeNode(options, record.k, record.n, &record.reason);
-
-  node->in = record.k;
-  node->out = record.n;
-  node->relu = relu;
   if (record.int8) {
     node->int8 = std::make_unique<QuantizedLinear>(
         linear.weight(), linear.bias(),
-        calibrator.ComputeScale(options.calibration_quantile), relu);
-  } else {
-    node->weight = linear.weight().data();
-    node->bias = linear.bias().data();
+        calibrator.ComputeScale(options.calibration_quantile), node->relu);
+    std::vector<float>().swap(node->weight);
+    std::vector<float>().swap(node->bias);
   }
   plan_nodes->push_back(std::move(record));
 }
 
-void QuantizedRatingHead::Node::Forward(const float* x, int rows,
-                                        float* y) const {
+void QuantizedRatingHead::Node::Forward(
+    const float* x, int rows, float* y,
+    ActivationCalibrator* observe) const {
+  if (observe != nullptr) observe->Observe(x, static_cast<size_t>(rows) * in);
   if (int8) {
     int8->Forward(x, rows, y);
     return;
@@ -142,9 +100,18 @@ void QuantizedRatingHead::Node::Forward(const float* x, int rows,
 void QuantizedRatingHead::RatingLogits(const float* user, const float* item,
                                        int rows,
                                        std::vector<float>* logits) const {
+  Forward(user, item, rows, logits, nullptr);
+}
+
+void QuantizedRatingHead::Forward(
+    const float* user, const float* item, int rows, std::vector<float>* logits,
+    std::vector<ActivationCalibrator>* observe) const {
   OM_CHECK(rows >= 0);
   logits->resize(static_cast<size_t>(rows) * num_classes_);
   if (rows == 0) return;
+  auto calibrator = [&](size_t node) {
+    return observe != nullptr ? &(*observe)[node] : nullptr;
+  };
 
   // Thread-local scratch: these are ~hundreds of KB per call at serving
   // chunk sizes, and a fresh allocation that large goes straight to mmap —
@@ -158,7 +125,7 @@ void QuantizedRatingHead::RatingLogits(const float* user, const float* item,
   const int feat_width = mlp_.front().in;
   if (use_interaction_) {
     inter_out.resize(static_cast<size_t>(rows) * item_width_);
-    interaction_.Forward(user, rows, inter_out.data());
+    interaction_.Forward(user, rows, inter_out.data(), calibrator(0));
   }
 
   cur.resize(static_cast<size_t>(rows) * feat_width);
@@ -178,10 +145,10 @@ void QuantizedRatingHead::RatingLogits(const float* user, const float* item,
   for (size_t i = 0; i < mlp_.size(); ++i) {
     const Node& node = mlp_[i];
     if (i + 1 == mlp_.size()) {
-      node.Forward(cur.data(), rows, logits->data());
+      node.Forward(cur.data(), rows, logits->data(), calibrator(i + 1));
     } else {
       next.resize(static_cast<size_t>(rows) * node.out);
-      node.Forward(cur.data(), rows, next.data());
+      node.Forward(cur.data(), rows, next.data(), calibrator(i + 1));
       cur.swap(next);
     }
   }

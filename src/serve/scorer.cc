@@ -1,29 +1,16 @@
 #include "serve/scorer.h"
 
-#include <algorithm>
-#include <cmath>
 #include <unordered_map>
 #include <utility>
 
 #include "common/check.h"
-#include "nn/tensor.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
 namespace omnimatch {
 namespace serve {
 
-using core::OmniMatchModel;
-using nn::Tensor;
-
 namespace {
-
-/// Admission/extraction chunk sizes. Every forward here is row-independent
-/// (blocked GEMM accumulates each output element over K in a fixed order,
-/// conv/pooling are per-row, dropout is a no-op in eval), so chunking
-/// changes wall-clock shape but never a single output bit.
-constexpr int kExtractChunkRows = 256;
-constexpr int kHeadChunkRows = 1024;
 
 obs::Counter* ColdAdmissions() {
   static obs::Counter* c =
@@ -61,14 +48,6 @@ obs::Histogram* AdmitHist() {
   return h;
 }
 
-/// Copies row `row` of a [B, width] tensor into `dst` (appending).
-void AppendRow(const Tensor& t, int row, std::vector<float>* dst) {
-  const std::vector<float>& data = t.data();
-  const int width = t.dim(1);
-  const float* src = data.data() + static_cast<size_t>(row) * width;
-  dst->insert(dst->end(), src, src + width);
-}
-
 }  // namespace
 
 Scorer::Scorer(std::shared_ptr<const ModelSnapshot> snapshot,
@@ -104,29 +83,22 @@ std::vector<std::shared_ptr<const UserEntry>> Scorer::GetOrAdmit(
   /// Users missing from the cache, with their per-pass target documents.
   struct Pending {
     size_t slot = 0;  // index into `users` / `out`
-    std::vector<const std::vector<int>*> docs;
     std::vector<std::vector<int>> owned_docs;  // online-generated storage
-    bool cold = false;
   };
   std::vector<Pending> pending;
+  std::vector<core::UserDocs> docs;  // aligned with `pending`
   for (size_t i = 0; i < users.size(); ++i) {
     out[i] = cache_.Get(version, users[i]);
     if (out[i] != nullptr) continue;
     if (!admit_missing) continue;  // degraded: leave nullptr, cache untouched
     Pending p;
     p.slot = i;
-    const auto& target_docs = snap.user_target_docs();
-    auto it = target_docs.find(users[i]);
-    if (it != target_docs.end()) {
-      // Frozen documents: the trainer's primary document plus its ensemble
-      // variants, exactly the rows PredictBatch would gather.
-      p.docs.push_back(&it->second);
-      const auto& variants = snap.cold_aux_doc_variants();
-      auto vit = variants.find(users[i]);
-      if (vit != variants.end()) {
-        for (const std::vector<int>& doc : vit->second) p.docs.push_back(&doc);
-      }
-    } else {
+    // Frozen documents: the trainer's primary document plus its ensemble
+    // variants, exactly the rows trainer evaluation extracts.
+    core::UserDocs d = core::FrozenUserDocs(
+        users[i], snap.user_target_docs(), snap.cold_aux_doc_variants(),
+        snap.user_source_docs());
+    if (d.target[0] == nullptr) {
       // Unknown user: Algorithm 1 online, at admission time.
       p.owned_docs = snap.BuildColdUserDocs(users[i]);
       if (p.owned_docs.empty()) {
@@ -136,109 +108,24 @@ std::vector<std::shared_ptr<const UserEntry>> Scorer::GetOrAdmit(
         out[i] = std::move(entry);
         continue;
       }
-      p.cold = true;
-      for (const std::vector<int>& doc : p.owned_docs) p.docs.push_back(&doc);
+      d.target.clear();
+      for (const std::vector<int>& doc : p.owned_docs) d.target.push_back(&doc);
     }
     pending.push_back(std::move(p));
+    docs.push_back(std::move(d));
   }
   if (pending.empty()) return out;
 
   obs::TraceSpan span("serve.admit", AdmitHist());
-  const core::OmniMatchConfig& config = snap.config();
-  OmniMatchModel* model = snap.model();
-  const int doc_len = config.doc_len;
-
-  // Flatten every (user, pass) document into one row list, then extract in
-  // chunks — row independence makes the chunked batch bit-identical to any
-  // other batching of the same rows.
-  std::vector<std::pair<size_t, int>> row_owner;  // (pending idx, pass)
+  std::vector<core::UserRows> rows = core::ExtractUserRows(snap.model(), docs);
   for (size_t p = 0; p < pending.size(); ++p) {
-    for (size_t k = 0; k < pending[p].docs.size(); ++k) {
-      row_owner.emplace_back(p, static_cast<int>(k));
-    }
-  }
-  std::vector<std::shared_ptr<UserEntry>> entries(pending.size());
-  for (size_t p = 0; p < pending.size(); ++p) {
-    entries[p] = std::make_shared<UserEntry>();
-    entries[p]->cold_admitted = pending[p].cold;
-    entries[p]->rep_rows.resize(pending[p].docs.size());
-    if (config.use_hybrid_inference) {
-      entries[p]->hybrid_rows.resize(pending[p].docs.size());
-    }
-  }
-
-  std::vector<std::vector<float>> specific_rows(row_owner.size());
-  for (size_t begin = 0; begin < row_owner.size();
-       begin += kExtractChunkRows) {
-    const size_t end =
-        std::min(row_owner.size(), begin + kExtractChunkRows);
-    std::vector<int> flat;
-    flat.reserve((end - begin) * static_cast<size_t>(doc_len));
-    for (size_t r = begin; r < end; ++r) {
-      const std::vector<int>& doc =
-          *pending[row_owner[r].first].docs[static_cast<size_t>(
-              row_owner[r].second)];
-      OM_CHECK_EQ(doc.size(), static_cast<size_t>(doc_len));
-      flat.insert(flat.end(), doc.begin(), doc.end());
-    }
-    OmniMatchModel::UserFeatures feat = model->ExtractUser(
-        data::DomainSide::kTarget, flat, static_cast<int>(end - begin));
-    for (size_t r = begin; r < end; ++r) {
-      const int local = static_cast<int>(r - begin);
-      std::vector<float>& rep =
-          entries[row_owner[r].first]
-              ->rep_rows[static_cast<size_t>(row_owner[r].second)];
-      // r = invariant ⊕ specific (UserRepresentation / Eq. 10) — plain
-      // concatenation, so assembling it from the feature rows is exact.
-      AppendRow(feat.invariant, local, &rep);
-      AppendRow(feat.specific, local, &rep);
-      if (config.use_hybrid_inference) {
-        AppendRow(feat.specific, local, &specific_rows[r]);
-      }
-    }
-  }
-
-  if (config.use_hybrid_inference) {
-    // One source-side row per pending user; unknown users gather the pad
-    // document (the trainer's GatherDocs fallback).
-    for (size_t begin = 0; begin < pending.size();
-         begin += kExtractChunkRows) {
-      const size_t end =
-          std::min(pending.size(), begin + kExtractChunkRows);
-      std::vector<int> flat;
-      flat.reserve((end - begin) * static_cast<size_t>(doc_len));
-      for (size_t p = begin; p < end; ++p) {
-        const auto& source_docs = snap.user_source_docs();
-        auto it = source_docs.find(users[pending[p].slot]);
-        const std::vector<int>& doc =
-            it != source_docs.end() ? it->second : snap.pad_user_doc();
-        flat.insert(flat.end(), doc.begin(), doc.end());
-      }
-      OmniMatchModel::UserFeatures src = model->ExtractUser(
-          data::DomainSide::kSource, flat, static_cast<int>(end - begin));
-      for (size_t p = begin; p < end; ++p) {
-        std::vector<float> inv_row;
-        AppendRow(src.invariant, static_cast<int>(p - begin), &inv_row);
-        for (size_t k = 0; k < entries[p]->hybrid_rows.size(); ++k) {
-          entries[p]->hybrid_rows[k] = inv_row;
-        }
-      }
-    }
-    // hybrid = source-invariant ⊕ target-specific (the trainer's hybrid
-    // readout input).
-    for (size_t r = 0; r < row_owner.size(); ++r) {
-      std::vector<float>& row =
-          entries[row_owner[r].first]
-              ->hybrid_rows[static_cast<size_t>(row_owner[r].second)];
-      row.insert(row.end(), specific_rows[r].begin(), specific_rows[r].end());
-    }
-  }
-
-  for (size_t p = 0; p < pending.size(); ++p) {
+    auto entry = std::make_shared<UserEntry>();
+    static_cast<core::UserRows&>(*entry) = std::move(rows[p]);
+    entry->cold_admitted = !pending[p].owned_docs.empty();
     Admissions()->Increment();
-    if (pending[p].cold) ColdAdmissions()->Increment();
-    cache_.Put(version, users[pending[p].slot], entries[p]);
-    out[pending[p].slot] = std::move(entries[p]);
+    if (entry->cold_admitted) ColdAdmissions()->Increment();
+    cache_.Put(version, users[pending[p].slot], entry);
+    out[pending[p].slot] = std::move(entry);
   }
   return out;
 }
@@ -260,8 +147,7 @@ std::vector<ScoredValue> Scorer::ScoreBatchWith(
   }
 
   obs::TraceSpan span("serve.score_batch", ScoreBatchHist());
-  const core::OmniMatchConfig& config = snap->config();
-  OmniMatchModel* model = snap->model();
+  core::OmniMatchModel* model = snap->model();
   // Eval mode was pre-set recursively at snapshot load (SetTrainingMode):
   // asserting it here is a pure read, safe under concurrent executors.
   OM_CHECK(!model->training());
@@ -307,117 +193,39 @@ std::vector<ScoredValue> Scorer::ScoreBatchWith(
   // requests that will reach the rating head (row independence again: the
   // shared row is bit-identical to the per-request row the trainer would
   // compute).
-  std::vector<int> items;
   std::unordered_map<int, size_t> item_slot;
+  std::vector<const std::vector<int>*> item_docs;
   for (size_t i = 0; i < requests.size(); ++i) {
     const UserEntry* entry = entries[user_slot[requests[i].user]].get();
     if (entry == nullptr || entry->fallback) continue;
-    if (item_slot.emplace(requests[i].item, items.size()).second) {
-      items.push_back(requests[i].item);
+    if (item_slot.emplace(requests[i].item, item_docs.size()).second) {
+      item_docs.push_back(core::FindDoc(snap->item_docs(), requests[i].item));
     }
   }
-  std::vector<std::vector<float>> item_rows(items.size());
-  for (size_t begin = 0; begin < items.size(); begin += kExtractChunkRows) {
-    const size_t end = std::min(items.size(), begin + kExtractChunkRows);
-    std::vector<int> flat;
-    flat.reserve((end - begin) * static_cast<size_t>(config.item_doc_len));
-    for (size_t i = begin; i < end; ++i) {
-      const auto& docs = snap->item_docs();
-      auto it = docs.find(items[i]);
-      const std::vector<int>& doc =
-          it != docs.end() ? it->second : snap->pad_item_doc();
-      flat.insert(flat.end(), doc.begin(), doc.end());
-    }
-    Tensor rep = model->ExtractItem(flat, static_cast<int>(end - begin));
-    for (size_t i = begin; i < end; ++i) {
-      AppendRow(rep, static_cast<int>(i - begin), &item_rows[i]);
-    }
-  }
+  std::vector<std::vector<float>> item_rows =
+      core::ExtractItemRows(model, item_docs);
 
-  // Assemble the rating-head rows: per request, pass 0..N in order, plain
-  // readout then (when enabled) the hybrid readout — the exact accumulation
-  // order of PredictBatch on a batch of one.
-  const int readouts = config.use_hybrid_inference ? 2 : 1;
-  const int classes = config.num_rating_classes;
-  std::vector<const std::vector<float>*> head_user_rows;
-  std::vector<const std::vector<float>*> head_item_rows;
-  std::vector<size_t> head_request;
-  std::vector<float> weight(requests.size(), 0.0f);
+  std::vector<size_t> scored;
+  std::vector<core::ScorePair> pairs;
   for (size_t i = 0; i < requests.size(); ++i) {
-    const std::shared_ptr<const UserEntry>& entry =
-        entries[user_slot[requests[i].user]];
-    if (resolve_terminal(i, entry.get())) continue;
+    const UserEntry* entry = entries[user_slot[requests[i].user]].get();
+    if (resolve_terminal(i, entry)) continue;
     out[i].status =
         admit ? RequestStatus::kOk : RequestStatus::kDegradedCached;
     if (!admit) DegradedCached()->Increment();
-    const std::vector<float>& item_row =
-        item_rows[item_slot[requests[i].item]];
-    const int passes = entry->passes();
-    weight[i] = 1.0f / static_cast<float>(passes * readouts);
-    for (int k = 0; k < passes; ++k) {
-      head_user_rows.push_back(&entry->rep_rows[static_cast<size_t>(k)]);
-      head_item_rows.push_back(&item_row);
-      head_request.push_back(i);
-      if (config.use_hybrid_inference) {
-        head_user_rows.push_back(&entry->hybrid_rows[static_cast<size_t>(k)]);
-        head_item_rows.push_back(&item_row);
-        head_request.push_back(i);
-      }
-    }
+    scored.push_back(i);
+    pairs.push_back({entry, &item_rows[item_slot[requests[i].item]]});
   }
-  if (head_user_rows.empty()) return out;
-
-  const int user_width = static_cast<int>(head_user_rows[0]->size());
-  const int item_width = static_cast<int>(head_item_rows[0]->size());
-  // The --quant serving mode swaps ONLY this rating-head GEMM stack for the
-  // int8 one; everything above (admission, extractors, cache, softmax
-  // readout below) is shared, and the float branch is untouched.
-  const QuantizedRatingHead* quant_head = snap->quant_head();
-  for (size_t begin = 0; begin < head_user_rows.size();
-       begin += kHeadChunkRows) {
-    const size_t end =
-        std::min(head_user_rows.size(), begin + kHeadChunkRows);
-    const int rows = static_cast<int>(end - begin);
-    std::vector<float> user_data, item_data;
-    user_data.reserve(static_cast<size_t>(rows) * user_width);
-    item_data.reserve(static_cast<size_t>(rows) * item_width);
-    for (size_t r = begin; r < end; ++r) {
-      user_data.insert(user_data.end(), head_user_rows[r]->begin(),
-                       head_user_rows[r]->end());
-      item_data.insert(item_data.end(), head_item_rows[r]->begin(),
-                       head_item_rows[r]->end());
-    }
-    std::vector<float> quant_logits;
-    Tensor logits;
-    const float* logit_rows = nullptr;
-    if (quant_head != nullptr) {
-      quant_head->RatingLogits(user_data.data(), item_data.data(), rows,
-                               &quant_logits);
-      logit_rows = quant_logits.data();
-    } else {
-      logits = model->RatingLogits(
-          Tensor::FromData({rows, user_width}, std::move(user_data)),
-          Tensor::FromData({rows, item_width}, std::move(item_data)));
-      logit_rows = logits.data().data();
-    }
-    // Softmax-expected rating per row, accumulated exactly like the
-    // trainer: max-subtracted exp in double, final product in float.
-    for (int r = 0; r < rows; ++r) {
-      const float* row = logit_rows + static_cast<size_t>(r) * classes;
-      float max_v = row[0];
-      for (int c = 1; c < classes; ++c) {
-        max_v = std::max(max_v, row[c]);
-      }
-      double sum = 0.0, weighted = 0.0;
-      for (int c = 0; c < classes; ++c) {
-        double e = std::exp(static_cast<double>(row[c]) - max_v);
-        sum += e;
-        weighted += e * (c + 1);
-      }
-      const size_t req = head_request[begin + static_cast<size_t>(r)];
-      out[req].score += weight[req] * static_cast<float>(weighted / sum);
-    }
-  }
+  if (pairs.empty()) return out;
+  // The --quant serving mode swaps only the logits backend for the int8
+  // head; rows, weighting and the softmax readout are shared.
+  const core::FloatLogits float_logits(model);
+  const core::LogitsBackend& logits =
+      snap->quant_head() != nullptr
+          ? static_cast<const core::LogitsBackend&>(*snap->quant_head())
+          : float_logits;
+  std::vector<float> scores = core::ExpectedRatings(logits, pairs);
+  for (size_t k = 0; k < scored.size(); ++k) out[scored[k]].score = scores[k];
   return out;
 }
 

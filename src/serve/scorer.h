@@ -25,14 +25,15 @@ struct ScoredValue {
   RequestStatus status = RequestStatus::kOk;
 };
 
-/// Evaluates (user, item) requests against a ModelSnapshot, mirroring the
-/// trainer's evaluation math bit-for-bit (see DESIGN.md "Serving"):
-/// expected rating = mean over the auxiliary-document ensemble of
-/// softmax-expected ratings, computed per row in double exactly like
-/// OmniMatchTrainer::PredictBatch.
+/// Evaluates (user, item) requests against a ModelSnapshot through the
+/// scoring routine trainer evaluation also runs (core/scoring.h; DESIGN.md
+/// "Serving"): expected rating = mean over the user's own
+/// auxiliary-document ensemble of softmax-expected ratings, so scores are
+/// bit-identical to the trainer's by construction.
 ///
-/// The per-user target representations — the TextCNN forward that dominates
-/// request cost — are computed once at admission and held in an LRU cache
+/// The per-user representation rows (core::UserRows) — the TextCNN forward
+/// that dominates request cost — are computed once at admission and held
+/// in an LRU cache
 /// keyed by (snapshot version, user id); per request only the item
 /// extractor (amortized over distinct items in the batch) and the small
 /// rating-head GEMMs run. Users unknown to the snapshot are admitted by

@@ -7,10 +7,9 @@
 #include "common/rng.h"
 #include "common/string_util.h"
 #include "core/checkpoint.h"
+#include "core/scoring.h"
 #include "core/trainer.h"
 #include "nn/tensor.h"
-#include "text/document.h"
-#include "text/tokenizer.h"
 
 namespace omnimatch {
 namespace serve {
@@ -29,21 +28,13 @@ uint64_t SnapshotVersion(uint64_t fingerprint, int32_t epochs, int64_t steps,
   return v;
 }
 
-/// Copies row `row` of a [B, width] tensor into `dst` (appending).
-void AppendTensorRow(const nn::Tensor& t, int row, std::vector<float>* dst) {
-  const std::vector<float>& data = t.data();
-  const int width = t.dim(1);
-  const float* src = data.data() + static_cast<size_t>(row) * width;
-  dst->insert(dst->end(), src, src + width);
-}
-
 /// Representative (user representation, item representation) pairs for
-/// quantization calibration, computed with the float path over the frozen
-/// evaluation documents in sorted-id order (deterministic: the sample — and
-/// therefore every calibrated scale — is a pure function of the snapshot).
-/// When hybrid inference is on, each user also contributes its hybrid row
-/// (source-invariant ⊕ target-specific): the quantized head serves those
-/// rows too, so calibration must see their distribution.
+/// quantization calibration, computed by the shared scoring routine over
+/// the frozen primary documents in sorted-id order (deterministic: the
+/// sample — and therefore every calibrated scale — is a pure function of
+/// the snapshot). When hybrid inference is on, each pair also contributes
+/// its hybrid row (source-invariant ⊕ target-specific): the quantized head
+/// serves those rows too, so calibration must see their distribution.
 QuantizedRatingHead::CalibrationSample BuildCalibrationSample(
     const ModelSnapshot& snap, int max_rows) {
   QuantizedRatingHead::CalibrationSample sample;
@@ -58,87 +49,35 @@ QuantizedRatingHead::CalibrationSample BuildCalibrationSample(
   std::sort(user_ids.begin(), user_ids.end());
   std::sort(item_ids.begin(), item_ids.end());
 
-  const core::OmniMatchConfig& config = snap.config();
-  core::OmniMatchModel* model = snap.model();
+  // Pair r is (user r mod U, item r mod I).
   const int pairs = std::min<int>(
       max_rows,
       static_cast<int>(std::max(user_ids.size(), item_ids.size())));
-  constexpr int kChunkRows = 256;
+  std::vector<core::UserDocs> user_docs(static_cast<size_t>(pairs));
+  std::vector<const std::vector<int>*> item_docs;
+  for (size_t r = 0; r < user_docs.size(); ++r) {
+    const int user = user_ids[r % user_ids.size()];
+    user_docs[r].target = {core::FindDoc(snap.user_target_docs(), user)};
+    user_docs[r].source = core::FindDoc(snap.user_source_docs(), user);
+    item_docs.push_back(
+        core::FindDoc(snap.item_docs(), item_ids[r % item_ids.size()]));
+  }
+  const std::vector<core::UserRows> users =
+      core::ExtractUserRows(snap.model(), user_docs);
+  const std::vector<std::vector<float>> items =
+      core::ExtractItemRows(snap.model(), item_docs);
 
-  // Target-side user representations (invariant ⊕ specific), and the pieces
-  // hybrid rows are assembled from.
-  std::vector<float> target_rows, specific_rows;
-  for (int begin = 0; begin < pairs; begin += kChunkRows) {
-    const int end = std::min(pairs, begin + kChunkRows);
-    std::vector<int> flat;
-    flat.reserve(static_cast<size_t>(end - begin) * config.doc_len);
-    for (int r = begin; r < end; ++r) {
-      const int user = user_ids[static_cast<size_t>(r) % user_ids.size()];
-      const std::vector<int>& doc = snap.user_target_docs().at(user);
-      flat.insert(flat.end(), doc.begin(), doc.end());
-    }
-    core::OmniMatchModel::UserFeatures feat =
-        model->ExtractUser(data::DomainSide::kTarget, flat, end - begin);
-    for (int r = begin; r < end; ++r) {
-      AppendTensorRow(feat.invariant, r - begin, &target_rows);
-      AppendTensorRow(feat.specific, r - begin, &target_rows);
-      if (config.use_hybrid_inference) {
-        AppendTensorRow(feat.specific, r - begin, &specific_rows);
-      }
+  const int readouts = snap.config().use_hybrid_inference ? 2 : 1;
+  for (int readout = 0; readout < readouts; ++readout) {
+    for (size_t r = 0; r < users.size(); ++r) {
+      const std::vector<float>& row =
+          readout == 0 ? users[r].rep_rows[0] : users[r].hybrid_rows[0];
+      sample.user_rows.insert(sample.user_rows.end(), row.begin(), row.end());
+      sample.item_rows.insert(sample.item_rows.end(), items[r].begin(),
+                              items[r].end());
     }
   }
-
-  // Item representations, paired positionally.
-  std::vector<float> item_rows;
-  for (int begin = 0; begin < pairs; begin += kChunkRows) {
-    const int end = std::min(pairs, begin + kChunkRows);
-    std::vector<int> flat;
-    flat.reserve(static_cast<size_t>(end - begin) * config.item_doc_len);
-    for (int r = begin; r < end; ++r) {
-      const int item = item_ids[static_cast<size_t>(r) % item_ids.size()];
-      const std::vector<int>& doc = snap.item_docs().at(item);
-      flat.insert(flat.end(), doc.begin(), doc.end());
-    }
-    nn::Tensor rep = model->ExtractItem(flat, end - begin);
-    for (int r = begin; r < end; ++r) {
-      AppendTensorRow(rep, r - begin, &item_rows);
-    }
-  }
-
-  sample.user_rows = std::move(target_rows);
-  sample.item_rows = item_rows;
-  sample.rows = pairs;
-
-  if (config.use_hybrid_inference) {
-    // Hybrid rows: source-invariant ⊕ target-specific for the same users
-    // (pad document when the user has no source reviews — the serving
-    // fallback), against the same item rows.
-    const int f = config.feature_dim;
-    for (int begin = 0; begin < pairs; begin += kChunkRows) {
-      const int end = std::min(pairs, begin + kChunkRows);
-      std::vector<int> flat;
-      flat.reserve(static_cast<size_t>(end - begin) * config.doc_len);
-      for (int r = begin; r < end; ++r) {
-        const int user = user_ids[static_cast<size_t>(r) % user_ids.size()];
-        auto it = snap.user_source_docs().find(user);
-        const std::vector<int>& doc = it != snap.user_source_docs().end()
-                                          ? it->second
-                                          : snap.pad_user_doc();
-        flat.insert(flat.end(), doc.begin(), doc.end());
-      }
-      core::OmniMatchModel::UserFeatures src =
-          model->ExtractUser(data::DomainSide::kSource, flat, end - begin);
-      for (int r = begin; r < end; ++r) {
-        AppendTensorRow(src.invariant, r - begin, &sample.user_rows);
-        const float* spec =
-            specific_rows.data() + static_cast<size_t>(r) * f;
-        sample.user_rows.insert(sample.user_rows.end(), spec, spec + f);
-      }
-    }
-    sample.item_rows.insert(sample.item_rows.end(), item_rows.begin(),
-                            item_rows.end());
-    sample.rows = 2 * pairs;
-  }
+  sample.rows = readouts * pairs;
   return sample;
 }
 
@@ -243,38 +182,12 @@ Result<std::shared_ptr<const ModelSnapshot>> ModelSnapshot::Load(
 
 std::vector<std::vector<int>> ModelSnapshot::BuildColdUserDocs(
     int user_id) const {
-  const data::DomainDataset& source = cross_->source();
-  const data::IdSpan records = source.RecordsOfUser(user_id);
-  if (records.empty()) return {};
-
-  auto source_texts = [&]() {
-    std::vector<std::string> texts;
-    for (int idx : records) {
-      size_t i = static_cast<size_t>(idx);
-      texts.emplace_back(config_.text_field == core::TextField::kSummary
-                             ? source.ReviewSummary(i)
-                             : source.ReviewFullText(i));
-    }
-    return texts;
-  };
-
+  if (cross_->source().RecordsOfUser(user_id).empty()) return {};
   // Seeded from (snapshot version, user id): admission is deterministic per
   // snapshot, independent of request order and of which replica serves it —
   // the same contract the offline parallel GenerateAll uses.
   Rng rng(core::AuxReviewGenerator::PerUserSeed(version_, user_id));
-  int samples = std::max(1, config_.aux_eval_samples);
-  if (!config_.use_aux_reviews) samples = 1;
-
-  std::vector<std::vector<int>> docs;
-  docs.reserve(static_cast<size_t>(samples));
-  for (int k = 0; k < samples; ++k) {
-    std::vector<std::string> reviews =
-        config_.use_aux_reviews ? aux_generator_->GenerateForUser(user_id, &rng)
-                                : source_texts();
-    if (reviews.empty()) reviews = source_texts();
-    docs.push_back(text::BuildDocumentIds(reviews, vocab_, config_.doc_len));
-  }
-  return docs;
+  return core::ColdStartDocs(*aux_generator_, config_, vocab_, user_id, &rng);
 }
 
 }  // namespace serve

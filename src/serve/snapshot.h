@@ -51,7 +51,8 @@ class ModelSnapshot {
     /// the activation scales, then the per-request two-GEMM rating head
     /// runs on the runtime-dispatched int8 kernels. Admission, extractors
     /// and the cache stay float32. OFF by default — the default serving
-    /// path is bit-identical to the trainer's PredictBatch.
+    /// path runs the float backend of the scoring routine trainer
+    /// evaluation uses (core/scoring.h), so it is bit-identical to it.
     bool quantize = false;
     /// Calibration / planning knobs for the quantized head.
     nn::quant::QuantOptions quant;
@@ -114,10 +115,9 @@ class ModelSnapshot {
   /// documents for, against the pre-built dataset indices. Deterministic:
   /// the RNG is seeded from (version, user_id), so the same user admitted
   /// twice — or on two replicas serving the same snapshot — gets the same
-  /// documents. Returns aux_eval_samples documents (first = primary,
-  /// rest = ensemble variants); each falls back to the user's raw source
-  /// reviews when Algorithm 1 finds no like-minded match (the trainer's
-  /// fallback). Empty result when the user has no source records at all.
+  /// documents. Returns core::ColdStartDocs — the builder the trainer uses
+  /// for its cold users — drawn from that per-user stream. Empty result
+  /// when the user has no source records at all.
   std::vector<std::vector<int>> BuildColdUserDocs(int user_id) const;
 
   /// The loaded model. Logically const — parameters are frozen, and the

@@ -189,6 +189,44 @@ TEST(TrainerTest, OracleDocsChangeEvaluation) {
   eval::Metrics oracle = trainer.Evaluate(f.split.test_users);
   EXPECT_EQ(aux.count, oracle.count);
   EXPECT_NE(aux.rmse, oracle.rmse);  // different documents, different preds
+  // The oracle document replaces the whole ensemble: no Algorithm 1
+  // variant may still be averaged in.
+  for (int u : f.split.test_users) {
+    if (f.cross.target().RecordsOfUser(u).empty()) continue;
+    EXPECT_EQ(trainer.cold_aux_doc_variants().count(u), 0u) << "user " << u;
+  }
+}
+
+TEST(TrainerTest, EvaluateIndependentOfBatchComposition) {
+  // Training users have one document, cold users aux_eval_samples. Mixing
+  // them in small batches must not change any pair's prediction: Evaluate
+  // equals PredictRating pair by pair, accumulated in the same order.
+  Fixture f;
+  OmniMatchConfig config = TinyTrainConfig();
+  config.aux_eval_samples = 3;
+  config.batch_size = 4;
+  config.epochs = 1;
+  OmniMatchTrainer trainer(config, &f.cross, f.split);
+  ASSERT_TRUE(trainer.Prepare().ok());
+  trainer.Train();
+  std::vector<int> users;
+  for (size_t i = 0; i < f.split.train_users.size() ||
+                     i < f.split.test_users.size();
+       ++i) {
+    if (i < f.split.train_users.size()) users.push_back(f.split.train_users[i]);
+    if (i < f.split.test_users.size()) users.push_back(f.split.test_users[i]);
+  }
+  eval::MetricsAccumulator one_by_one;
+  for (int u : users) {
+    for (int idx : f.cross.target().RecordsOfUser(u)) {
+      const size_t i = static_cast<size_t>(idx);
+      one_by_one.Add(trainer.PredictRating(u, f.cross.target().ReviewItem(i)),
+                     f.cross.target().ReviewRating(i));
+    }
+  }
+  Result<eval::Metrics> expected = one_by_one.Finalize();
+  ASSERT_TRUE(expected.ok());
+  EXPECT_EQ(trainer.Evaluate(users).rmse, expected.value().rmse);
 }
 
 TEST(TrainerTest, ZeroEpochTrainingStillEvaluates) {
