@@ -104,7 +104,10 @@ run_portable() {
 # server's request-thread/executor-pool/cache/hot-swap handoffs through
 # serve_test + serve_fault_test (the concurrent-submitter bit-identity test
 # and the swap-under-traffic version-consistency test are the interesting
-# ones); ASan and UBSan additionally run the trainer-level suites —
+# ones — the latter swaps A->B->A->B through the SnapshotManager, so a
+# frozen corpus shared by several snapshots outlives the one that built it
+# while executors still read it); ASan and UBSan additionally run the
+# trainer-level suites —
 # including the fault-injection tests and the graph-vs-eager trainer
 # equivalence tests, so every guard rollback/retry path and the compiled
 # replay path are walked under instrumentation. Each sanitizer lane then

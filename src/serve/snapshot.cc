@@ -6,6 +6,7 @@
 #include "common/check.h"
 #include "common/rng.h"
 #include "common/string_util.h"
+#include "common/threadpool.h"
 #include "core/checkpoint.h"
 #include "core/scoring.h"
 #include "core/trainer.h"
@@ -83,18 +84,63 @@ QuantizedRatingHead::CalibrationSample BuildCalibrationSample(
 
 }  // namespace
 
+Result<std::shared_ptr<const ServingCorpus>> ServingCorpus::Build(
+    const core::OmniMatchConfig& config, const data::CrossDomainDataset* cross,
+    data::ColdStartSplit split) {
+  OM_CHECK(cross != nullptr);
+  // The pool size and the sinks are process-wide and shape no document;
+  // pin them to their current state so Prepare() leaves them as they are.
+  core::OmniMatchConfig build_config = config;
+  build_config.num_threads = GetNumThreads();
+  build_config.trace_out.clear();
+  build_config.metrics_out.clear();
+  core::OmniMatchTrainer trainer(build_config, cross, split);
+  OM_RETURN_IF_ERROR(trainer.Prepare());
+
+  auto corpus = std::shared_ptr<ServingCorpus>(new ServingCorpus());
+  corpus->config_fingerprint_ = config.Fingerprint();
+  corpus->cross_ = cross;
+  corpus->global_mean_rating_ = cross->target().GlobalMeanRating();
+  corpus->vocab_ = trainer.vocabulary();
+  corpus->aux_generator_ = std::make_unique<core::AuxReviewGenerator>(
+      cross, split.train_users, config.text_field);
+  corpus->user_source_docs_ = trainer.user_source_docs();
+  corpus->user_target_docs_ = trainer.user_target_docs();
+  corpus->item_docs_ = trainer.item_docs();
+  corpus->cold_aux_doc_variants_ = trainer.cold_aux_doc_variants();
+  corpus->pad_user_doc_.assign(static_cast<size_t>(config.doc_len),
+                               text::Vocabulary::kPadId);
+  corpus->pad_item_doc_.assign(static_cast<size_t>(config.item_doc_len),
+                               text::Vocabulary::kPadId);
+  corpus->split_ = std::move(split);
+  return std::shared_ptr<const ServingCorpus>(std::move(corpus));
+}
+
+bool ServingCorpus::Matches(const core::OmniMatchConfig& config,
+                            const data::CrossDomainDataset* cross,
+                            const data::ColdStartSplit& split) const {
+  return config.Fingerprint() == config_fingerprint_ && cross == cross_ &&
+         split.train_users == split_.train_users &&
+         split.validation_users == split_.validation_users &&
+         split.test_users == split_.test_users;
+}
+
 Result<std::shared_ptr<const ModelSnapshot>> ModelSnapshot::Load(
     const core::OmniMatchConfig& config, const data::CrossDomainDataset* cross,
     data::ColdStartSplit split, const std::string& checkpoint_path,
     const Options& options) {
-  OM_CHECK(cross != nullptr);
+  Result<std::shared_ptr<const ServingCorpus>> corpus =
+      ServingCorpus::Build(config, cross, std::move(split));
+  if (!corpus.ok()) return corpus.status();
+  return Load(config, std::move(corpus).value(), checkpoint_path, options);
+}
 
-  // Rebuild the training run's derived state (vocabulary, fixed documents,
-  // model architecture) by Prepare()-ing a throwaway trainer: the document
-  // pipeline consumes the trainer's seeded RNG, so running the identical
-  // code path is the only way to get bit-identical documents.
-  core::OmniMatchTrainer trainer(config, cross, std::move(split));
-  OM_RETURN_IF_ERROR(trainer.Prepare());
+Result<std::shared_ptr<const ModelSnapshot>> ModelSnapshot::Load(
+    const core::OmniMatchConfig& config,
+    std::shared_ptr<const ServingCorpus> corpus,
+    const std::string& checkpoint_path, const Options& options) {
+  OM_CHECK(corpus != nullptr);
+  OM_CHECK_EQ(corpus->config_fingerprint(), config.Fingerprint());
 
   Result<core::CheckpointState> loaded =
       core::LoadCheckpointFile(checkpoint_path);
@@ -113,25 +159,13 @@ Result<std::shared_ptr<const ModelSnapshot>> ModelSnapshot::Load(
 
   auto snapshot = std::shared_ptr<ModelSnapshot>(new ModelSnapshot());
   snapshot->config_ = config;
-  snapshot->cross_ = cross;
-  snapshot->global_mean_rating_ = cross->target().GlobalMeanRating();
-  snapshot->vocab_ = trainer.vocabulary();
-  snapshot->aux_generator_ = std::make_unique<core::AuxReviewGenerator>(
-      cross, trainer.split().train_users, config.text_field);
-  snapshot->user_source_docs_ = trainer.user_source_docs();
-  snapshot->user_target_docs_ = trainer.user_target_docs();
-  snapshot->item_docs_ = trainer.item_docs();
-  snapshot->cold_aux_doc_variants_ = trainer.cold_aux_doc_variants();
-  snapshot->pad_user_doc_.assign(static_cast<size_t>(config.doc_len),
-                                 text::Vocabulary::kPadId);
-  snapshot->pad_item_doc_.assign(static_cast<size_t>(config.item_doc_len),
-                                 text::Vocabulary::kPadId);
+  snapshot->corpus_ = std::move(corpus);
 
   // A fresh model of the same architecture; its random initialization is
   // immediately overwritten by the checkpoint's parameters.
   Rng init_rng(config.seed);
   snapshot->model_ = std::make_unique<core::OmniMatchModel>(
-      config, snapshot->vocab_.size(), &init_rng);
+      config, snapshot->vocabulary().size(), &init_rng);
   std::vector<nn::Tensor> params = snapshot->model_->Parameters();
   if (chosen.size() != params.size()) {
     return Status::InvalidArgument(StrFormat(
@@ -182,12 +216,13 @@ Result<std::shared_ptr<const ModelSnapshot>> ModelSnapshot::Load(
 
 std::vector<std::vector<int>> ModelSnapshot::BuildColdUserDocs(
     int user_id) const {
-  if (cross_->source().RecordsOfUser(user_id).empty()) return {};
+  if (cross()->source().RecordsOfUser(user_id).empty()) return {};
   // Seeded from (snapshot version, user id): admission is deterministic per
   // snapshot, independent of request order and of which replica serves it —
   // the same contract the offline parallel GenerateAll uses.
   Rng rng(core::AuxReviewGenerator::PerUserSeed(version_, user_id));
-  return core::ColdStartDocs(*aux_generator_, config_, vocab_, user_id, &rng);
+  return core::ColdStartDocs(aux_generator(), config_, vocabulary(), user_id,
+                             &rng);
 }
 
 }  // namespace serve

@@ -54,8 +54,16 @@ Status SnapshotManager::SwapFromCheckpoint(
     data::ColdStartSplit split, const std::string& checkpoint_path) {
   // Off the hot path from here to the final SwapSnapshot: the server keeps
   // serving the incumbent while we read, check, and probe the candidate.
-  Result<std::shared_ptr<const ModelSnapshot>> loaded = ModelSnapshot::Load(
-      config, cross, split, checkpoint_path, options_.snapshot_options);
+  // A candidate for the incumbent's scenario scores from the incumbent's
+  // frozen corpus; only a different scenario builds its own.
+  std::shared_ptr<const ServingCorpus> corpus =
+      server_->scorer().CurrentSnapshot()->corpus();
+  Result<std::shared_ptr<const ModelSnapshot>> loaded =
+      corpus->Matches(config, cross, split)
+          ? ModelSnapshot::Load(config, std::move(corpus), checkpoint_path,
+                                options_.snapshot_options)
+          : ModelSnapshot::Load(config, cross, std::move(split),
+                                checkpoint_path, options_.snapshot_options);
   if (!loaded.ok()) {
     std::lock_guard<std::mutex> lock(mu_);
     ++rollbacks_;

@@ -26,6 +26,14 @@ namespace serve {
 /// installed, atomically, between batches (InferenceServer::SwapSnapshot);
 /// in-flight batches finish on the incumbent.
 ///
+/// Corpus reuse: when the candidate serves the incumbent's scenario (same
+/// config fingerprint, same dataset object, same split —
+/// ServingCorpus::Matches), it is loaded onto the incumbent's frozen
+/// ServingCorpus instead of a rebuilt one. A swap between checkpoints of
+/// one run therefore costs a checkpoint read, the parameter install, the
+/// int8 head build when quantizing, and the golden probes. Any other
+/// scenario gets a fresh corpus, exactly as ModelSnapshot::Load builds it.
+///
 /// Rollback is therefore trivial and implicit: on ANY failure — unreadable
 /// or corrupt file, fingerprint mismatch, non-finite or out-of-range probe
 /// scores, or an injected "snapshot_load" fault (common/fault.h) — the
@@ -60,7 +68,8 @@ class SnapshotManager {
   /// Loads, validates, and — on success — atomically installs the
   /// checkpoint at `checkpoint_path` for the serving scenario
   /// (config/cross/split as in ModelSnapshot::Load; `cross` must outlive
-  /// the server). On failure returns why, and the server is untouched.
+  /// the server), reusing the incumbent's corpus when the scenario matches
+  /// (class comment). On failure returns why, and the server is untouched.
   Status SwapFromCheckpoint(const core::OmniMatchConfig& config,
                             const data::CrossDomainDataset* cross,
                             data::ColdStartSplit split,

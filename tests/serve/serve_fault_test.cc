@@ -1,10 +1,13 @@
 // Fault-tolerant serving tests: bounded admission (overload rejection,
 // deadlines, shutdown rejection), the graceful-degradation ladder, and
-// zero-downtime snapshot hot-swap with validation + rollback — including
-// concurrent swap-under-traffic interleavings (this suite runs in the TSan
-// lane) and an OMNIMATCH_FAULTS-driven lane (see scripts/check.sh).
+// zero-downtime snapshot hot-swap with validation + rollback and corpus
+// reuse — including concurrent swap-under-traffic interleavings (this suite
+// runs in the TSan lane) and an OMNIMATCH_FAULTS-driven lane (see
+// scripts/check.sh).
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -130,6 +133,45 @@ std::vector<ScoreRequest> SomePairs(size_t users, size_t items_per_user) {
     }
   }
   return pairs;
+}
+
+/// Pairs that cover every document source a snapshot scores from: frozen
+/// test users, source-only users admitted online through BuildColdUserDocs,
+/// and an item the snapshot has no document for.
+std::vector<ScoreRequest> CorpusPairs() {
+  FaultWorld& w = World();
+  std::vector<ScoreRequest> pairs = SomePairs(3, 2);
+  const std::vector<int>& items = w.cross.target().items();
+  const std::vector<int>& target_users = w.cross.target().users();
+  const std::unordered_set<int> in_target(target_users.begin(),
+                                          target_users.end());
+  std::vector<int> source_only;
+  for (int u : w.cross.source().users()) {
+    if (in_target.count(u) == 0 && source_only.size() < 2) {
+      source_only.push_back(u);
+    }
+  }
+  EXPECT_FALSE(source_only.empty()) << "world has no source-only user";
+  for (size_t i = 0; i < source_only.size(); ++i) {
+    EXPECT_EQ(0u, w.snapshot_a->user_target_docs().count(source_only[i]));
+    EXPECT_FALSE(w.snapshot_a->BuildColdUserDocs(source_only[i]).empty());
+    pairs.push_back({source_only[i], items[i % items.size()]});
+  }
+  const int unknown_item = *std::max_element(items.begin(), items.end()) + 1;
+  pairs.push_back({w.split.test_users[0], unknown_item});
+  if (!source_only.empty()) pairs.push_back({source_only[0], unknown_item});
+  return pairs;
+}
+
+/// Scores of `pairs` from a fresh single-threaded Scorer over `snap`.
+std::vector<float> ScoreAll(const std::shared_ptr<const ModelSnapshot>& snap,
+                            const std::vector<ScoreRequest>& pairs) {
+  Scorer scorer(snap, 256);
+  std::vector<float> scores;
+  for (const ScoreRequest& p : pairs) {
+    scores.push_back(scorer.Score(p.user, p.item));
+  }
+  return scores;
 }
 
 TEST(AdmissionTest, ShutdownRejectsLateRequestsExplicitly) {
@@ -432,9 +474,115 @@ TEST(SnapshotSwapTest, ProbeValidationRejectsNonFiniteParameters) {
   EXPECT_EQ(w.snapshot_a->version(), manager.active_version());
 }
 
-// The satellite TSan scenario: many submitters, several executors, and a
-// hot swap landing mid-burst. Every response must carry a score matching
-// the EXACT snapshot version it reports — no torn batches, no stale reps.
+// A swap between checkpoints of the serving scenario loads the candidate
+// onto the incumbent's frozen corpus; its answers must equal a fresh load of
+// the same checkpoint bit for bit, in float and in int8 mode.
+TEST(SnapshotSwapTest, SameScenarioSwapSharesCorpusBitIdentically) {
+  FaultGuard guard;
+  FaultWorld& w = World();
+  const std::vector<ScoreRequest> pairs = CorpusPairs();
+  for (const bool quantize : {false, true}) {
+    SCOPED_TRACE(quantize ? "int8" : "float");
+    SnapshotManager::Options options;
+    options.snapshot_options.quantize = quantize;
+    Result<std::shared_ptr<const ModelSnapshot>> incumbent =
+        ModelSnapshot::Load(w.config, &w.cross, w.split, w.checkpoint_a,
+                            options.snapshot_options);
+    ASSERT_TRUE(incumbent.ok()) << incumbent.status().ToString();
+    InferenceServer server(incumbent.value(), InferenceServer::Options());
+    SnapshotManager manager(&server, options);
+
+    const Status swapped = manager.SwapFromCheckpoint(
+        w.config, &w.cross, w.split, w.checkpoint_b);
+    ASSERT_TRUE(swapped.ok()) << swapped.ToString();
+    const std::shared_ptr<const ModelSnapshot> candidate =
+        server.scorer().CurrentSnapshot();
+    EXPECT_EQ(&incumbent.value()->item_docs(), &candidate->item_docs());
+    EXPECT_EQ(quantize, candidate->quant_head() != nullptr);
+
+    Result<std::shared_ptr<const ModelSnapshot>> fresh = ModelSnapshot::Load(
+        w.config, &w.cross, w.split, w.checkpoint_b, options.snapshot_options);
+    ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
+    EXPECT_NE(&fresh.value()->item_docs(), &candidate->item_docs());
+    EXPECT_EQ(fresh.value()->version(), candidate->version());
+    const std::vector<float> want = ScoreAll(fresh.value(), pairs);
+    EXPECT_EQ(want, ScoreAll(candidate, pairs));
+    for (size_t i = 0; i < pairs.size(); ++i) {
+      EXPECT_EQ(want[i], server.Score(pairs[i].user, pairs[i].item))
+          << "pair " << i;
+    }
+  }
+}
+
+// Any other scenario — a different split, or a different dataset object
+// even with equal contents — gets a corpus of its own, equal to what a
+// fresh load under that scenario builds.
+TEST(SnapshotSwapTest, OtherScenarioSwapBuildsItsOwnCorpus) {
+  FaultGuard guard;
+  FaultWorld& w = World();
+  const std::vector<ScoreRequest> pairs = CorpusPairs();
+  data::ColdStartSplit other_split = w.split;
+  std::swap(other_split.validation_users, other_split.test_users);
+  const data::CrossDomainDataset other_cross = w.cross;
+
+  struct Scenario {
+    const char* name;
+    const data::CrossDomainDataset* cross;
+    const data::ColdStartSplit* split;
+  };
+  for (const Scenario& scenario :
+       {Scenario{"split", &w.cross, &other_split},
+        Scenario{"dataset", &other_cross, &w.split}}) {
+    SCOPED_TRACE(scenario.name);
+    InferenceServer server(w.snapshot_a, InferenceServer::Options());
+    SnapshotManager manager(&server);
+    const Status swapped = manager.SwapFromCheckpoint(
+        w.config, scenario.cross, *scenario.split, w.checkpoint_b);
+    ASSERT_TRUE(swapped.ok()) << swapped.ToString();
+    const std::shared_ptr<const ModelSnapshot> candidate =
+        server.scorer().CurrentSnapshot();
+    EXPECT_NE(&w.snapshot_a->item_docs(), &candidate->item_docs());
+    EXPECT_EQ(scenario.cross, candidate->cross());
+
+    Result<std::shared_ptr<const ModelSnapshot>> fresh = ModelSnapshot::Load(
+        w.config, scenario.cross, *scenario.split, w.checkpoint_b);
+    ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
+    EXPECT_EQ(ScoreAll(fresh.value(), pairs), ScoreAll(candidate, pairs));
+  }
+}
+
+// Reusing the corpus skips no check: a checkpoint written under another
+// config is still refused by its fingerprint and counted as a rollback.
+TEST(SnapshotSwapTest, FingerprintMismatchRollsBackOnSharedCorpus) {
+  FaultGuard guard;
+  FaultWorld& w = World();
+  core::OmniMatchConfig other = w.config;
+  other.seed = w.config.seed + 1;
+  core::OmniMatchTrainer trainer(other, &w.cross, w.split);
+  ASSERT_TRUE(trainer.Prepare().ok());
+  const std::string path = testing::TempDir() + "/serve_fault_other.omck";
+  ASSERT_TRUE(trainer.SaveCheckpoint(path).ok());
+
+  InferenceServer server(w.snapshot_a, InferenceServer::Options());
+  SnapshotManager manager(&server);
+  const Status swapped =
+      manager.SwapFromCheckpoint(w.config, &w.cross, w.split, path);
+  EXPECT_EQ(StatusCode::kInvalidArgument, swapped.code())
+      << swapped.ToString();
+  EXPECT_EQ(0, manager.swaps());
+  EXPECT_EQ(1, manager.rollbacks());
+  EXPECT_EQ(w.snapshot_a->version(), manager.active_version());
+  std::remove(path.c_str());
+}
+
+// Many submitters, several executors, and hot swaps A->B->A->B through the
+// manager landing mid-traffic (this runs in the TSan, ASan and UBSan
+// lanes). Every response must carry a score matching the EXACT snapshot
+// version it reports — no torn batches, no stale reps — and equal to a
+// fresh load of that checkpoint. The server starts on a private load of A
+// whose corpus every later candidate shares, so once the first swap
+// retires it, that corpus outlives the snapshot that built it while
+// executors still score from it.
 TEST(SnapshotSwapTest, ConcurrentTrafficAcrossSwapIsVersionConsistent) {
   FaultGuard guard;
   FaultWorld& w = World();
@@ -455,37 +603,55 @@ TEST(SnapshotSwapTest, ConcurrentTrafficAcrossSwapIsVersionConsistent) {
   options.linger_us = 200;
   options.cache_capacity = 8;  // churn: evictions while swapping
   options.max_queue = 0;       // unbounded: every request scores at full tier
-  InferenceServer server(w.snapshot_a, options);
+  Result<std::shared_ptr<const ModelSnapshot>> first =
+      ModelSnapshot::Load(w.config, &w.cross, w.split, w.checkpoint_a);
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  const ServingCorpus* corpus = first.value()->corpus().get();
+  InferenceServer server(std::move(first).value(), options);
+  SnapshotManager manager(&server);
 
   constexpr int kThreads = 4;
-  constexpr int kRounds = 6;
+  constexpr int kMinRounds = 6;
   struct Got {
     size_t pair = 0;
     std::future<ScoreResult> future;
   };
+  std::atomic<bool> swaps_done{false};
   std::vector<std::vector<Got>> submitted(kThreads);
   std::vector<std::thread> submitters;
   for (int t = 0; t < kThreads; ++t) {
     submitters.emplace_back([&, t] {
-      for (int round = 0; round < kRounds; ++round) {
+      // Traffic keeps flowing until every swap has landed; waiting for each
+      // round's last answer keeps the backlog bounded meanwhile.
+      for (int round = 0; round < kMinRounds || !swaps_done.load(); ++round) {
         for (size_t i = 0; i < pairs.size(); ++i) {
           const size_t idx = (i * (t + 1) + round) % pairs.size();
           Got g;
           g.pair = idx;
           g.future = server.ScoreAsync(pairs[idx].user, pairs[idx].item);
           submitted[t].push_back(std::move(g));
-          if (round == kRounds / 2 && i == pairs.size() / 2) {
-            // Let the burst drain a little so the swap lands mid-traffic.
-            std::this_thread::yield();
-          }
         }
+        submitted[t].back().future.wait();
       }
     });
   }
-  // Swap while all four submitters are mid-burst.
-  server.SwapSnapshot(w.snapshot_b);
+  // Each swap waits for fresh traffic first, so every version serves some.
+  for (const std::string* path :
+       {&w.checkpoint_b, &w.checkpoint_a, &w.checkpoint_b}) {
+    const int64_t served = server.stats().requests_served;
+    while (server.stats().requests_served == served) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    const Status swapped =
+        manager.SwapFromCheckpoint(w.config, &w.cross, w.split, *path);
+    EXPECT_TRUE(swapped.ok()) << swapped.ToString();
+    EXPECT_EQ(corpus, server.scorer().CurrentSnapshot()->corpus().get());
+  }
+  swaps_done = true;
   for (std::thread& th : submitters) th.join();
   server.Shutdown();
+  EXPECT_EQ(3, manager.swaps());
+  EXPECT_EQ(w.snapshot_b->version(), manager.active_version());
 
   int served_a = 0, served_b = 0;
   for (auto& per_thread : submitted) {
@@ -504,8 +670,7 @@ TEST(SnapshotSwapTest, ConcurrentTrafficAcrossSwapIsVersionConsistent) {
   }
   EXPECT_EQ(static_cast<int64_t>(served_a + served_b),
             server.stats().requests_served);
-  // The swap was issued racing the first submissions; at least some of the
-  // traffic must land on the new snapshot.
+  EXPECT_GT(served_a, 0);
   EXPECT_GT(served_b, 0);
 }
 

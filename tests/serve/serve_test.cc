@@ -15,9 +15,12 @@
 
 #include <gtest/gtest.h>
 
+#include "common/threadpool.h"
 #include "core/trainer.h"
 #include "data/splits.h"
 #include "data/synthetic.h"
+#include "obs/metrics.h"
+#include "obs/trace.h"
 #include "serve/cache.h"
 #include "serve/scorer.h"
 #include "serve/server.h"
@@ -140,6 +143,40 @@ TEST(ModelSnapshotTest, LoadRejectsMissingFile) {
   Result<std::shared_ptr<const ModelSnapshot>> loaded = ModelSnapshot::Load(
       w.config, &w.cross, w.split, testing::TempDir() + "/nonexistent.omck");
   ASSERT_FALSE(loaded.ok());
+}
+
+// Building a snapshot's corpus runs the trainer's Prepare(), which applies
+// the config's pool size and sinks process-wide. A load must not: with the
+// default num_threads = 0 it would resize the pool every executor shares to
+// the hardware count, overriding --threads, and a named sink would switch
+// tracing or metrics on for the whole server.
+TEST(ModelSnapshotTest, LoadLeavesProcessGlobalStateAlone) {
+  ServeWorld& w = World();
+  const int before = GetNumThreads();
+  const bool tracing = obs::TracingEnabled();
+  const bool metrics = obs::MetricsEnabled();
+  // A size the automatic setting cannot resolve to.
+  const int pinned =
+      static_cast<int>(std::max(1u, std::thread::hardware_concurrency())) + 1;
+  SetNumThreads(pinned);
+
+  core::OmniMatchConfig config = w.config;
+  config.num_threads = 0;
+  config.trace_out = testing::TempDir() + "/unused_trace.json";
+  config.metrics_out = testing::TempDir() + "/unused_metrics.jsonl";
+  Result<std::shared_ptr<const ModelSnapshot>> loaded =
+      ModelSnapshot::Load(config, &w.cross, w.split, w.checkpoint_path);
+  const int threads_after = GetNumThreads();
+  const bool tracing_after = obs::TracingEnabled();
+  const bool metrics_after = obs::MetricsEnabled();
+  SetNumThreads(before);
+  obs::EnableTracing(tracing);
+  obs::EnableMetrics(metrics);
+
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(pinned, threads_after);
+  EXPECT_EQ(tracing, tracing_after);
+  EXPECT_EQ(metrics, metrics_after);
 }
 
 TEST(ScorerTest, BitIdenticalToTrainerEvalPath) {
