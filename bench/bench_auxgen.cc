@@ -277,16 +277,7 @@ int RunMillionSmoke(int users, double max_rss_mb, const std::string& workdir,
     for (const std::string& name : domains) {
       data::OmdsWriter writer;
       Status st = writer.Open(workdir + "/" + name + ".omds");
-      if (!st.ok()) {
-        std::fprintf(stderr, "bench_auxgen: %s\n", st.ToString().c_str());
-        return 1;
-      }
-      world.StreamDomain(name, [&](data::Review&& r) {
-        Status add = writer.Add(r.user_id, r.item_id, r.rating, r.summary,
-                                r.full_text);
-        if (!add.ok()) std::abort();
-      });
-      st = writer.Finalize();
+      if (st.ok()) st = world.WriteDomain(name, &writer);
       if (!st.ok()) {
         std::fprintf(stderr, "bench_auxgen: %s\n", st.ToString().c_str());
         return 1;
@@ -313,7 +304,7 @@ int RunMillionSmoke(int users, double max_rss_mb, const std::string& workdir,
               cross.overlapping_users().size(), split.train_users.size(),
               split.test_users.size());
 
-  // Parallel Algorithm 1 against the mapped backend.
+  // Parallel Algorithm 1 against the mapped files.
   core::AuxReviewGenerator generator(&cross, split.train_users);
   std::vector<int> cold = split.test_users;
   Stopwatch gen_watch;

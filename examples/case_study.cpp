@@ -64,11 +64,12 @@ int main(int argc, char** argv) {
               "the model):\n",
               user);
   std::vector<std::string> truth;
-  for (int idx : cross.target().RecordsOfUser(user)) {
-    const data::Review& r = cross.target().reviews()[idx];
-    std::printf("  item %d (%.1f stars): \"%s\"\n", r.item_id, r.rating,
-                r.summary.c_str());
-    truth.push_back(r.summary);
+  const data::DomainDataset& target = cross.target();
+  for (int idx : target.RecordsOfUser(user)) {
+    std::string summary(target.ReviewSummary(idx));
+    std::printf("  item %d (%.1f stars): \"%s\"\n", target.ReviewItem(idx),
+                target.ReviewRating(idx), summary.c_str());
+    truth.push_back(summary);
   }
   std::printf("\nConcatenated ground truth:\n  \"%s\"\n",
               Join(truth, " <sp> ").c_str());

@@ -171,10 +171,11 @@ int main(int argc, char** argv) {
   int cold_user = split.test_users.front();
   const auto& records = cross.target().RecordsOfUser(cold_user);
   if (!records.empty()) {
-    const data::Review& r = cross.target().reviews()[records[0]];
-    float pred = trainer.PredictRating(cold_user, r.item_id);
+    const int item = cross.target().ReviewItem(records[0]);
+    float pred = trainer.PredictRating(cold_user, item);
     std::printf("Cold user %d on item %d: predicted %.2f, actual %.0f\n",
-                cold_user, r.item_id, pred, r.rating);
+                cold_user, item, pred,
+                cross.target().ReviewRating(records[0]));
   }
   return 0;
 }

@@ -64,8 +64,8 @@ run_release() {
   echo "=== Million-user out-of-core smoke (RSS-capped) ==="
   # Streams a million-user world to OMDS files, maps them back, and drives
   # split + parallel auxiliary generation + checkpoint + serve scoring
-  # entirely against the mapped backend. Fails if peak RSS exceeds the
-  # fixed 1 GB budget (the in-memory path needs several times that).
+  # entirely against the mapped files. Fails if peak RSS exceeds the fixed
+  # 1 GB budget.
   local smoke_dir="${TMPDIR:-/tmp}/omnimatch_million_smoke"
   ./build/bench/bench_auxgen --million_smoke --users=1000000 \
     --max_rss_mb=1024 --workdir="${smoke_dir}" \
@@ -110,7 +110,9 @@ run_portable() {
 # trainer-level suites —
 # including the fault-injection tests and the graph-vs-eager trainer
 # equivalence tests, so every guard rollback/retry path and the compiled
-# replay path are walked under instrumentation. Each sanitizer lane then
+# replay path are walked under instrumentation — plus data_test, so the
+# OMDS validator meets its corrupted images (every flipped byte of a small
+# one included) under instrumentation. Each sanitizer lane then
 # re-runs the serving suite's env-fault test with every serve probe point
 # armed, so the degraded/rollback paths themselves run instrumented.
 run_sanitizer() {
@@ -134,14 +136,14 @@ case "${MODE}" in
   release)  run_release ;;
   portable) run_portable ;;
   tsan)    run_sanitizer thread common_test nn_test obs_test serve_test serve_fault_test ;;
-  asan)    run_sanitizer address common_test nn_test core_test obs_test serve_test serve_fault_test ;;
-  ubsan)   run_sanitizer undefined common_test nn_test core_test obs_test serve_test serve_fault_test ;;
+  asan)    run_sanitizer address common_test nn_test core_test data_test obs_test serve_test serve_fault_test ;;
+  ubsan)   run_sanitizer undefined common_test nn_test core_test data_test obs_test serve_test serve_fault_test ;;
   all)
     run_release
     run_portable
     run_sanitizer thread common_test nn_test obs_test serve_test serve_fault_test
-    run_sanitizer address common_test nn_test core_test obs_test serve_test serve_fault_test
-    run_sanitizer undefined common_test nn_test core_test obs_test serve_test serve_fault_test
+    run_sanitizer address common_test nn_test core_test data_test obs_test serve_test serve_fault_test
+    run_sanitizer undefined common_test nn_test core_test data_test obs_test serve_test serve_fault_test
     ;;
   *) echo "usage: $0 [all|release|portable|tsan|asan|ubsan]" >&2 ; exit 2 ;;
 esac

@@ -34,7 +34,7 @@ Status EnsureDirectory(const std::string& path);
 
 /// Read-only memory mapping of a whole file (mmap PROT_READ MAP_PRIVATE).
 ///
-/// The out-of-core dataset backend: a mapped OMDS domain file is paged in
+/// The out-of-core data path: a mapped OMDS domain file is paged in
 /// on demand by the kernel, so resident memory tracks the working set
 /// instead of the file size. Lifetime contract: data() stays valid exactly
 /// as long as this object lives — holders that hand out string_views into

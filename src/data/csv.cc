@@ -5,6 +5,7 @@
 
 #include "common/io.h"
 #include "common/string_util.h"
+#include "data/omds.h"
 
 namespace omnimatch {
 namespace data {
@@ -68,23 +69,13 @@ Status SaveDomainTsv(const DomainDataset& dataset, const std::string& path) {
 
 Result<DomainDataset> LoadDomainTsv(const std::string& path,
                                     const std::string& name) {
-  // One whole-file read instead of a getline loop: the buffer doubles as
-  // the pre-scan for the reserve below, and parsing walks string_views into
-  // it without per-line stream overhead.
+  // One whole-file read instead of a getline loop: parsing walks the buffer
+  // without per-line stream overhead.
   Result<std::string> read = ReadFileToString(path);
   if (!read.ok()) return read.status();
   const std::string& buffer = read.value();
 
-  DomainDataset dataset(name);
-  // Pre-scan: one row per newline is an upper bound (header and blank lines
-  // only over-reserve slightly), so reviews_ grows exactly once instead of
-  // through log2(n) reallocations on large files.
-  size_t newlines = 0;
-  for (char c : buffer) {
-    if (c == '\n') ++newlines;
-  }
-  dataset.ReserveReviews(newlines);
-
+  OmdsWriter writer;
   bool first = true;
   int line_no = 0;
   size_t pos = 0;
@@ -113,37 +104,42 @@ Result<DomainDataset> LoadDomainTsv(const std::string& path,
           StrFormat("%s:%d: expected >=4 tab-separated fields, got %d",
                     path.c_str(), line_no, static_cast<int>(fields.size())));
     }
-    Review r;
+    int user_id = 0;
+    int item_id = 0;
+    float rating = 0.0f;
     // Checked parses: std::atoi/atof silently read "3x" as 3 and turn any
     // garbage into 0 — a dataset bug the model would then train on. Every
     // field must parse in full or the row is rejected with its location.
-    if (!ParseInt32(fields[0], &r.user_id)) {
+    if (!ParseInt32(fields[0], &user_id)) {
       return Status::InvalidArgument(
           StrFormat("%s:%d: bad user_id '%s'", path.c_str(), line_no,
                     fields[0].c_str()));
     }
-    if (!ParseInt32(fields[1], &r.item_id)) {
+    if (!ParseInt32(fields[1], &item_id)) {
       return Status::InvalidArgument(
           StrFormat("%s:%d: bad item_id '%s'", path.c_str(), line_no,
                     fields[1].c_str()));
     }
-    if (!ParseFloat(fields[2], &r.rating)) {
+    if (!ParseFloat(fields[2], &rating)) {
       return Status::InvalidArgument(
           StrFormat("%s:%d: bad rating '%s'", path.c_str(), line_no,
                     fields[2].c_str()));
     }
-    if (r.user_id < 0 || r.item_id < 0 || r.rating < 1.0f ||
-        r.rating > 5.0f) {
-      return Status::InvalidArgument(
-          StrFormat("%s:%d: invalid ids or rating", path.c_str(), line_no));
+    std::string summary = UnescapeText(fields[3]);
+    // Add is the one record validator (negative ids, ratings outside
+    // [1, 5] and NaN); its rejection gets the row's location.
+    Status added = writer.Add(
+        user_id, item_id, rating, summary,
+        fields.size() >= 5 ? UnescapeText(fields[4]) : summary);
+    if (!added.ok()) {
+      return Status::InvalidArgument(StrFormat(
+          "%s:%d: %s", path.c_str(), line_no, added.message().c_str()));
     }
-    r.summary = UnescapeText(fields[3]);
-    r.full_text =
-        fields.size() >= 5 ? UnescapeText(fields[4]) : r.summary;
-    dataset.AddReview(std::move(r));
   }
-  dataset.BuildIndices();
-  return dataset;
+  OM_RETURN_IF_ERROR(writer.Finalize());
+  Result<std::shared_ptr<const OmdsFile>> image = writer.TakeImage();
+  if (!image.ok()) return image.status();
+  return DomainDataset(name, std::move(image).value());
 }
 
 }  // namespace data

@@ -19,8 +19,9 @@ Status SaveDomainTsv(const DomainDataset& dataset, const std::string& path);
 /// Loads a domain written by SaveDomainTsv (or hand-authored in the same
 /// format). Escape sequences in text fields are decoded; numeric fields are
 /// parsed strictly (trailing garbage or out-of-range values reject the row
-/// with file:line context). Builds indices before returning. The dataset
-/// name is taken from `name`, not the file.
+/// with file:line context). The records land in an in-memory OMDS image
+/// through OmdsWriter, whose Add is the record validator. The dataset name
+/// is taken from `name`, not the file.
 Result<DomainDataset> LoadDomainTsv(const std::string& path,
                                     const std::string& name);
 

@@ -9,6 +9,24 @@
 namespace omnimatch {
 namespace data {
 
+namespace {
+
+/// The image of a record-less domain, shared by every default-constructed
+/// dataset.
+std::shared_ptr<const OmdsFile> EmptyImage() {
+  static const std::shared_ptr<const OmdsFile> empty = [] {
+    OmdsWriter writer;
+    Status finalized = writer.Finalize();
+    OM_CHECK(finalized.ok()) << finalized.ToString();
+    Result<std::shared_ptr<const OmdsFile>> image = writer.TakeImage();
+    OM_CHECK(image.ok()) << image.status().ToString();
+    return std::move(image).value();
+  }();
+  return empty;
+}
+
+}  // namespace
+
 long long DomainDataset::ItemRatingKey(int item_id, float rating) {
   // Half-step buckets: 4.5 and 5.0 must key differently (Algorithm 1's
   // "same rating" is exact, and half-star ratings are legal inputs).
@@ -17,69 +35,12 @@ long long DomainDataset::ItemRatingKey(int item_id, float rating) {
   return static_cast<long long>(item_id) * 16 + r;
 }
 
+DomainDataset::DomainDataset() : DomainDataset("", EmptyImage()) {}
+
 DomainDataset::DomainDataset(std::string name,
-                             std::shared_ptr<const OmdsFile> omds)
-    : name_(std::move(name)), omds_(std::move(omds)) {
-  OM_CHECK(omds_ != nullptr);
-}
-
-void DomainDataset::AddReview(Review review) {
-  OM_CHECK(!is_mapped()) << "mapped datasets are read-only";
-  OM_CHECK_GE(review.user_id, 0);
-  OM_CHECK_GE(review.item_id, 0);
-  OM_CHECK(review.rating >= 1.0f && review.rating <= 5.0f)
-      << "rating " << review.rating;
-  reviews_.push_back(std::move(review));
-  indices_built_ = false;
-}
-
-void DomainDataset::ReserveReviews(size_t n) {
-  OM_CHECK(!is_mapped()) << "mapped datasets are read-only";
-  reviews_.reserve(n);
-}
-
-const std::vector<Review>& DomainDataset::reviews() const {
-  OM_CHECK(!is_mapped())
-      << "reviews() is in-memory only; use the per-record accessors";
-  return reviews_;
-}
-
-size_t DomainDataset::num_reviews() const {
-  return omds_ ? omds_->num_records() : reviews_.size();
-}
-
-int DomainDataset::ReviewUser(size_t i) const {
-  return omds_ ? omds_->meta(i).user_id : reviews_[i].user_id;
-}
-
-int DomainDataset::ReviewItem(size_t i) const {
-  return omds_ ? omds_->meta(i).item_id : reviews_[i].item_id;
-}
-
-float DomainDataset::ReviewRating(size_t i) const {
-  return omds_ ? omds_->meta(i).rating : reviews_[i].rating;
-}
-
-std::string_view DomainDataset::ReviewSummary(size_t i) const {
-  return omds_ ? omds_->summary(i) : std::string_view(reviews_[i].summary);
-}
-
-std::string_view DomainDataset::ReviewFullText(size_t i) const {
-  return omds_ ? omds_->full_text(i) : std::string_view(reviews_[i].full_text);
-}
-
-Review DomainDataset::CopyReview(size_t i) const {
-  if (!omds_) return reviews_[i];
-  Review r;
-  r.user_id = ReviewUser(i);
-  r.item_id = ReviewItem(i);
-  r.rating = ReviewRating(i);
-  r.summary = std::string(ReviewSummary(i));
-  r.full_text = std::string(ReviewFullText(i));
-  return r;
-}
-
-void DomainDataset::BuildIndices() {
+                             std::shared_ptr<const OmdsFile> image)
+    : name_(std::move(name)), image_(std::move(image)) {
+  OM_CHECK(image_ != nullptr);
   const size_t n = num_reviews();
   user_index_ = CsrIndex<int>::Build(
       n, [this](size_t i) { return ReviewUser(i); },
@@ -97,27 +58,42 @@ void DomainDataset::BuildIndices() {
                                                  ReviewRating(i)); },
       [this](size_t i) { return ReviewUser(i); },
       /*sort_unique_values=*/true);
-  indices_built_ = true;
+}
+
+const OmdsFile& DomainDataset::image() const { return *image_; }
+
+size_t DomainDataset::num_reviews() const { return image_->num_records(); }
+
+int DomainDataset::ReviewUser(size_t i) const {
+  return image_->meta(i).user_id;
+}
+
+int DomainDataset::ReviewItem(size_t i) const {
+  return image_->meta(i).item_id;
+}
+
+float DomainDataset::ReviewRating(size_t i) const {
+  return image_->meta(i).rating;
+}
+
+std::string_view DomainDataset::ReviewSummary(size_t i) const {
+  return image_->summary(i);
+}
+
+std::string_view DomainDataset::ReviewFullText(size_t i) const {
+  return image_->full_text(i);
 }
 
 IdSpan DomainDataset::RecordsOfUser(int user_id) const {
-  OM_CHECK(indices_built_) << "call BuildIndices() first";
   return user_index_.Find(user_id);
 }
 
 IdSpan DomainDataset::RecordsOfItem(int item_id) const {
-  OM_CHECK(indices_built_) << "call BuildIndices() first";
   return item_index_.Find(item_id);
 }
 
 IdSpan DomainDataset::UsersWhoRated(int item_id, float rating) const {
-  OM_CHECK(indices_built_) << "call BuildIndices() first";
   return item_rating_index_.Find(ItemRatingKey(item_id, rating));
-}
-
-const CsrIndex<long long>& DomainDataset::item_rating_index() const {
-  OM_CHECK(indices_built_) << "call BuildIndices() first";
-  return item_rating_index_;
 }
 
 float DomainDataset::GlobalMeanRating() const {
@@ -129,7 +105,6 @@ float DomainDataset::GlobalMeanRating() const {
 }
 
 double DomainDataset::MeanReviewsPerUser() const {
-  OM_CHECK(indices_built_) << "call BuildIndices() first";
   if (users().empty()) return 0.0;
   return static_cast<double>(num_reviews()) /
          static_cast<double>(users().size());
@@ -138,13 +113,6 @@ double DomainDataset::MeanReviewsPerUser() const {
 CrossDomainDataset::CrossDomainDataset(DomainDataset source,
                                        DomainDataset target)
     : source_(std::move(source)), target_(std::move(target)) {
-  RecomputeOverlap();
-}
-
-void CrossDomainDataset::RecomputeOverlap() {
-  source_.BuildIndices();
-  target_.BuildIndices();
-  overlapping_users_.clear();
   std::set_intersection(source_.users().begin(), source_.users().end(),
                         target_.users().begin(), target_.users().end(),
                         std::back_inserter(overlapping_users_));

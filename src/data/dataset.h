@@ -24,56 +24,32 @@ class OmdsFile;
 /// search over a contiguous key array — no per-bucket heap allocations,
 /// which is what makes the million-user worlds fit.
 ///
-/// Two record backends share this one API:
-///   * in-memory — AddReview()-built or TSV-loaded `std::vector<Review>`;
-///   * mapped    — an OMDS file (see data/omds.h) accessed through a
-///     shared, read-only memory mapping; records stream from disk and the
-///     resident set tracks the working set instead of the corpus size.
-/// Field accessors (ReviewUser/ReviewItem/ReviewRating/ReviewSummary/
-/// ReviewFullText) work on either backend; reviews() and AddReview() are
-/// in-memory only (they OM_CHECK on a mapped dataset).
+/// The records live in one validated OMDS image (data/omds.h), shared and
+/// read-only: an in-memory buffer (LoadDomainTsv, SyntheticWorld, any
+/// OmdsWriter) or a mapped file (LoadDomainOmds), behind the same
+/// accessors. A dataset is immutable; its indices are built once, in the
+/// constructor, and copies share the image.
 class DomainDataset {
  public:
-  DomainDataset() = default;
-  explicit DomainDataset(std::string name) : name_(std::move(name)) {}
-  /// Mapped backend: records come from `omds` (shared so the dataset stays
-  /// copyable and string_views into the mapping stay valid). Indices are
-  /// not built yet; call BuildIndices() (LoadDomainOmds does).
-  DomainDataset(std::string name, std::shared_ptr<const OmdsFile> omds);
-
-  /// Appends a review (in-memory backend only). Invalidates indices until
-  /// BuildIndices() is called.
-  void AddReview(Review review);
-
-  /// Pre-allocates review storage (in-memory backend only): bulk loaders
-  /// reserve once instead of growing through reallocations.
-  void ReserveReviews(size_t n);
-
-  /// (Re)builds the user/item/(item,rating) CSR dictionaries.
-  void BuildIndices();
+  /// An empty, unnamed domain.
+  DomainDataset();
+  /// Indexes the records of `image` (never null).
+  DomainDataset(std::string name, std::shared_ptr<const OmdsFile> image);
 
   const std::string& name() const { return name_; }
-  void set_name(std::string name) { name_ = std::move(name); }
-
-  /// True when records are backed by a memory-mapped OMDS file.
-  bool is_mapped() const { return omds_ != nullptr; }
-
-  /// In-memory backend only; use the per-record accessors below for code
-  /// that must handle both backends.
-  const std::vector<Review>& reviews() const;
+  /// The OMDS image holding the records.
+  const OmdsFile& image() const;
 
   size_t num_reviews() const;
 
-  // --- backend-independent per-record accessors ---
+  // --- per-record accessors ---
   int ReviewUser(size_t i) const;
   int ReviewItem(size_t i) const;
   float ReviewRating(size_t i) const;
-  /// Views are valid as long as the dataset (and, for the mapped backend,
-  /// its shared OmdsFile) is alive.
+  /// Views are valid as long as the dataset (or any copy sharing its image)
+  /// is alive.
   std::string_view ReviewSummary(size_t i) const;
   std::string_view ReviewFullText(size_t i) const;
-  /// Materializes record i as an owned Review (either backend).
-  Review CopyReview(size_t i) const;
 
   /// Users and items present, sorted ascending.
   const std::vector<int>& users() const { return user_index_.keys(); }
@@ -83,7 +59,7 @@ class DomainDataset {
   bool HasItem(int item_id) const { return !RecordsOfItem(item_id).empty(); }
 
   /// Indices (into records) of a user's reviews, ascending; empty if
-  /// unknown user. The span stays valid until the next BuildIndices().
+  /// unknown user.
   IdSpan RecordsOfUser(int user_id) const;
 
   /// Indices (into records) of an item's reviews; empty if unknown item.
@@ -99,7 +75,9 @@ class DomainDataset {
   /// The packed (item, rating) -> users dictionary itself. Key layout:
   /// ItemRatingKey(). AuxReviewGenerator derives its eligible-filtered view
   /// from this.
-  const CsrIndex<long long>& item_rating_index() const;
+  const CsrIndex<long long>& item_rating_index() const {
+    return item_rating_index_;
+  }
 
   /// key = item_id * 16 + lround(rating * 2): half-step rating buckets, so
   /// half-star ratings never collide with their neighbours.
@@ -114,9 +92,7 @@ class DomainDataset {
 
  private:
   std::string name_;
-  std::vector<Review> reviews_;
-  std::shared_ptr<const OmdsFile> omds_;
-  bool indices_built_ = false;
+  std::shared_ptr<const OmdsFile> image_;
 
   CsrIndex<int> user_index_;              // user -> record indices
   CsrIndex<int> item_index_;              // item -> record indices
@@ -132,11 +108,6 @@ class CrossDomainDataset {
 
   const DomainDataset& source() const { return source_; }
   const DomainDataset& target() const { return target_; }
-  DomainDataset& mutable_source() { return source_; }
-  DomainDataset& mutable_target() { return target_; }
-
-  /// Recomputes the overlap after datasets change.
-  void RecomputeOverlap();
 
   /// Users with records in both domains, sorted.
   const std::vector<int>& overlapping_users() const {

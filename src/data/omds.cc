@@ -51,64 +51,76 @@ Result<std::shared_ptr<const OmdsFile>> OmdsFile::Open(
     const std::string& path) {
   Result<MemoryMappedFile> mapped = MemoryMappedFile::Open(path);
   if (!mapped.ok()) return mapped.status();
-
   auto file = std::shared_ptr<OmdsFile>(new OmdsFile());
-  file->path_ = path;
   file->map_ = std::move(mapped).value();
-  const char* base = file->map_.data();
-  const uint64_t size = file->map_.size();
+  file->bytes_ = std::string_view(file->map_.data(), file->map_.size());
+  OM_RETURN_IF_ERROR(file->Validate(path));
+  return std::shared_ptr<const OmdsFile>(std::move(file));
+}
+
+Result<std::shared_ptr<const OmdsFile>> OmdsFile::FromBuffer(
+    std::string bytes, const std::string& origin) {
+  auto file = std::shared_ptr<OmdsFile>(new OmdsFile());
+  file->buffer_ = std::move(bytes);
+  file->bytes_ = file->buffer_;
+  OM_RETURN_IF_ERROR(file->Validate(origin));
+  return std::shared_ptr<const OmdsFile>(std::move(file));
+}
+
+Status OmdsFile::Validate(const std::string& origin) {
+  const char* base = bytes_.data();
+  const uint64_t size = bytes_.size();
 
   if (size < sizeof(OmdsHeader)) {
-    return Corrupt(path, "not an OMDS file (shorter than the header)");
+    return Corrupt(origin, "not an OMDS file (shorter than the header)");
   }
   OmdsHeader header;
   std::memcpy(&header, base, sizeof header);
   if (std::memcmp(header.magic, kMagic, sizeof kMagic) != 0) {
-    return Corrupt(path, "bad magic (not an OMDS file)");
+    return Corrupt(origin, "bad magic (not an OMDS file)");
   }
   if (header.version != kVersion) {
-    return Corrupt(path, StrFormat("unsupported OMDS version %u",
-                                   header.version));
+    return Corrupt(origin, StrFormat("unsupported OMDS version %u",
+                                     header.version));
   }
   if (Crc32(base, offsetof(OmdsHeader, header_crc32)) != header.header_crc32) {
-    return Corrupt(path, "header CRC mismatch");
+    return Corrupt(origin, "header CRC mismatch");
   }
   if (header.text_offset != kTextOffset) {
-    return Corrupt(path, "unexpected text offset");
+    return Corrupt(origin, "unexpected text offset");
   }
   if (header.text_bytes > size - kTextOffset) {
-    return Corrupt(path, "truncated file (text section out of bounds)");
+    return Corrupt(origin, "truncated file (text section out of bounds)");
   }
   if (header.meta_offset % 8 != 0 || header.meta_offset > size ||
       header.meta_offset < kTextOffset + header.text_bytes) {
-    return Corrupt(path, "misaligned or overlapping meta table");
+    return Corrupt(origin, "misaligned or overlapping meta table");
   }
   if (header.num_records > (uint64_t{1} << 40)) {
-    return Corrupt(path, "implausible record count");
+    return Corrupt(origin, "implausible record count");
   }
   const uint64_t meta_bytes = header.num_records * sizeof(OmdsRecordMeta);
   if (meta_bytes > size - header.meta_offset) {
-    return Corrupt(path, "truncated file (meta table out of bounds)");
+    return Corrupt(origin, "truncated file (meta table out of bounds)");
   }
   if (Crc32(base + header.meta_offset, meta_bytes) != header.meta_crc32) {
-    return Corrupt(path, "meta table CRC mismatch");
+    return Corrupt(origin, "meta table CRC mismatch");
   }
   if (Crc32(base + kTextOffset, header.text_bytes) != header.text_crc32) {
-    return Corrupt(path, "text section CRC mismatch");
+    return Corrupt(origin, "text section CRC mismatch");
   }
 
-  file->text_ = base + kTextOffset;
-  file->meta_ = base + header.meta_offset;
-  file->num_records_ = static_cast<size_t>(header.num_records);
+  text_ = base + kTextOffset;
+  meta_ = base + header.meta_offset;
+  num_records_ = static_cast<size_t>(header.num_records);
 
   // Record-level validation, parallel over fixed chunks: every text span in
-  // bounds, ids and ratings in the ranges AddReview would enforce. A mapped
-  // dataset must never be weaker than an AddReview-built one.
+  // bounds, ids and ratings in the ranges OmdsWriter::Add enforces.
   std::atomic<bool> ok{true};
-  const int64_t n = static_cast<int64_t>(file->num_records_);
+  const int64_t n = static_cast<int64_t>(num_records_);
   ParallelFor(0, n, 4096, [&](int64_t lo, int64_t hi) {
     for (int64_t i = lo; i < hi; ++i) {
-      OmdsRecordMeta m = file->meta(static_cast<size_t>(i));
+      OmdsRecordMeta m = meta(static_cast<size_t>(i));
       uint64_t span = uint64_t{m.summary_len} + uint64_t{m.full_len};
       if (m.text_off > header.text_bytes ||
           span > header.text_bytes - m.text_off || m.user_id < 0 ||
@@ -119,15 +131,9 @@ Result<std::shared_ptr<const OmdsFile>> OmdsFile::Open(
     }
   });
   if (!ok.load()) {
-    return Corrupt(path, "invalid record (bad text span, id or rating)");
+    return Corrupt(origin, "invalid record (bad text span, id or rating)");
   }
-  return std::shared_ptr<const OmdsFile>(std::move(file));
-}
-
-OmdsRecordMeta OmdsFile::meta(size_t i) const {
-  OmdsRecordMeta m;
-  std::memcpy(&m, meta_ + i * sizeof(OmdsRecordMeta), sizeof m);
-  return m;
+  return Status::OK();
 }
 
 std::string_view OmdsFile::summary(size_t i) const {
@@ -140,6 +146,8 @@ std::string_view OmdsFile::full_text(size_t i) const {
   return std::string_view(text_ + m.text_off + m.summary_len, m.full_len);
 }
 
+OmdsWriter::OmdsWriter() : buffer_(sizeof(OmdsHeader), '\0') {}
+
 OmdsWriter::~OmdsWriter() {
   if (file_ != nullptr) {
     std::fclose(file_);
@@ -148,16 +156,29 @@ OmdsWriter::~OmdsWriter() {
 }
 
 Status OmdsWriter::Open(const std::string& path) {
-  OM_CHECK(file_ == nullptr) << "OmdsWriter::Open called twice";
-  path_ = path;
-  tmp_path_ = UniqueTmpPath(path);
-  file_ = std::fopen(tmp_path_.c_str(), "wb");
+  OM_CHECK(path_.empty() && meta_.empty() && !finalized_)
+      << "OmdsWriter::Open must come first, once";
+  std::string tmp_path = UniqueTmpPath(path);
+  file_ = std::fopen(tmp_path.c_str(), "wb");
   if (file_ == nullptr) {
-    return Status::IoError(tmp_path_ + ": " + std::strerror(errno));
+    return Status::IoError(tmp_path + ": " + std::strerror(errno));
   }
-  // Placeholder header; Finalize() seeks back and fills it in.
-  char zeros[sizeof(OmdsHeader)] = {};
-  if (std::fwrite(zeros, 1, sizeof zeros, file_) != sizeof zeros) {
+  path_ = path;
+  tmp_path_ = std::move(tmp_path);
+  // The placeholder header moves from the buffer to the file; Finalize()
+  // seeks back and fills it in.
+  Status placeholder = Write(buffer_.data(), buffer_.size());
+  buffer_ = std::string();
+  return placeholder;
+}
+
+Status OmdsWriter::Write(const void* data, size_t size) {
+  if (size == 0) return Status::OK();
+  if (file_ == nullptr) {
+    buffer_.append(static_cast<const char*>(data), size);
+    return Status::OK();
+  }
+  if (std::fwrite(data, 1, size, file_) != size) {
     return Status::IoError("write failed for " + tmp_path_);
   }
   return Status::OK();
@@ -165,10 +186,12 @@ Status OmdsWriter::Open(const std::string& path) {
 
 Status OmdsWriter::Add(int user_id, int item_id, float rating,
                        std::string_view summary, std::string_view full_text) {
-  OM_CHECK(file_ != nullptr) << "OmdsWriter not open";
+  OM_CHECK(!finalized_) << "OmdsWriter already finalized";
   if (user_id < 0 || item_id < 0 || !(rating >= 1.0f && rating <= 5.0f)) {
     return Status::InvalidArgument(
-        StrFormat("record %zu: invalid ids or rating", meta_.size()));
+        StrFormat("record %zu: invalid ids or rating (user %d, item %d, "
+                  "rating %g)",
+                  meta_.size(), user_id, item_id, static_cast<double>(rating)));
   }
   OmdsRecordMeta m;
   m.user_id = user_id;
@@ -177,13 +200,8 @@ Status OmdsWriter::Add(int user_id, int item_id, float rating,
   m.summary_len = static_cast<uint32_t>(summary.size());
   m.full_len = static_cast<uint32_t>(full_text.size());
   m.text_off = text_bytes_;
-  bool ok = (summary.empty() ||
-             std::fwrite(summary.data(), 1, summary.size(), file_) ==
-                 summary.size()) &&
-            (full_text.empty() ||
-             std::fwrite(full_text.data(), 1, full_text.size(), file_) ==
-                 full_text.size());
-  if (!ok) return Status::IoError("write failed for " + tmp_path_);
+  OM_RETURN_IF_ERROR(Write(summary.data(), summary.size()));
+  OM_RETURN_IF_ERROR(Write(full_text.data(), full_text.size()));
   text_crc_ = Crc32(summary, text_crc_);
   text_crc_ = Crc32(full_text, text_crc_);
   text_bytes_ += summary.size() + full_text.size();
@@ -192,15 +210,14 @@ Status OmdsWriter::Add(int user_id, int item_id, float rating,
 }
 
 Status OmdsWriter::Finalize() {
-  OM_CHECK(file_ != nullptr) << "OmdsWriter not open";
+  OM_CHECK(!finalized_) << "OmdsWriter already finalized";
+  finalized_ = true;
   // Pad the text section so the meta table lands 8-byte aligned.
   const uint64_t meta_offset = kTextOffset + AlignUp8(text_bytes_);
-  const uint64_t pad = meta_offset - kTextOffset - text_bytes_;
   const char zeros[8] = {};
-  bool ok = pad == 0 || std::fwrite(zeros, 1, pad, file_) == pad;
   const size_t meta_bytes = meta_.size() * sizeof(OmdsRecordMeta);
-  ok = ok && (meta_bytes == 0 ||
-              std::fwrite(meta_.data(), 1, meta_bytes, file_) == meta_bytes);
+  Status tail = Write(zeros, meta_offset - kTextOffset - text_bytes_);
+  if (tail.ok()) tail = Write(meta_.data(), meta_bytes);
 
   OmdsHeader header;
   std::memcpy(header.magic, kMagic, sizeof kMagic);
@@ -213,15 +230,21 @@ Status OmdsWriter::Finalize() {
   header.text_crc32 = text_crc_;
   header.header_crc32 =
       Crc32(&header, offsetof(OmdsHeader, header_crc32));
-  ok = ok && std::fseek(file_, 0, SEEK_SET) == 0 &&
-       std::fwrite(&header, 1, sizeof header, file_) == sizeof header;
-  ok = ok && std::fflush(file_) == 0;
-  // fsync before rename, like WriteFileAtomic: the name must never point at
-  // data the disk has not seen.
-  ok = ok && ::fsync(fileno(file_)) == 0;
-  if (std::fclose(file_) != 0) ok = false;
+  if (file_ == nullptr) {
+    std::memcpy(buffer_.data(), &header, sizeof header);
+    return Status::OK();
+  }
+
+  bool written = tail.ok() && std::fseek(file_, 0, SEEK_SET) == 0 &&
+                 std::fwrite(&header, 1, sizeof header, file_) ==
+                     sizeof header &&
+                 std::fflush(file_) == 0 &&
+                 // fsync before rename, like WriteFileAtomic: the name must
+                 // never point at data the disk has not seen.
+                 ::fsync(fileno(file_)) == 0;
+  if (std::fclose(file_) != 0) written = false;
   file_ = nullptr;
-  if (!ok) {
+  if (!written) {
     std::remove(tmp_path_.c_str());
     return Status::IoError("write failed for " + tmp_path_);
   }
@@ -233,25 +256,21 @@ Status OmdsWriter::Finalize() {
   return Status::OK();
 }
 
+Result<std::shared_ptr<const OmdsFile>> OmdsWriter::TakeImage() {
+  OM_CHECK(finalized_ && path_.empty())
+      << "TakeImage needs a finalized buffer-destination writer";
+  return OmdsFile::FromBuffer(std::move(buffer_));
+}
+
 Status WriteDomainOmds(const DomainDataset& dataset, const std::string& path) {
-  OmdsWriter writer;
-  OM_RETURN_IF_ERROR(writer.Open(path));
-  for (size_t i = 0; i < dataset.num_reviews(); ++i) {
-    OM_RETURN_IF_ERROR(writer.Add(dataset.ReviewUser(i), dataset.ReviewItem(i),
-                                  dataset.ReviewRating(i),
-                                  dataset.ReviewSummary(i),
-                                  dataset.ReviewFullText(i)));
-  }
-  return writer.Finalize();
+  return WriteFileAtomic(path, dataset.image().bytes());
 }
 
 Result<DomainDataset> LoadDomainOmds(const std::string& path,
                                      const std::string& name) {
   Result<std::shared_ptr<const OmdsFile>> file = OmdsFile::Open(path);
   if (!file.ok()) return file.status();
-  DomainDataset dataset(name, std::move(file).value());
-  dataset.BuildIndices();
-  return dataset;
+  return DomainDataset(name, std::move(file).value());
 }
 
 }  // namespace data

@@ -5,6 +5,7 @@
 
 #include "common/check.h"
 #include "common/string_util.h"
+#include "data/omds.h"
 
 namespace omnimatch {
 namespace data {
@@ -133,11 +134,14 @@ SyntheticWorld::SyntheticWorld(const SyntheticConfig& config,
     GenerateItemLatents(d, &domain_rng);
     review_rngs_.push_back(domain_rng);
     if (materialized_) {
-      DomainDataset dataset(domain_names_[static_cast<size_t>(d)]);
-      EmitReviews(d, &domain_rng,
-                  [&](Review&& r) { dataset.AddReview(std::move(r)); });
-      dataset.BuildIndices();
-      domains_.push_back(std::move(dataset));
+      OmdsWriter writer;
+      Status written = WriteDomain(domain_names_[static_cast<size_t>(d)],
+                                   &writer);
+      OM_CHECK(written.ok()) << written.ToString();
+      Result<std::shared_ptr<const OmdsFile>> image = writer.TakeImage();
+      OM_CHECK(image.ok()) << image.status().ToString();
+      domains_.emplace_back(domain_names_[static_cast<size_t>(d)],
+                            std::move(image).value());
     }
   }
 }
@@ -259,6 +263,19 @@ void SyntheticWorld::StreamDomain(
   // A copy of the post-latent snapshot, so replays are repeatable and const.
   Rng rng = review_rngs_[static_cast<size_t>(d)];
   EmitReviews(d, &rng, emit);
+}
+
+Status SyntheticWorld::WriteDomain(const std::string& name,
+                                   OmdsWriter* writer) const {
+  Status status;
+  StreamDomain(name, [&](Review&& r) {
+    if (status.ok()) {
+      status = writer->Add(r.user_id, r.item_id, r.rating, r.summary,
+                           r.full_text);
+    }
+  });
+  OM_RETURN_IF_ERROR(status);
+  return writer->Finalize();
 }
 
 std::string SyntheticWorld::SampleSummary(int user_id, int domain_idx,

@@ -8,10 +8,13 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "common/status.h"
 #include "data/dataset.h"
 
 namespace omnimatch {
 namespace data {
+
+class OmdsWriter;
 
 /// Parameters of the synthetic review-corpus generator.
 ///
@@ -86,7 +89,8 @@ struct SyntheticConfig {
 ///
 /// Two modes share identical record streams:
 ///   * materialized (default) — every domain is generated into an in-memory
-///     DomainDataset up front; domain()/MakePair() serve from RAM.
+///     OMDS image up front; domain()/MakePair() serve from RAM, and pairs
+///     share those images.
 ///   * deferred (materialize = false) — only the latents are generated; the
 ///     per-domain review stream is replayed on demand via StreamDomain(),
 ///     record for record identical to what the materialized mode stores.
@@ -122,6 +126,11 @@ class SyntheticWorld {
   /// post-latent RNG snapshot.
   void StreamDomain(const std::string& name,
                     const std::function<void(Review&&)>& emit) const;
+
+  /// Streams one domain (StreamDomain) into `writer` and finalizes it —
+  /// the path of both modes: the materialized world's buffer images and
+  /// the deferred world's OMDS files.
+  Status WriteDomain(const std::string& name, OmdsWriter* writer) const;
 
   /// Ground-truth shared preference vector of a user (tests only).
   const std::vector<float>& UserPreference(int user_id) const;

@@ -65,7 +65,7 @@ TEST_P(BaselineContractTest, FitsAndPredictsInScale) {
   for (int u : f.split.test_users) {
     for (int idx : f.cross->target().RecordsOfUser(u)) {
       float pred =
-          model->PredictRating(u, f.cross->target().reviews()[idx].item_id);
+          model->PredictRating(u, f.cross->target().ReviewItem(idx));
       EXPECT_GE(pred, 1.0f);
       EXPECT_LE(pred, 5.0f);
     }

@@ -7,6 +7,7 @@
 #include "common/threadpool.h"
 #include "data/splits.h"
 #include "data/synthetic.h"
+#include "data/test_domain.h"
 
 namespace omnimatch {
 namespace core {
@@ -28,20 +29,19 @@ data::Review MakeReview(int user, int item, float rating,
 // minded); user 3 rated it 2.0 (not like-minded). Users 1-3 have target
 // reviews; user 4 is overlapping but never co-rated with user 0.
 data::CrossDomainDataset CaseStudyCross() {
-  data::DomainDataset source("Books");
-  source.AddReview(MakeReview(0, 1, 5, "vampire romance"));
-  source.AddReview(MakeReview(0, 2, 3, "boring history"));
-  source.AddReview(MakeReview(1, 1, 5, "fangtastic"));
-  source.AddReview(MakeReview(2, 1, 5, "loved it"));
-  source.AddReview(MakeReview(3, 1, 2, "awful"));
-  source.AddReview(MakeReview(4, 2, 3, "mediocre"));
-  data::DomainDataset target("Movies");
-  target.AddReview(MakeReview(1, 101, 5, "great vampire movie"));
-  target.AddReview(MakeReview(1, 102, 4, "spooky fun"));
-  target.AddReview(MakeReview(2, 103, 5, "crouching tiger"));
-  target.AddReview(MakeReview(3, 104, 1, "terrible"));
-  target.AddReview(MakeReview(4, 105, 3, "fine"));
-  return data::CrossDomainDataset(std::move(source), std::move(target));
+  return data::CrossDomainDataset(
+      data::MakeDomain("Books", {MakeReview(0, 1, 5, "vampire romance"),
+                                 MakeReview(0, 2, 3, "boring history"),
+                                 MakeReview(1, 1, 5, "fangtastic"),
+                                 MakeReview(2, 1, 5, "loved it"),
+                                 MakeReview(3, 1, 2, "awful"),
+                                 MakeReview(4, 2, 3, "mediocre")}),
+      data::MakeDomain("Movies",
+                       {MakeReview(1, 101, 5, "great vampire movie"),
+                        MakeReview(1, 102, 4, "spooky fun"),
+                        MakeReview(2, 103, 5, "crouching tiger"),
+                        MakeReview(3, 104, 1, "terrible"),
+                        MakeReview(4, 105, 3, "fine")}));
 }
 
 TEST(AuxReviewTest, BorrowsOnlyFromLikeMindedEligibleUsers) {
@@ -129,14 +129,13 @@ TEST(AuxReviewTest, LikeMindedUserWithoutTargetRecordsEmitsNoReview) {
   // Algorithm 1 edge case: the selected like-minded user exists in the
   // source domain but wrote nothing in the target domain. The trace records
   // the selection; no auxiliary review is produced.
-  data::DomainDataset source("Books");
-  source.AddReview(MakeReview(0, 1, 5, "cold user loved it"));
-  source.AddReview(MakeReview(9, 1, 5, "silent user loved it too"));
-  data::DomainDataset target("Movies");
-  // User 9 has NO target reviews; some other user keeps the domain
-  // non-empty.
-  target.AddReview(MakeReview(8, 101, 3, "unrelated"));
-  data::CrossDomainDataset cross(std::move(source), std::move(target));
+  data::CrossDomainDataset cross(
+      data::MakeDomain("Books",
+                       {MakeReview(0, 1, 5, "cold user loved it"),
+                        MakeReview(9, 1, 5, "silent user loved it too")}),
+      // User 9 has NO target reviews; some other user keeps the domain
+      // non-empty.
+      data::MakeDomain("Movies", {MakeReview(8, 101, 3, "unrelated")}));
 
   AuxReviewGenerator generator(&cross, {9});
   Rng rng(6);

@@ -118,7 +118,7 @@ TEST(TrainerTest, PredictionsWithinRatingScale) {
   for (int u : f.split.test_users) {
     for (int idx : f.cross.target().RecordsOfUser(u)) {
       float pred =
-          trainer.PredictRating(u, f.cross.target().reviews()[idx].item_id);
+          trainer.PredictRating(u, f.cross.target().ReviewItem(idx));
       EXPECT_GE(pred, 1.0f);
       EXPECT_LE(pred, 5.0f);
     }

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "data/synthetic.h"
+#include "data/test_domain.h"
 
 namespace omnimatch {
 namespace data {
@@ -31,17 +32,16 @@ TEST(CsvTest, RoundTripPreservesRecords) {
   const DomainDataset& copy = loaded.value();
   ASSERT_EQ(copy.num_reviews(), original.num_reviews());
   for (size_t i = 0; i < copy.num_reviews(); ++i) {
-    EXPECT_EQ(copy.reviews()[i].user_id, original.reviews()[i].user_id);
-    EXPECT_EQ(copy.reviews()[i].item_id, original.reviews()[i].item_id);
-    EXPECT_EQ(copy.reviews()[i].rating, original.reviews()[i].rating);
-    EXPECT_EQ(copy.reviews()[i].summary, original.reviews()[i].summary);
+    EXPECT_EQ(copy.ReviewUser(i), original.ReviewUser(i));
+    EXPECT_EQ(copy.ReviewItem(i), original.ReviewItem(i));
+    EXPECT_EQ(copy.ReviewRating(i), original.ReviewRating(i));
+    EXPECT_EQ(copy.ReviewSummary(i), original.ReviewSummary(i));
   }
   EXPECT_EQ(copy.name(), "Books");
   std::remove(path.c_str());
 }
 
 TEST(CsvTest, TabsAndNewlinesRoundTripViaEscaping) {
-  DomainDataset d("X");
   Review r;
   r.user_id = 1;
   r.item_id = 2;
@@ -50,27 +50,24 @@ TEST(CsvTest, TabsAndNewlinesRoundTripViaEscaping) {
   // two-character "\t" that must survive unchanged.
   r.summary = "line\none\ttabbed\rback\\slash and literal \\t end";
   r.full_text = r.summary;
-  d.AddReview(r);
-  d.BuildIndices();
+  DomainDataset d = MakeDomain("X", {r});
   std::string path = TempPath("escape_roundtrip.tsv");
   ASSERT_TRUE(SaveDomainTsv(d, path).ok());
   auto loaded = LoadDomainTsv(path, "X");
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(loaded.value().reviews()[0].summary, r.summary);
-  EXPECT_EQ(loaded.value().reviews()[0].full_text, r.full_text);
+  EXPECT_EQ(loaded.value().ReviewSummary(0), r.summary);
+  EXPECT_EQ(loaded.value().ReviewFullText(0), r.full_text);
   std::remove(path.c_str());
 }
 
 TEST(CsvTest, EscapedFileStaysOneLinePerRecord) {
-  DomainDataset d("X");
   Review r;
   r.user_id = 1;
   r.item_id = 2;
   r.rating = 4;
   r.summary = "a\nb";
   r.full_text = "c\td";
-  d.AddReview(r);
-  d.BuildIndices();
+  DomainDataset d = MakeDomain("X", {r});
   std::string path = TempPath("escape_lines.tsv");
   ASSERT_TRUE(SaveDomainTsv(d, path).ok());
   std::ifstream in(path);
@@ -160,13 +157,29 @@ TEST(CsvTest, OutOfRangeRatingRejected) {
   std::remove(path.c_str());
 }
 
+TEST(CsvTest, NanRatingRejectedWithLineNumber) {
+  // "nan" parses as a float and fails both halves of `r < 1 || r > 5`; the
+  // row must be rejected as a bad rating, not reach the dataset.
+  std::string path = TempPath("nanrating.tsv");
+  std::ofstream(path) << "user_id\titem_id\trating\tsummary\tfull_text\n"
+                      << "1\t2\t4\ttext\ttext\n"
+                      << "1\t3\tnan\ttext\ttext\n";
+  auto loaded = LoadDomainTsv(path, "X");
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(loaded.status().message().find(":3:"), std::string::npos)
+      << loaded.status().message();
+  EXPECT_NE(loaded.status().message().find("rating"), std::string::npos);
+  std::remove(path.c_str());
+}
+
 TEST(CsvTest, FourFieldRowUsesSummaryAsFullText) {
   std::string path = TempPath("fourfields.tsv");
   std::ofstream(path) << "user_id\titem_id\trating\tsummary\n"
                       << "1\t2\t4\tshort review\n";
   auto loaded = LoadDomainTsv(path, "X");
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(loaded.value().reviews()[0].full_text, "short review");
+  EXPECT_EQ(loaded.value().ReviewFullText(0), "short review");
   std::remove(path.c_str());
 }
 

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "data/test_domain.h"
+
 namespace omnimatch {
 namespace data {
 namespace {
@@ -18,14 +20,9 @@ Review MakeReview(int user, int item, float rating,
 }
 
 DomainDataset SmallDomain() {
-  DomainDataset d("Books");
-  d.AddReview(MakeReview(0, 10, 5));
-  d.AddReview(MakeReview(0, 11, 3));
-  d.AddReview(MakeReview(1, 10, 5));
-  d.AddReview(MakeReview(2, 10, 4));
-  d.AddReview(MakeReview(2, 11, 3));
-  d.BuildIndices();
-  return d;
+  return MakeDomain("Books", {MakeReview(0, 10, 5), MakeReview(0, 11, 3),
+                              MakeReview(1, 10, 5), MakeReview(2, 10, 4),
+                              MakeReview(2, 11, 3)});
 }
 
 TEST(DomainDatasetTest, UsersAndItemsSorted) {
@@ -39,8 +36,8 @@ TEST(DomainDatasetTest, RecordsOfUser) {
   DomainDataset d = SmallDomain();
   const auto& recs = d.RecordsOfUser(0);
   ASSERT_EQ(recs.size(), 2u);
-  EXPECT_EQ(d.reviews()[recs[0]].item_id, 10);
-  EXPECT_EQ(d.reviews()[recs[1]].item_id, 11);
+  EXPECT_EQ(d.ReviewItem(recs[0]), 10);
+  EXPECT_EQ(d.ReviewItem(recs[1]), 11);
   EXPECT_TRUE(d.RecordsOfUser(99).empty());
 }
 
@@ -68,21 +65,16 @@ TEST(DomainDatasetTest, UsersWhoRatedDeduplicatesRepeatReviewers) {
   // Regression: a user who reviews the same item with the same rating
   // several times used to appear once per review, skewing Algorithm 1's
   // uniform like-minded draw towards repeat reviewers.
-  DomainDataset d("Books");
-  d.AddReview(MakeReview(7, 10, 5));
-  d.AddReview(MakeReview(7, 10, 5));
-  d.AddReview(MakeReview(7, 10, 5));
-  d.AddReview(MakeReview(3, 10, 5));
-  d.BuildIndices();
+  DomainDataset d =
+      MakeDomain("Books", {MakeReview(7, 10, 5), MakeReview(7, 10, 5),
+                           MakeReview(7, 10, 5), MakeReview(3, 10, 5)});
   EXPECT_EQ(d.UsersWhoRated(10, 5.0f), (std::vector<int>{3, 7}));
 }
 
 TEST(DomainDatasetTest, UsersWhoRatedIsSortedAscending) {
-  DomainDataset d("Books");
-  d.AddReview(MakeReview(9, 10, 2));
-  d.AddReview(MakeReview(1, 10, 2));
-  d.AddReview(MakeReview(5, 10, 2));
-  d.BuildIndices();
+  DomainDataset d = MakeDomain(
+      "Books", {MakeReview(9, 10, 2), MakeReview(1, 10, 2),
+                MakeReview(5, 10, 2)});
   EXPECT_EQ(d.UsersWhoRated(10, 2.0f), (std::vector<int>{1, 5, 9}));
 }
 
@@ -90,12 +82,9 @@ TEST(DomainDatasetTest, HalfStarRatingsKeySeparately) {
   // Regression: the (item, rating) key used to round to whole stars, so
   // 4.5 and 5.0 shared a bucket and Algorithm 1's "same rating" match
   // silently merged them.
-  DomainDataset d("Books");
-  d.AddReview(MakeReview(0, 10, 4.5f));
-  d.AddReview(MakeReview(1, 10, 5.0f));
-  d.AddReview(MakeReview(2, 10, 4.5f));
-  d.AddReview(MakeReview(3, 10, 4.0f));
-  d.BuildIndices();
+  DomainDataset d = MakeDomain(
+      "Books", {MakeReview(0, 10, 4.5f), MakeReview(1, 10, 5.0f),
+                MakeReview(2, 10, 4.5f), MakeReview(3, 10, 4.0f)});
   EXPECT_EQ(d.UsersWhoRated(10, 4.5f), (std::vector<int>{0, 2}));
   EXPECT_EQ(d.UsersWhoRated(10, 5.0f), (std::vector<int>{1}));
   EXPECT_EQ(d.UsersWhoRated(10, 4.0f), (std::vector<int>{3}));
@@ -105,8 +94,9 @@ TEST(DomainDatasetTest, HalfStarRatingsKeySeparately) {
 TEST(DomainDatasetTest, GlobalMeanRating) {
   DomainDataset d = SmallDomain();
   EXPECT_FLOAT_EQ(d.GlobalMeanRating(), (5 + 3 + 5 + 4 + 3) / 5.0f);
-  DomainDataset empty("x");
+  DomainDataset empty;
   EXPECT_FLOAT_EQ(empty.GlobalMeanRating(), 3.0f);
+  EXPECT_EQ(MakeDomain("x", {}).GlobalMeanRating(), 3.0f);
 }
 
 TEST(DomainDatasetTest, MeanReviewsPerUser) {
@@ -115,36 +105,46 @@ TEST(DomainDatasetTest, MeanReviewsPerUser) {
 }
 
 TEST(DomainDatasetTest, RebuildAfterAdding) {
-  DomainDataset d = SmallDomain();
-  d.AddReview(MakeReview(3, 11, 2));
-  d.BuildIndices();
+  // Datasets are immutable: a record is added by building a new dataset,
+  // whose constructor indexes it.
+  DomainDataset d = MakeDomain(
+      "Books", {MakeReview(0, 10, 5), MakeReview(0, 11, 3),
+                MakeReview(1, 10, 5), MakeReview(2, 10, 4),
+                MakeReview(2, 11, 3), MakeReview(3, 11, 2)});
   EXPECT_EQ(d.users().size(), 4u);
   EXPECT_EQ(d.RecordsOfItem(11).size(), 3u);
+  EXPECT_EQ(SmallDomain().users().size(), 3u);
+}
+
+TEST(DomainDatasetTest, CopiesShareTheImage) {
+  DomainDataset d = SmallDomain();
+  DomainDataset copy = d;
+  EXPECT_EQ(&copy.image(), &d.image());
+  EXPECT_EQ(copy.ReviewSummary(0).data(), d.ReviewSummary(0).data());
+  EXPECT_EQ(copy.UsersWhoRated(10, 5.0f), d.UsersWhoRated(10, 5.0f));
 }
 
 TEST(CrossDomainDatasetTest, OverlapIsIntersection) {
-  DomainDataset source("Books");
-  source.AddReview(MakeReview(0, 1, 5));
-  source.AddReview(MakeReview(1, 1, 4));
-  source.AddReview(MakeReview(2, 2, 3));
-  DomainDataset target("Movies");
-  target.AddReview(MakeReview(1, 100001, 5));
-  target.AddReview(MakeReview(2, 100001, 2));
-  target.AddReview(MakeReview(9, 100002, 3));
-  CrossDomainDataset cross(std::move(source), std::move(target));
+  CrossDomainDataset cross(
+      MakeDomain("Books", {MakeReview(0, 1, 5), MakeReview(1, 1, 4),
+                           MakeReview(2, 2, 3)}),
+      MakeDomain("Movies", {MakeReview(1, 100001, 5),
+                            MakeReview(2, 100001, 2),
+                            MakeReview(9, 100002, 3)}));
   EXPECT_EQ(cross.overlapping_users(), (std::vector<int>{1, 2}));
   EXPECT_EQ(cross.ScenarioName(), "Books -> Movies");
 }
 
 TEST(CrossDomainDatasetTest, RecomputeAfterMutation) {
-  DomainDataset source("A"), target("B");
-  source.AddReview(MakeReview(0, 1, 5));
-  target.AddReview(MakeReview(1, 2, 5));
-  CrossDomainDataset cross(std::move(source), std::move(target));
+  // Domains are immutable: a changed target means a new pair, which
+  // computes its own overlap.
+  DomainDataset source = MakeDomain("A", {MakeReview(0, 1, 5)});
+  CrossDomainDataset cross(source, MakeDomain("B", {MakeReview(1, 2, 5)}));
   EXPECT_TRUE(cross.overlapping_users().empty());
-  cross.mutable_target().AddReview(MakeReview(0, 3, 4));
-  cross.RecomputeOverlap();
-  EXPECT_EQ(cross.overlapping_users(), (std::vector<int>{0}));
+  CrossDomainDataset grown(
+      source, MakeDomain("B", {MakeReview(1, 2, 5), MakeReview(0, 3, 4)}));
+  EXPECT_EQ(grown.overlapping_users(), (std::vector<int>{0}));
+  EXPECT_TRUE(cross.overlapping_users().empty());
 }
 
 }  // namespace

@@ -1,6 +1,8 @@
 #include "data/omds.h"
 
+#include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -18,8 +20,9 @@ std::string TempPath(const std::string& name) {
   return testing::TempDir() + "/" + name;
 }
 
-/// Both backends must agree record for record AND index for index — the
-/// out-of-core path's core contract (DESIGN.md "Out-of-core data path").
+/// Datasets built from the same records must agree record for record AND
+/// index for index, however their image was built (DESIGN.md "Out-of-core
+/// data path").
 void ExpectDatasetsIdentical(const DomainDataset& a, const DomainDataset& b) {
   ASSERT_EQ(a.num_reviews(), b.num_reviews());
   for (size_t i = 0; i < a.num_reviews(); ++i) {
@@ -65,8 +68,9 @@ TEST(OmdsTest, MappedDatasetIdenticalToTsvLoaderOnRandomWorlds) {
     ASSERT_TRUE(from_tsv.ok()) << from_tsv.status().ToString();
     Result<DomainDataset> mapped = LoadDomainOmds(omds, "Books");
     ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
-    EXPECT_TRUE(mapped.value().is_mapped());
-    EXPECT_FALSE(from_tsv.value().is_mapped());
+    // Generator, TSV loader and file mapping hold the same image bytes.
+    EXPECT_EQ(from_tsv.value().image().bytes(), mem.image().bytes());
+    EXPECT_EQ(mapped.value().image().bytes(), mem.image().bytes());
 
     ExpectDatasetsIdentical(from_tsv.value(), mapped.value());
     ExpectDatasetsIdentical(mem, mapped.value());
@@ -74,14 +78,61 @@ TEST(OmdsTest, MappedDatasetIdenticalToTsvLoaderOnRandomWorlds) {
 }
 
 TEST(OmdsTest, EmptyDomainRoundTrips) {
-  DomainDataset empty("Empty");
-  empty.BuildIndices();
+  DomainDataset empty;
   std::string path = TempPath("omds_empty.omds");
   ASSERT_TRUE(WriteDomainOmds(empty, path).ok());
   Result<DomainDataset> loaded = LoadDomainOmds(path, "Empty");
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_EQ(loaded.value().num_reviews(), 0u);
   EXPECT_TRUE(loaded.value().users().empty());
+}
+
+TEST(OmdsTest, BufferImageByteIdenticalToStreamedFile) {
+  SyntheticConfig config;
+  config.num_users = 35;
+  config.items_per_domain = 25;
+  config.seed = 19;
+  SyntheticWorld world(config, {"Books", "Movies"}, /*materialize=*/false);
+  OmdsWriter buffered;
+  ASSERT_TRUE(world.WriteDomain("Books", &buffered).ok());
+  OmdsWriter streamed;
+  std::string path = TempPath("omds_streamed.omds");
+  ASSERT_TRUE(streamed.Open(path).ok());
+  ASSERT_TRUE(world.WriteDomain("Books", &streamed).ok());
+  EXPECT_EQ(buffered.num_records(), streamed.num_records());
+
+  Result<std::shared_ptr<const OmdsFile>> image = buffered.TakeImage();
+  ASSERT_TRUE(image.ok()) << image.status().ToString();
+  Result<std::string> file_bytes = ReadFileToString(path);
+  ASSERT_TRUE(file_bytes.ok());
+  EXPECT_EQ(image.value()->bytes(), file_bytes.value());
+  EXPECT_GT(image.value()->num_records(), 0u);
+}
+
+TEST(OmdsTest, EveryFlippedByteOfABufferIsRejected) {
+  OmdsWriter writer;
+  ASSERT_TRUE(writer.Add(0, 10, 5.0f, "good", "a good read").ok());
+  ASSERT_TRUE(writer.Add(1, 11, 2.5f, "meh", "").ok());
+  ASSERT_TRUE(writer.Add(2, 10, 1.0f, "", "no summary").ok());
+  ASSERT_TRUE(writer.Finalize().ok());
+  Result<std::shared_ptr<const OmdsFile>> image = writer.TakeImage();
+  ASSERT_TRUE(image.ok()) << image.status().ToString();
+  const std::string bytes(image.value()->bytes());
+  ASSERT_TRUE(OmdsFile::FromBuffer(bytes).ok());
+
+  // Every byte is covered by a CRC or a structural check except the
+  // header's trailing reserved word and the padding before the meta table.
+  uint64_t text_bytes = 0, meta_offset = 0;
+  std::memcpy(&text_bytes, bytes.data() + 32, sizeof text_bytes);
+  std::memcpy(&meta_offset, bytes.data() + 40, sizeof meta_offset);
+  for (size_t at = 0; at < bytes.size(); ++at) {
+    if (at >= 60 && at < 64) continue;
+    if (at >= 64 + text_bytes && at < meta_offset) continue;
+    std::string mutated = bytes;
+    mutated[at] ^= 0x01;
+    EXPECT_FALSE(OmdsFile::FromBuffer(std::move(mutated)).ok())
+        << "flipped byte " << at << " was accepted";
+  }
 }
 
 TEST(OmdsTest, MappedDatasetSavesBackToTsv) {
@@ -118,7 +169,8 @@ class OmdsCorruptionTest : public testing::Test {
     ASSERT_GT(bytes_.size(), 200u);
   }
 
-  /// Writes a mutated copy and expects Open to reject it with `what`.
+  /// Expects both the file path (a mutated copy written to disk, then
+  /// Open) and the buffer path (FromBuffer) to reject `mutated` with `what`.
   void ExpectRejected(std::string mutated, const std::string& what) {
     std::string path = TempPath("omds_corrupt_mut.omds");
     ASSERT_TRUE(WriteFileAtomic(path, mutated).ok());
@@ -126,6 +178,11 @@ class OmdsCorruptionTest : public testing::Test {
     ASSERT_FALSE(opened.ok()) << "corruption was not detected: " << what;
     EXPECT_NE(opened.status().ToString().find(what), std::string::npos)
         << opened.status().ToString();
+    Result<std::shared_ptr<const OmdsFile>> buffered =
+        OmdsFile::FromBuffer(std::move(mutated));
+    ASSERT_FALSE(buffered.ok()) << "buffer corruption not detected: " << what;
+    EXPECT_NE(buffered.status().ToString().find(what), std::string::npos)
+        << buffered.status().ToString();
   }
 
   std::string path_;
@@ -173,6 +230,7 @@ TEST(OmdsWriterTest, RejectsInvalidRecords) {
   EXPECT_FALSE(writer.Add(-1, 0, 3.0f, "s", "f").ok());
   EXPECT_FALSE(writer.Add(0, -2, 3.0f, "s", "f").ok());
   EXPECT_FALSE(writer.Add(0, 0, 0.5f, "s", "f").ok());
+  EXPECT_FALSE(writer.Add(0, 0, std::nanf(""), "s", "f").ok());
   EXPECT_TRUE(writer.Add(0, 0, 5.0f, "s", "f").ok());
 }
 

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "data/omds.h"
 #include "text/tokenizer.h"
 
 namespace omnimatch {
@@ -30,30 +31,32 @@ TEST(SyntheticTest, GeneratesAllDomains) {
 
 TEST(SyntheticTest, DeterministicGivenSeed) {
   SyntheticWorld a(TinyConfig(7)), b(TinyConfig(7));
-  const auto& ra = a.domain("Books").reviews();
-  const auto& rb = b.domain("Books").reviews();
-  ASSERT_EQ(ra.size(), rb.size());
-  for (size_t i = 0; i < ra.size(); ++i) {
-    EXPECT_EQ(ra[i].user_id, rb[i].user_id);
-    EXPECT_EQ(ra[i].item_id, rb[i].item_id);
-    EXPECT_EQ(ra[i].rating, rb[i].rating);
-    EXPECT_EQ(ra[i].summary, rb[i].summary);
+  const DomainDataset& ra = a.domain("Books");
+  const DomainDataset& rb = b.domain("Books");
+  ASSERT_EQ(ra.num_reviews(), rb.num_reviews());
+  for (size_t i = 0; i < ra.num_reviews(); ++i) {
+    EXPECT_EQ(ra.ReviewUser(i), rb.ReviewUser(i));
+    EXPECT_EQ(ra.ReviewItem(i), rb.ReviewItem(i));
+    EXPECT_EQ(ra.ReviewRating(i), rb.ReviewRating(i));
+    EXPECT_EQ(ra.ReviewSummary(i), rb.ReviewSummary(i));
   }
 }
 
 TEST(SyntheticTest, DifferentSeedsDiffer) {
   SyntheticWorld a(TinyConfig(7)), b(TinyConfig(8));
-  EXPECT_NE(a.domain("Books").reviews()[0].summary,
-            b.domain("Books").reviews()[0].summary);
+  EXPECT_NE(a.domain("Books").ReviewSummary(0),
+            b.domain("Books").ReviewSummary(0));
 }
 
 TEST(SyntheticTest, RatingsInRange) {
   SyntheticWorld world(TinyConfig());
   for (const auto& name : world.domain_names()) {
-    for (const Review& r : world.domain(name).reviews()) {
-      EXPECT_GE(r.rating, 1.0f);
-      EXPECT_LE(r.rating, 5.0f);
-      EXPECT_EQ(r.rating, std::round(r.rating)) << "integer star ratings";
+    const DomainDataset& d = world.domain(name);
+    for (size_t i = 0; i < d.num_reviews(); ++i) {
+      const float rating = d.ReviewRating(i);
+      EXPECT_GE(rating, 1.0f);
+      EXPECT_LE(rating, 5.0f);
+      EXPECT_EQ(rating, std::round(rating)) << "integer star ratings";
     }
   }
 }
@@ -73,7 +76,7 @@ TEST(SyntheticTest, UsersReviewEachItemAtMostOnce) {
   for (int u : d.users()) {
     std::set<int> items;
     for (int idx : d.RecordsOfUser(u)) {
-      EXPECT_TRUE(items.insert(d.reviews()[idx].item_id).second)
+      EXPECT_TRUE(items.insert(d.ReviewItem(idx)).second)
           << "duplicate item for user " << u;
     }
   }
@@ -82,8 +85,9 @@ TEST(SyntheticTest, UsersReviewEachItemAtMostOnce) {
 TEST(SyntheticTest, SummariesWithinConfiguredLength) {
   SyntheticConfig c = TinyConfig();
   SyntheticWorld world(c);
-  for (const Review& r : world.domain("Books").reviews()) {
-    auto toks = text::Tokenize(r.summary);
+  const DomainDataset& d = world.domain("Books");
+  for (size_t i = 0; i < d.num_reviews(); ++i) {
+    auto toks = text::Tokenize(d.ReviewSummary(i));
     EXPECT_GE(static_cast<int>(toks.size()), c.summary_len_min);
     EXPECT_LE(static_cast<int>(toks.size()), c.summary_len_max);
   }
@@ -91,10 +95,10 @@ TEST(SyntheticTest, SummariesWithinConfiguredLength) {
 
 TEST(SyntheticTest, FullTextLongerThanSummary) {
   SyntheticWorld world(TinyConfig());
-  size_t longer = 0, total = 0;
-  for (const Review& r : world.domain("Books").reviews()) {
-    ++total;
-    if (r.full_text.size() > r.summary.size()) ++longer;
+  const DomainDataset& d = world.domain("Books");
+  size_t longer = 0, total = d.num_reviews();
+  for (size_t i = 0; i < total; ++i) {
+    if (d.ReviewFullText(i).size() > d.ReviewSummary(i).size()) ++longer;
   }
   EXPECT_GT(longer, total * 9 / 10);
 }
@@ -124,12 +128,13 @@ TEST(SyntheticTest, DomainVocabulariesAreDistinctForTopics) {
   // while sentiment words are shared.
   SyntheticWorld world(TinyConfig());
   std::set<std::string> books_tokens, movies_tokens;
-  for (const Review& r : world.domain("Books").reviews()) {
-    for (auto& t : text::Tokenize(r.summary)) books_tokens.insert(t);
-  }
-  for (const Review& r : world.domain("Movies").reviews()) {
-    for (auto& t : text::Tokenize(r.summary)) movies_tokens.insert(t);
-  }
+  auto collect = [](const DomainDataset& d, std::set<std::string>* tokens) {
+    for (size_t i = 0; i < d.num_reviews(); ++i) {
+      for (auto& t : text::Tokenize(d.ReviewSummary(i))) tokens->insert(t);
+    }
+  };
+  collect(world.domain("Books"), &books_tokens);
+  collect(world.domain("Movies"), &movies_tokens);
   bool books_topic_in_movies = false;
   for (const auto& t : books_tokens) {
     if (t.rfind("vampireb", 0) == 0 && movies_tokens.count(t)) {
@@ -196,15 +201,15 @@ TEST(SyntheticTest, StreamDomainMatchesMaterializedRecords) {
 TEST(SyntheticTest, StreamDomainIsRepeatable) {
   SyntheticWorld world(TinyConfig(78), {"Books", "Movies"},
                        /*materialize=*/false);
-  std::vector<Review> first, second;
-  world.StreamDomain("Movies", [&](Review&& r) { first.push_back(r); });
-  world.StreamDomain("Movies", [&](Review&& r) { second.push_back(r); });
-  ASSERT_EQ(first.size(), second.size());
-  ASSERT_FALSE(first.empty());
-  for (size_t i = 0; i < first.size(); ++i) {
-    EXPECT_EQ(first[i].user_id, second[i].user_id);
-    EXPECT_EQ(first[i].summary, second[i].summary);
-  }
+  // Two replays written to two images must be byte-identical.
+  OmdsWriter first, second;
+  ASSERT_TRUE(world.WriteDomain("Movies", &first).ok());
+  ASSERT_TRUE(world.WriteDomain("Movies", &second).ok());
+  ASSERT_GT(first.num_records(), 0u);
+  Result<std::shared_ptr<const OmdsFile>> a = first.TakeImage();
+  Result<std::shared_ptr<const OmdsFile>> b = second.TakeImage();
+  ASSERT_TRUE(a.ok() && b.ok());
+  EXPECT_EQ(a.value()->bytes(), b.value()->bytes());
 }
 
 }  // namespace

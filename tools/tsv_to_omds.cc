@@ -1,11 +1,10 @@
 // Converts a domain TSV file (the documented adoption format; see
-// custom_dataset example and README) into an OMDS binary for the
-// memory-mapped out-of-core data path, and verifies the conversion by
-// mapping the result back and comparing every record and index against the
-// TSV-loaded dataset.
+// custom_dataset example and README) into an OMDS file for the
+// memory-mapped out-of-core data path. The TSV loader already builds the
+// validated OMDS image; the tool writes it atomically, maps the result back
+// and checks its bytes against the image.
 //
 //   ./tsv_to_omds --in=reviews.tsv --out=reviews.omds [--name=Books]
-//                 [--no_verify]
 //
 // The reverse direction needs no tool: LoadDomainOmds + SaveDomainTsv.
 
@@ -20,30 +19,6 @@
 
 using namespace omnimatch;
 
-namespace {
-
-/// Record-for-record and index-for-index equality of the two backends.
-bool DatasetsIdentical(const data::DomainDataset& a,
-                       const data::DomainDataset& b) {
-  if (a.num_reviews() != b.num_reviews()) return false;
-  for (size_t i = 0; i < a.num_reviews(); ++i) {
-    if (a.ReviewUser(i) != b.ReviewUser(i) ||
-        a.ReviewItem(i) != b.ReviewItem(i) ||
-        a.ReviewRating(i) != b.ReviewRating(i) ||
-        a.ReviewSummary(i) != b.ReviewSummary(i) ||
-        a.ReviewFullText(i) != b.ReviewFullText(i)) {
-      return false;
-    }
-  }
-  const data::CsrIndex<long long>& ia = a.item_rating_index();
-  const data::CsrIndex<long long>& ib = b.item_rating_index();
-  return a.users() == b.users() && a.items() == b.items() &&
-         ia.keys() == ib.keys() && ia.offsets() == ib.offsets() &&
-         ia.values() == ib.values();
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   FlagParser flags;
   if (!flags.Parse(argc, argv).ok()) return 1;
@@ -53,39 +28,27 @@ int main(int argc, char** argv) {
   if (in_path.empty() || out_path.empty()) {
     std::fprintf(stderr,
                  "usage: tsv_to_omds --in=reviews.tsv --out=reviews.omds "
-                 "[--name=Books] [--no_verify]\n");
+                 "[--name=Books]\n");
     return 2;
   }
 
+  auto fail = [](const Status& status) {
+    std::fprintf(stderr, "tsv_to_omds: %s\n", status.ToString().c_str());
+    return 1;
+  };
   Result<data::DomainDataset> loaded = data::LoadDomainTsv(in_path, name);
-  if (!loaded.ok()) {
-    std::fprintf(stderr, "tsv_to_omds: %s\n",
-                 loaded.status().ToString().c_str());
-    return 1;
-  }
+  if (!loaded.ok()) return fail(loaded.status());
   Status written = data::WriteDomainOmds(loaded.value(), out_path);
-  if (!written.ok()) {
-    std::fprintf(stderr, "tsv_to_omds: %s\n", written.ToString().c_str());
+  if (!written.ok()) return fail(written);
+  Result<std::shared_ptr<const data::OmdsFile>> reloaded =
+      data::OmdsFile::Open(out_path);
+  if (!reloaded.ok()) return fail(reloaded.status());
+  if (reloaded.value()->bytes() != loaded.value().image().bytes()) {
+    std::fprintf(stderr, "tsv_to_omds: %s differs from the image written\n",
+                 out_path.c_str());
     return 1;
   }
-
-  if (!flags.GetBool("no_verify", false)) {
-    Result<data::DomainDataset> mapped = data::LoadDomainOmds(out_path, name);
-    if (!mapped.ok()) {
-      std::fprintf(stderr, "tsv_to_omds: verification reload failed: %s\n",
-                   mapped.status().ToString().c_str());
-      return 1;
-    }
-    if (!DatasetsIdentical(loaded.value(), mapped.value())) {
-      std::fprintf(stderr,
-                   "tsv_to_omds: verification FAILED — mapped dataset "
-                   "differs from the TSV source\n");
-      return 1;
-    }
-  }
-
-  std::printf("tsv_to_omds: %zu records -> %s (verified=%s)\n",
-              loaded.value().num_reviews(), out_path.c_str(),
-              flags.GetBool("no_verify", false) ? "no" : "yes");
+  std::printf("tsv_to_omds: %zu records -> %s\n",
+              loaded.value().num_reviews(), out_path.c_str());
   return 0;
 }
