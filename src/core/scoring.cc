@@ -151,15 +151,40 @@ void FloatLogits::RatingLogits(const float* user, const float* item, int rows,
 
 std::vector<float> ExpectedRatings(const LogitsBackend& logits,
                                    const std::vector<ScorePair>& pairs) {
-  // One rating-head row per (pair, pass, readout), in accumulation order.
-  std::vector<float> user_data, item_data;
-  std::vector<size_t> row_pair;
+  // One rating-head row per (pair, pass, readout), in accumulation order,
+  // gathered and scored kHeadChunkRows at a time, so the working set is one
+  // chunk however many pairs there are.
+  std::vector<float> preds(pairs.size(), 0.0f);
   std::vector<float> weight(pairs.size());
+  std::vector<float> user_data, item_data, out;
+  std::vector<size_t> row_pair;
+  auto flush = [&]() {
+    if (row_pair.empty()) return;
+    const int rows = static_cast<int>(row_pair.size());
+    logits.RatingLogits(user_data.data(), item_data.data(), rows, &out);
+    const int classes = static_cast<int>(out.size()) / rows;
+    for (int r = 0; r < rows; ++r) {
+      const float* row = out.data() + static_cast<size_t>(r) * classes;
+      const float max_v = *std::max_element(row, row + classes);
+      double sum = 0.0, weighted = 0.0;
+      for (int c = 0; c < classes; ++c) {
+        double e = std::exp(static_cast<double>(row[c]) - max_v);
+        sum += e;
+        weighted += e * (c + 1);
+      }
+      const size_t i = row_pair[static_cast<size_t>(r)];
+      preds[i] += weight[i] * static_cast<float>(weighted / sum);
+    }
+    user_data.clear();
+    item_data.clear();
+    row_pair.clear();
+  };
   auto add_row = [&](size_t i, const std::vector<float>& user) {
     user_data.insert(user_data.end(), user.begin(), user.end());
     item_data.insert(item_data.end(), pairs[i].item->begin(),
                      pairs[i].item->end());
     row_pair.push_back(i);
+    if (row_pair.size() == kHeadChunkRows) flush();
   };
   for (size_t i = 0; i < pairs.size(); ++i) {
     const UserRows& user = *pairs[i].user;
@@ -171,31 +196,7 @@ std::vector<float> ExpectedRatings(const LogitsBackend& logits,
       if (hybrid) add_row(i, user.hybrid_rows[static_cast<size_t>(k)]);
     }
   }
-
-  std::vector<float> preds(pairs.size(), 0.0f);
-  if (row_pair.empty()) return preds;
-  const size_t user_width = user_data.size() / row_pair.size();
-  const size_t item_width = item_data.size() / row_pair.size();
-  std::vector<float> out;
-  for (size_t begin = 0; begin < row_pair.size(); begin += kHeadChunkRows) {
-    const int rows =
-        static_cast<int>(std::min(row_pair.size() - begin, kHeadChunkRows));
-    logits.RatingLogits(user_data.data() + begin * user_width,
-                        item_data.data() + begin * item_width, rows, &out);
-    const int classes = static_cast<int>(out.size()) / rows;
-    for (int r = 0; r < rows; ++r) {
-      const float* row = out.data() + static_cast<size_t>(r) * classes;
-      const float max_v = *std::max_element(row, row + classes);
-      double sum = 0.0, weighted = 0.0;
-      for (int c = 0; c < classes; ++c) {
-        double e = std::exp(static_cast<double>(row[c]) - max_v);
-        sum += e;
-        weighted += e * (c + 1);
-      }
-      const size_t i = row_pair[begin + static_cast<size_t>(r)];
-      preds[i] += weight[i] * static_cast<float>(weighted / sum);
-    }
-  }
+  flush();
   return preds;
 }
 

@@ -7,6 +7,10 @@
 #include <fstream>
 #include <limits>
 
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
 #include "common/check.h"
 #include "common/crc32.h"
 #include "common/fault.h"
@@ -717,6 +721,16 @@ TrainStats OmniMatchTrainer::Train() {
     }
   }
   progress_.train_seconds += watch.ElapsedSeconds();
+  // Evaluation and serving never replay, so from here on the compiled
+  // plans' arenas would only hold memory; a later Train() re-records.
+  if (graph_exec_ != nullptr) graph_exec_->ReleasePlans();
+#if defined(__GLIBC__)
+  // glibc keeps freed heap pages resident in its arenas. Hand the step
+  // working set (plan arenas, the recording steps' tapes, guard and
+  // validation buffers) back to the OS, so a process that serves after
+  // training does not carry training's high-water mark.
+  malloc_trim(0);
+#endif
   TrainStats stats = progress_;
   if (track_validation && !best_params_.empty()) {
     RestoreParams(params, best_params_);

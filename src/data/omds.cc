@@ -92,9 +92,19 @@ Status OmdsFile::Validate(const std::string& origin) {
   if (header.text_bytes > size - kTextOffset) {
     return Corrupt(origin, "truncated file (text section out of bounds)");
   }
-  if (header.meta_offset % 8 != 0 || header.meta_offset > size ||
-      header.meta_offset < kTextOffset + header.text_bytes) {
+  if (header.reserved != 0) {
+    return Corrupt(origin, "nonzero reserved header word");
+  }
+  // The meta table starts at the text section's end rounded up to 8 bytes,
+  // and the padding between them is zero, so no byte of the image escapes
+  // a check.
+  if (header.meta_offset != kTextOffset + AlignUp8(header.text_bytes) ||
+      header.meta_offset > size) {
     return Corrupt(origin, "misaligned or overlapping meta table");
+  }
+  for (uint64_t at = kTextOffset + header.text_bytes; at < header.meta_offset;
+       ++at) {
+    if (base[at] != 0) return Corrupt(origin, "nonzero meta table padding");
   }
   if (header.num_records > (uint64_t{1} << 40)) {
     return Corrupt(origin, "implausible record count");

@@ -30,8 +30,10 @@ namespace data {
 /// OmdsRecordMeta (whose widest member is the 8-byte text_off) is 8-byte
 /// aligned both in the file and — because mmap bases are page-aligned — in
 /// memory. Integrity: CRC-32 over the meta table and over the text blob,
-/// plus a header CRC; validation verifies all three and bounds-checks every
-/// record, so a truncated or bit-flipped image is rejected instead of served.
+/// plus a header CRC; validation verifies all three, requires the header's
+/// reserved word and the padding before the meta table to be zero, and
+/// bounds-checks every record, so a truncated or bit-flipped image is
+/// rejected instead of served.
 
 /// Fixed 32-byte per-record entry. text_off is relative to the text
 /// section's start (file offset 64), so records are position-independent.

@@ -84,9 +84,8 @@ void MicroKernel(const float* ap, const float* bp, int kc, float* c, int ldc,
 
 /// Packs rows [0, mc) x cols [0, kc) of an A view into kMR-tall strips
 /// (ap[strip][k][i]), zero-padding the last strip to kMR rows.
-/// trans == false: element (i, k) = a[i * lda + k] (lda may be < K for the
-/// text conv's overlapping windows). trans == true: element (i, k) =
-/// a[k * lda + i], i.e. A is stored [K, M].
+/// trans == false: element (i, k) = a[i * lda + k]. trans == true: element
+/// (i, k) = a[k * lda + i], i.e. A is stored [K, M].
 void PackA(const float* a, int lda, bool trans, int mc, int kc, float* ap) {
   for (int i0 = 0; i0 < mc; i0 += kMR) {
     int mr = std::min(kMR, mc - i0);
@@ -210,14 +209,6 @@ void GemmNT(const float* a, const float* b, float* c, int m_dim, int k_dim,
               m_dim, k_dim, n_dim);
 }
 
-void GemmNTStrided(const float* a, int lda, const float* b, float* c,
-                   int m_dim, int k_dim, int n_dim) {
-  static obs::Counter* const calls = GemmCallCounter("nt_strided");
-  CountGemm(calls, m_dim, k_dim, n_dim);
-  BlockedGemm(a, lda, /*trans_a=*/false, b, k_dim, /*trans_b=*/true, c,
-              m_dim, k_dim, n_dim);
-}
-
 void GemmTN(const float* a, const float* b, float* c, int m_dim, int k_dim,
             int n_dim) {
   static obs::Counter* const calls = GemmCallCounter("tn");
@@ -262,10 +253,10 @@ void GemmNN(const float* a, const float* b, float* c, int m_dim, int k_dim,
   }
 }
 
-void GemmNTStrided(const float* a, int lda, const float* b, float* c,
-                   int m_dim, int k_dim, int n_dim) {
+void GemmNT(const float* a, const float* b, float* c, int m_dim, int k_dim,
+            int n_dim) {
   for (int m = 0; m < m_dim; ++m) {
-    const float* arow = a + static_cast<size_t>(m) * lda;
+    const float* arow = a + static_cast<size_t>(m) * k_dim;
     float* crow = c + static_cast<size_t>(m) * n_dim;
     for (int n = 0; n < n_dim; ++n) {
       const float* brow = b + static_cast<size_t>(n) * k_dim;
@@ -274,11 +265,6 @@ void GemmNTStrided(const float* a, int lda, const float* b, float* c,
       crow[n] += acc;
     }
   }
-}
-
-void GemmNT(const float* a, const float* b, float* c, int m_dim, int k_dim,
-            int n_dim) {
-  GemmNTStrided(a, k_dim, b, c, m_dim, k_dim, n_dim);
 }
 
 void GemmTN(const float* a, const float* b, float* c, int m_dim, int k_dim,

@@ -5,8 +5,9 @@ namespace omnimatch {
 namespace nn {
 
 /// Cache-blocked, register-tiled, thread-parallel single-precision matrix
-/// multiplication kernels — the compute substrate under MatMul, MatMulNT,
-/// their backward passes, and the fused text convolution.
+/// multiplication kernels — the compute substrate under MatMul, MatMulNT
+/// and their backward passes. (The text convolution has its own
+/// tap-decomposed kernel, nn/text_conv.h.)
 ///
 /// All variants *accumulate* (C += ...) over row-major contiguous C[M, N].
 /// The BLIS-style structure: B is packed once per (N-block, K-block) into
@@ -24,12 +25,6 @@ void GemmNN(const float* a, const float* b, float* c, int m_dim, int k_dim,
 /// C[M,N] += A[M,K] * B[N,K]^T.
 void GemmNT(const float* a, const float* b, float* c, int m_dim, int k_dim,
             int n_dim);
-
-/// C[M,N] += A * B[N,K]^T where row i of A starts at a + i*lda (row length
-/// K; rows may overlap when lda < K, which the text convolution uses for
-/// sliding windows).
-void GemmNTStrided(const float* a, int lda, const float* b, float* c,
-                   int m_dim, int k_dim, int n_dim);
 
 /// C[M,N] += A[K,M]^T * B[K,N].
 void GemmTN(const float* a, const float* b, float* c, int m_dim, int k_dim,
@@ -52,8 +47,6 @@ void GemmNN(const float* a, const float* b, float* c, int m_dim, int k_dim,
             int n_dim);
 void GemmNT(const float* a, const float* b, float* c, int m_dim, int k_dim,
             int n_dim);
-void GemmNTStrided(const float* a, int lda, const float* b, float* c,
-                   int m_dim, int k_dim, int n_dim);
 void GemmTN(const float* a, const float* b, float* c, int m_dim, int k_dim,
             int n_dim);
 

@@ -11,6 +11,7 @@
 #include "common/threadpool.h"
 #include "nn/elemwise.h"
 #include "nn/gemm.h"
+#include "nn/text_conv.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -134,16 +135,15 @@ struct Node {
   std::shared_ptr<TensorImpl> impl;
 
   // Attributes. f0 and ints are dynamic (copied from the live call each
-  // step); i0, rng and shape_attr are static and verified on replay.
+  // step); rng and shape_attr are static and verified on replay.
   float f0 = 0.0f;  // Scale s / Dropout p / GradReverse lambda / SupCon tau
-  int i0 = 0;       // TextConvMaxPool kernel_size
   int i1 = 0;       // SupConLoss valid_anchors (recomputed each forward)
   Rng* rng = nullptr;
   std::vector<int> ints;        // Gather ids / loss labels
   std::vector<int> shape_attr;  // Reshape target shape
 
   // Arena placement in floats (-1: backed by impl storage — leaves and
-  // scalars). scratch holds the conv score slabs / FusedLinear relu mask.
+  // scalars). scratch holds the FusedLinear relu-masked gradient.
   int64_t data_off = -1;
   int64_t grad_off = -1;
   int64_t scratch_off = -1;
@@ -216,6 +216,33 @@ float* NodeGrad(Plan& p, int id) {
   if (n.grad_off >= 0) return p.arena.data() + n.grad_off;
   n.impl->EnsureGrad();
   return n.impl->grad.data();
+}
+
+/// The text-conv kernel's arguments for node `n` on the plan's buffers. Its
+/// inputs are the embedded documents, then (weight, bias) per kernel size;
+/// with `grads`, each group also gets the gradient buffers its inputs want.
+void ConvCall(Plan& p, const Node& n, bool grads, TextConvShape* shape,
+              TextConvGroup* groups) {
+  const Node& in = p.nodes[n.inputs[0]];
+  shape->batch = in.shape[0];
+  shape->length = in.shape[1];
+  shape->embed = in.shape[2];
+  shape->channels = p.nodes[n.inputs[1]].shape[0];
+  shape->num_groups = static_cast<int>(n.inputs.size() - 1) / 2;
+  for (int g = 0; g < shape->num_groups; ++g) {
+    const int w = n.inputs[1 + 2 * g];
+    const int b = n.inputs[2 + 2 * g];
+    groups[g] = TextConvGroup();
+    groups[g].kernel_size = p.nodes[w].shape[1] / shape->embed;
+    groups[g].weight = NodeData(p, w);
+    groups[g].bias = NodeData(p, b);
+    if (grads && n.in_req[1 + 2 * g] != 0) {
+      groups[g].weight_grad = NodeGrad(p, w);
+    }
+    if (grads && n.in_req[2 + 2 * g] != 0) {
+      groups[g].bias_grad = NodeGrad(p, b);
+    }
+  }
 }
 
 /// Runs one node's forward kernel on the plan's buffers. Each case is a
@@ -384,45 +411,11 @@ void ExecForward(Plan& p, int id) {
       break;
     }
     case OpKind::kTextConvMaxPool: {
-      const Node& in = p.nodes[n.inputs[0]];
-      const Node& wn = p.nodes[n.inputs[1]];
-      int batch = in.shape[0];
-      int length = in.shape[1];
-      int embed = in.shape[2];
-      int channels = wn.shape[0];
-      int filter_len = n.i0 * embed;
-      int windows = length - n.i0 + 1;
-      const float* x = NodeData(p, n.inputs[0]);
-      const float* w = NodeData(p, n.inputs[1]);
-      const float* bvec = NodeData(p, n.inputs[2]);
-      int* argmax = n.iws0.data();
-      // Per-document score slabs live in the arena (the eager op allocates
-      // a scores vector per pool chunk instead).
-      int64_t slab = static_cast<int64_t>(windows) * channels;
-      float* scratch = p.arena.data() + n.scratch_off;
-      ParallelFor(0, batch, 1, [&](int64_t b0, int64_t b1) {
-        for (int64_t b = b0; b < b1; ++b) {
-          float* scores = scratch + b * slab;
-          std::fill(scores, scores + slab, 0.0f);
-          const float* doc = x + static_cast<size_t>(b) * length * embed;
-          GemmNTStrided(doc, embed, w, scores, windows, filter_len, channels);
-          for (int c = 0; c < channels; ++c) {
-            float best = scores[c];
-            int best_t = 0;
-            for (int t = 1; t < windows; ++t) {
-              float v = scores[static_cast<size_t>(t) * channels + c];
-              if (v > best) {
-                best = v;
-                best_t = t;
-              }
-            }
-            best += bvec[c];
-            out[static_cast<size_t>(b) * channels + c] =
-                best > 0.0f ? best : 0.0f;
-            argmax[static_cast<size_t>(b) * channels + c] = best_t;
-          }
-        }
-      });
+      TextConvShape shape;
+      TextConvGroup groups[kMaxTextConvGroups];
+      ConvCall(p, n, /*grads=*/false, &shape, groups);
+      TextConvMaxPoolForward(NodeData(p, n.inputs[0]), shape, groups, out,
+                             n.iws0.data());
       break;
     }
     case OpKind::kSoftmaxCrossEntropy: {
@@ -807,60 +800,13 @@ void ExecBackwardStep(Plan& p, const Plan::BwdStep& step) {
       break;
     }
     case OpKind::kTextConvMaxPool: {
-      const Node& in = p.nodes[n.inputs[0]];
-      const Node& wn = p.nodes[n.inputs[1]];
-      int batch = in.shape[0];
-      int length = in.shape[1];
-      int embed = in.shape[2];
-      int channels = wn.shape[0];
-      int filter_len = wn.shape[1];
-      bool need_x = n.in_req[0] != 0;
-      bool need_w = n.in_req[1] != 0;
-      bool need_b = n.in_req[2] != 0;
-      const float* od = NodeData(p, id);
-      const float* og = NodeGrad(p, id);
-      const int* argmax = n.iws0.data();
-      if (need_x) {
-        float* xg = NodeGrad(p, n.inputs[0]);
-        const float* wd = NodeData(p, n.inputs[1]);
-        ParallelFor(0, batch, 1, [&](int64_t b0, int64_t b1) {
-          for (int64_t b = b0; b < b1; ++b) {
-            float* ddoc = xg + static_cast<size_t>(b) * length * embed;
-            for (int c = 0; c < channels; ++c) {
-              size_t oc = static_cast<size_t>(b) * channels + c;
-              float g = og[oc];
-              if (g == 0.0f || od[oc] <= 0.0f) continue;
-              int t = argmax[oc];
-              const float* wrow = wd + static_cast<size_t>(c) * filter_len;
-              float* dwin = ddoc + static_cast<size_t>(t) * embed;
-              for (int j = 0; j < filter_len; ++j) dwin[j] += g * wrow[j];
-            }
-          }
-        });
-      }
-      if (need_w || need_b) {
-        float* wg = need_w ? NodeGrad(p, n.inputs[1]) : nullptr;
-        float* bg = need_b ? NodeGrad(p, n.inputs[2]) : nullptr;
-        const float* xd = NodeData(p, n.inputs[0]);
-        ParallelFor(0, channels, 1, [&](int64_t c0, int64_t c1) {
-          for (int64_t c = c0; c < c1; ++c) {
-            float* dwrow =
-                need_w ? wg + static_cast<size_t>(c) * filter_len : nullptr;
-            for (int b = 0; b < batch; ++b) {
-              size_t oc = static_cast<size_t>(b) * channels + c;
-              float g = og[oc];
-              if (g == 0.0f || od[oc] <= 0.0f) continue;
-              if (need_b) bg[c] += g;
-              if (need_w) {
-                int t = argmax[oc];
-                const float* win =
-                    xd + (static_cast<size_t>(b) * length + t) * embed;
-                for (int j = 0; j < filter_len; ++j) dwrow[j] += g * win[j];
-              }
-            }
-          }
-        });
-      }
+      TextConvShape shape;
+      TextConvGroup groups[kMaxTextConvGroups];
+      ConvCall(p, n, /*grads=*/true, &shape, groups);
+      TextConvMaxPoolBackward(
+          NodeData(p, n.inputs[0]), shape, groups, NodeData(p, id),
+          NodeGrad(p, id), n.iws0.data(),
+          n.in_req[0] != 0 ? NodeGrad(p, n.inputs[0]) : nullptr);
       break;
     }
     case OpKind::kSoftmaxCrossEntropy: {
@@ -1212,8 +1158,7 @@ void PassArena(Plan& p, GraphExecutor::Stats* stats) {
         read_at(n.inputs[0], pos);
         break;
       case OpKind::kTextConvMaxPool:
-        read_at(n.inputs[0], pos);
-        read_at(n.inputs[1], pos);
+        for (int in : n.inputs) read_at(in, pos);  // docs, filters, biases
         read_at(p.bwd[i].node, pos);  // own output: the pooling/ReLU mask
         break;
       case OpKind::kFusedLinear:
@@ -1233,21 +1178,12 @@ void PassArena(Plan& p, GraphExecutor::Stats* stats) {
         {n.fpos, std::max(data_end[id], n.fpos), n.numel * 4});
   }
 
-  // Kernel scratch: conv score slabs (forward only) and the FusedLinear
-  // relu-masked gradient (its own backward step only).
+  // Kernel scratch: the FusedLinear relu-masked gradient (its own backward
+  // step only). The text conv needs none: its workspace is per thread.
   for (int id : p.call_order) {
     const Node& n = p.nodes[id];
     if (!n.live) continue;
-    if (n.kind == OpKind::kTextConvMaxPool) {
-      const Node& in = p.nodes[n.inputs[0]];
-      const Node& wn = p.nodes[n.inputs[1]];
-      int windows = in.shape[1] - n.i0 + 1;
-      int64_t slab_total = static_cast<int64_t>(in.shape[0]) * windows *
-                           wn.shape[0];
-      placements.push_back({id, 2});
-      requests.push_back({n.fpos, n.fpos, slab_total * 4});
-    } else if (n.kind == OpKind::kFusedLinear && n.fused_relu &&
-               n.bwd_pos >= 0) {
+    if (n.kind == OpKind::kFusedLinear && n.fused_relu && n.bwd_pos >= 0) {
       placements.push_back({id, 2});
       requests.push_back({F + n.bwd_pos, F + n.bwd_pos, n.numel * 4});
     }
@@ -1284,10 +1220,14 @@ int64_t WorkEstimate(const Plan& p, const Node& n) {
       return 2 * n.numel * a.shape[1];
     }
     case OpKind::kTextConvMaxPool: {
+      // One [L, E] x [E, taps * C] GEMM per document.
       const Node& in = p.nodes[ins[0]];
-      int64_t windows = in.shape[1] - n.i0 + 1;
-      int64_t channels = p.nodes[ins[1]].shape[0];
-      return 2 * in.shape[0] * windows * channels * n.i0 * in.shape[2];
+      int64_t tap_columns = 0;
+      for (size_t i = 1; i < ins.size(); i += 2) {
+        tap_columns += p.nodes[ins[i]].shape[1] / in.shape[2] *
+                       p.nodes[ins[i]].shape[0];
+      }
+      return 2 * in.shape[0] * in.shape[1] * in.shape[2] * tap_columns;
     }
     case OpKind::kSupConLoss: {
       const Node& f = p.nodes[ins[0]];
@@ -1459,7 +1399,6 @@ void Record(Session* session, OpKind kind, const Tensor* const* inputs,
   n.req_grad = out.requires_grad();
   n.impl = out.impl();
   n.f0 = args.f0;
-  n.i0 = args.i0;
   n.rng = args.rng;
   if (args.ints != nullptr) n.ints = *args.ints;
   if (args.shape != nullptr) n.shape_attr = *args.shape;
@@ -1497,8 +1436,6 @@ Tensor Replay(Session* session, OpKind kind, const Tensor* const* inputs,
   }
   OM_CHECK(n.rng == args.rng)
       << "graph replay: RNG stream changed for " << OpKindName(kind);
-  OM_CHECK_EQ(n.i0, args.i0)
-      << "graph replay: static attribute changed for " << OpKindName(kind);
   if (args.shape != nullptr) {
     OM_CHECK(n.shape_attr == *args.shape)
         << "graph replay: reshape target changed";
@@ -1531,6 +1468,12 @@ Tensor Replay(Session* session, OpKind kind, const Tensor* const* inputs,
 
 GraphExecutor::GraphExecutor() = default;
 GraphExecutor::~GraphExecutor() = default;
+
+void GraphExecutor::ReleasePlans() {
+  OM_CHECK(tls_session == nullptr || tls_session->exec != this)
+      << "ReleasePlans inside a StepScope";
+  plans_.clear();
+}
 
 StepScope::StepScope(GraphExecutor* executor, int64_t signature) {
   if (executor == nullptr) return;

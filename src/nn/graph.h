@@ -1,6 +1,7 @@
 #ifndef OMNIMATCH_NN_GRAPH_H_
 #define OMNIMATCH_NN_GRAPH_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <unordered_map>
@@ -96,7 +97,8 @@ struct Plan;    // internal IR + compiled schedule (graph.cc)
 class Session;  // one step's record/replay state (graph.cc)
 
 /// Per-signature plan cache plus counters. Owned by the trainer; one
-/// executor per training run.
+/// executor per training run, whose plans are released when Train()
+/// returns.
 class GraphExecutor {
  public:
   GraphExecutor();
@@ -115,6 +117,14 @@ class GraphExecutor {
     int64_t arena_bytes_max = 0;  // largest compiled arena
   };
   const Stats& stats() const { return stats_; }
+
+  /// Frees every compiled plan and its arena; stats() and the signatures
+  /// marked eager stay. The next step of a released signature records and
+  /// compiles again. Must not run inside a StepScope.
+  void ReleasePlans();
+
+  /// Compiled plans currently held.
+  size_t plan_count() const { return plans_.size(); }
 
  private:
   friend class StepScope;
@@ -150,11 +160,10 @@ class StepScope {
 
 /// Static and dynamic attributes of one op call. Float attributes and int
 /// lists are DYNAMIC: replay copies them into the node each call, so e.g.
-/// gather ids and labels flow from the live batch. kernel_size, the RNG
-/// stream identity and the reshape target are STATIC and verified.
+/// gather ids and labels flow from the live batch. The RNG stream identity
+/// and the reshape target are STATIC and verified.
 struct OpArgs {
   float f0 = 0.0f;   // Scale s / Dropout p / GradReverse lambda / SupCon tau
-  int i0 = 0;        // TextConvMaxPool kernel_size
   Rng* rng = nullptr;                        // Dropout stream
   const std::vector<int>* ints = nullptr;    // Gather ids / loss labels
   const std::vector<int>* shape = nullptr;   // Reshape target shape

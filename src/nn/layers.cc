@@ -85,13 +85,9 @@ TextCnn::TextCnn(int embed_dim, int channels, std::vector<int> kernel_sizes,
 Tensor TextCnn::Forward(const Tensor& embedded) const {
   OM_CHECK_EQ(embedded.ndim(), 3);
   OM_CHECK_EQ(embedded.dim(2), embed_dim_);
-  std::vector<Tensor> pooled;
-  pooled.reserve(kernel_sizes_.size());
-  for (size_t i = 0; i < kernel_sizes_.size(); ++i) {
-    pooled.push_back(TextConvMaxPool(embedded, weights_[i], biases_[i],
-                                     kernel_sizes_[i]));
-  }
-  return pooled.size() == 1 ? pooled[0] : ConcatCols(pooled);
+  // One op over the whole bank: a single tap-decomposed GEMM per document
+  // instead of one per kernel size, and no concat.
+  return TextConvMaxPool(embedded, weights_, biases_);
 }
 
 std::vector<Tensor> TextCnn::Parameters() const {

@@ -8,6 +8,7 @@
 #include "nn/elemwise.h"
 #include "nn/gemm.h"
 #include "nn/graph.h"
+#include "nn/text_conv.h"
 #include "obs/metrics.h"
 
 namespace omnimatch {
@@ -902,128 +903,107 @@ Tensor GradReverse(const Tensor& x, float lambda) {
   return out;
 }
 
-Tensor TextConvMaxPool(const Tensor& input, const Tensor& weight,
-                       const Tensor& bias, int kernel_size) {
-  graph::OpArgs args;
-  args.i0 = kernel_size;
-  if (Tensor r; ReplayOp(graph::OpKind::kTextConvMaxPool,
-                         {&input, &weight, &bias}, args, &r)) {
-    return r;
+Tensor TextConvMaxPool(const Tensor& input, const std::vector<Tensor>& weights,
+                       const std::vector<Tensor>& biases) {
+  OM_CHECK(!weights.empty());
+  OM_CHECK_EQ(weights.size(), biases.size());
+  OM_CHECK_LE(weights.size(), static_cast<size_t>(kMaxTextConvGroups))
+      << "filter bank too large";
+  // Inputs in graph order: input, then (weight, bias) per group. A stack
+  // array keeps the replay path free of heap allocations.
+  const Tensor* inputs[1 + 2 * kMaxTextConvGroups];
+  int num_inputs = 0;
+  inputs[num_inputs++] = &input;
+  for (size_t g = 0; g < weights.size(); ++g) {
+    inputs[num_inputs++] = &weights[g];
+    inputs[num_inputs++] = &biases[g];
+  }
+  if (graph::Session* session = graph::ActiveReplay()) {
+    return graph::Replay(session, graph::OpKind::kTextConvMaxPool, inputs,
+                         num_inputs, graph::OpArgs());
   }
   OM_CHECK_EQ(input.ndim(), 3);
-  OM_CHECK_EQ(weight.ndim(), 2);
-  int batch = input.dim(0);
-  int length = input.dim(1);
-  int embed = input.dim(2);
-  int channels = weight.dim(0);
-  OM_CHECK_EQ(weight.dim(1), kernel_size * embed)
-      << "filter width must be kernel_size * embed";
-  OM_CHECK_EQ(static_cast<int>(bias.numel()), channels);
-  OM_CHECK_GE(length, kernel_size) << "document shorter than kernel";
-  int windows = length - kernel_size + 1;
+  TextConvShape shape;
+  shape.batch = input.dim(0);
+  shape.length = input.dim(1);
+  shape.embed = input.dim(2);
+  shape.channels = weights[0].dim(0);
+  shape.num_groups = static_cast<int>(weights.size());
+  TextConvGroup groups[kMaxTextConvGroups];
+  std::vector<Impl> parents = {input.impl()};
+  for (int g = 0; g < shape.num_groups; ++g) {
+    const Tensor& w = weights[static_cast<size_t>(g)];
+    const Tensor& b = biases[static_cast<size_t>(g)];
+    OM_CHECK_EQ(w.ndim(), 2);
+    OM_CHECK_EQ(w.dim(0), shape.channels) << "filter bank channel mismatch";
+    OM_CHECK_EQ(w.dim(1) % shape.embed, 0)
+        << "filter width must be kernel_size * embed";
+    OM_CHECK_EQ(static_cast<int>(b.numel()), shape.channels);
+    groups[g].kernel_size = w.dim(1) / shape.embed;
+    groups[g].weight = w.data().data();
+    groups[g].bias = b.data().data();
+    parents.push_back(w.impl());
+    parents.push_back(b.impl());
+  }
 
-  Tensor out =
-      MakeOutput({batch, channels}, {input.impl(), weight.impl(), bias.impl()});
-  const float* x = input.data().data();
-  const float* w = weight.data().data();
-  const float* bvec = bias.data().data();
-  float* o = out.data().data();
-  // argmax window index per (batch, channel), needed for backward.
-  auto argmax = std::make_shared<std::vector<int>>(
-      static_cast<size_t>(batch) * channels, 0);
-
-  int filter_len = kernel_size * embed;
-  // Batch-parallel: each document's scores GEMM + max-pool is independent.
-  ParallelFor(0, batch, 1, [&](int64_t b0, int64_t b1) {
-    std::vector<float> scores(static_cast<size_t>(windows) * channels);
-    for (int64_t b = b0; b < b1; ++b) {
-      std::fill(scores.begin(), scores.end(), 0.0f);
-      const float* doc = x + static_cast<size_t>(b) * length * embed;
-      // scores[t, c] = <doc window t, filter c>; windows overlap via
-      // lda=embed.
-      GemmNTStrided(doc, embed, w, scores.data(), windows, filter_len,
-                    channels);
-      for (int c = 0; c < channels; ++c) {
-        float best = scores[c];
-        int best_t = 0;
-        for (int t = 1; t < windows; ++t) {
-          float v = scores[static_cast<size_t>(t) * channels + c];
-          if (v > best) {
-            best = v;
-            best_t = t;
-          }
-        }
-        best += bvec[c];
-        // max-over-time then ReLU == ReLU then max (ReLU is monotone).
-        o[static_cast<size_t>(b) * channels + c] = best > 0.0f ? best : 0.0f;
-        (*argmax)[static_cast<size_t>(b) * channels + c] = best_t;
-      }
-    }
-  });
+  Tensor out = MakeOutput({shape.batch, shape.num_groups * shape.channels},
+                          std::move(parents));
+  // argmax window per output, kept only for the backward pass.
+  std::shared_ptr<std::vector<int>> argmax;
+  if (out.requires_grad()) {
+    argmax = std::make_shared<std::vector<int>>(out.data().size(), 0);
+  }
+  TextConvMaxPoolForward(input.data().data(), shape, groups,
+                         out.data().data(),
+                         argmax != nullptr ? argmax->data() : nullptr);
 
   if (out.requires_grad()) {
-    Impl xi = input.impl(), wi = weight.impl(), bi = bias.impl();
+    std::vector<Impl> impls;
+    for (int i = 0; i < num_inputs; ++i) impls.push_back(inputs[i]->impl());
     TensorImpl* oi = out.impl().get();
-    out.impl()->backward_fn = [xi, wi, bi, oi, argmax, batch, length, embed,
-                               channels, filter_len]() {
+    out.impl()->backward_fn = [impls, oi, argmax, shape]() {
       oi->EnsureGrad();
-      bool need_x = xi->requires_grad;
-      bool need_w = wi->requires_grad;
-      bool need_b = bi->requires_grad;
-      if (need_x) xi->EnsureGrad();
-      if (need_w) wi->EnsureGrad();
-      if (need_b) bi->EnsureGrad();
-      // Two sharded passes instead of one serial loop: documents own their
-      // input-gradient rows (windows of different channels may overlap
-      // inside one document, but never across documents), and channels own
-      // their filter/bias gradient rows. Both passes walk the other axis in
-      // ascending order, so gradients are bit-identical for any thread
-      // count.
-      if (need_x) {
-        ParallelFor(0, batch, 1, [&](int64_t b0, int64_t b1) {
-          for (int64_t b = b0; b < b1; ++b) {
-            float* ddoc =
-                xi->grad.data() + static_cast<size_t>(b) * length * embed;
-            for (int c = 0; c < channels; ++c) {
-              size_t oc = static_cast<size_t>(b) * channels + c;
-              float g = oi->grad[oc];
-              if (g == 0.0f || oi->data[oc] <= 0.0f) continue;
-              int t = (*argmax)[oc];
-              const float* wrow =
-                  wi->data.data() + static_cast<size_t>(c) * filter_len;
-              float* dwin = ddoc + static_cast<size_t>(t) * embed;
-              for (int j = 0; j < filter_len; ++j) dwin[j] += g * wrow[j];
-            }
-          }
-        });
+      TextConvGroup grads[kMaxTextConvGroups];
+      for (int g = 0; g < shape.num_groups; ++g) {
+        TensorImpl* wi = impls[static_cast<size_t>(1 + 2 * g)].get();
+        TensorImpl* bi = impls[static_cast<size_t>(2 + 2 * g)].get();
+        grads[g].kernel_size = wi->shape[1] / shape.embed;
+        grads[g].weight = wi->data.data();
+        grads[g].bias = bi->data.data();
+        if (wi->requires_grad) {
+          wi->EnsureGrad();
+          grads[g].weight_grad = wi->grad.data();
+        }
+        if (bi->requires_grad) {
+          bi->EnsureGrad();
+          grads[g].bias_grad = bi->grad.data();
+        }
       }
-      if (need_w || need_b) {
-        ParallelFor(0, channels, 1, [&](int64_t c0, int64_t c1) {
-          for (int64_t c = c0; c < c1; ++c) {
-            float* dwrow =
-                need_w ? wi->grad.data() + static_cast<size_t>(c) * filter_len
-                       : nullptr;
-            for (int b = 0; b < batch; ++b) {
-              size_t oc = static_cast<size_t>(b) * channels + c;
-              float g = oi->grad[oc];
-              if (g == 0.0f || oi->data[oc] <= 0.0f) continue;
-              if (need_b) bi->grad[c] += g;
-              if (need_w) {
-                int t = (*argmax)[oc];
-                const float* win =
-                    xi->data.data() +
-                    (static_cast<size_t>(b) * length + t) * embed;
-                for (int j = 0; j < filter_len; ++j) dwrow[j] += g * win[j];
-              }
-            }
-          }
-        });
+      TensorImpl* xi = impls[0].get();
+      float* dx = nullptr;
+      if (xi->requires_grad) {
+        xi->EnsureGrad();
+        dx = xi->grad.data();
       }
+      TextConvMaxPoolBackward(xi->data.data(), shape, grads, oi->data.data(),
+                              oi->grad.data(), argmax->data(), dx);
     };
   }
-  RecordOp(graph::OpKind::kTextConvMaxPool, {&input, &weight, &bias}, out,
-           args);
+  if (graph::Session* session = graph::ActiveRecording()) {
+    graph::Record(session, graph::OpKind::kTextConvMaxPool, inputs,
+                  num_inputs, out, graph::OpArgs());
+  }
   return out;
+}
+
+Tensor TextConvMaxPool(const Tensor& input, const Tensor& weight,
+                       const Tensor& bias, int kernel_size) {
+  OM_CHECK_EQ(weight.ndim(), 2);
+  OM_CHECK_EQ(input.ndim(), 3);
+  OM_CHECK_EQ(weight.dim(1), kernel_size * input.dim(2))
+      << "filter width must be kernel_size * embed";
+  return TextConvMaxPool(input, std::vector<Tensor>{weight},
+                         std::vector<Tensor>{bias});
 }
 
 }  // namespace nn

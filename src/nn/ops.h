@@ -91,15 +91,23 @@ Tensor MeanAll(const Tensor& x);
 /// The adversarial mechanism of the Domain Adversarial Training Module.
 Tensor GradReverse(const Tensor& x, float lambda);
 
-/// Fused text convolution + max-over-time pooling + ReLU.
+/// Fused text convolution + max-over-time pooling + ReLU over a filter
+/// bank: the text CNN of the Feature Extraction Module.
 ///
-/// `input` has shape [B, L, E] (a batch of token-embedded documents),
-/// `weight` [C, h*E] holds C filters spanning h consecutive tokens, and
-/// `bias` [C]. For each document the op computes
-///   s[c, t] = bias[c] + <weight[c], input[t : t+h]>,
-///   out[b, c] = ReLU(max_t s[c, t]),
-/// which equals max-over-time of ReLU(conv) since ReLU is monotone.
-/// Requires L >= h.
+/// `input` has shape [B, L, E] (a batch of token-embedded documents). Group
+/// g of the bank is `weights[g]` [C, k_g*E], C filters spanning k_g
+/// consecutive tokens (k_g is implied by the width), and `biases[g]` [C].
+/// For each document the op computes
+///   s_g[c, t] = <weights[g][c], input[t : t+k_g]>,
+///   out[b, g*C + c] = ReLU(biases[g][c] + max_t s_g[c, t]),
+/// which equals max-over-time of ReLU(conv) since ReLU is monotone. Requires
+/// L >= every k_g and at most kMaxTextConvGroups groups. The kernel and its
+/// numerics are described in nn/text_conv.h.
+Tensor TextConvMaxPool(const Tensor& input, const std::vector<Tensor>& weights,
+                       const std::vector<Tensor>& biases);
+
+/// The single-kernel-size bank: `weight` [C, kernel_size*E], `bias` [C] ->
+/// [B, C].
 Tensor TextConvMaxPool(const Tensor& input, const Tensor& weight,
                        const Tensor& bias, int kernel_size);
 

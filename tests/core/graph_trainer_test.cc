@@ -109,6 +109,25 @@ TEST(GraphTrainerTest, RecordedTrainingBitIdenticalToEagerAcrossThreads) {
   SetNumThreads(0);
 }
 
+// Evaluation and serving never replay, so Train() releases its compiled
+// plans (and their arenas) when it returns; the counters stay.
+TEST(GraphTrainerTest, TrainReleasesCompiledPlans) {
+  data::SyntheticWorld world(SmallWorldConfig());
+  data::CrossDomainDataset cross = world.MakePair("Books", "Movies");
+  Rng rng(5);
+  data::ColdStartSplit split = data::MakeColdStartSplit(cross, &rng);
+  OmniMatchTrainer trainer(SmallTrainConfig(2, /*graph_exec=*/true), &cross,
+                           split);
+  ASSERT_TRUE(trainer.Prepare().ok());
+  trainer.Train();
+  const nn::graph::GraphExecutor* exec = trainer.graph_executor();
+  ASSERT_NE(exec, nullptr);
+  EXPECT_GE(exec->stats().plans, 1);
+  EXPECT_GT(exec->stats().replay_steps, 0);
+  EXPECT_EQ(exec->plan_count(), 0u);
+  SetNumThreads(0);
+}
+
 // Kill-and-resume under graph execution: a recorded-mode run killed after
 // epoch 1 and resumed from its checkpoint (plans recompile from scratch in
 // the fresh process) must match the uninterrupted EAGER run bit-for-bit.

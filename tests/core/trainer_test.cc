@@ -162,8 +162,12 @@ TEST(TrainerTest, AblationSwitchesRun) {
     OmniMatchTrainer trainer(config, &f.cross, f.split);
     ASSERT_TRUE(trainer.Prepare().ok());
     TrainStats stats = trainer.Train();
-    if (variant == 0) EXPECT_EQ(stats.scl_loss[0], 0.0);
-    if (variant == 1) EXPECT_EQ(stats.domain_loss[0], 0.0);
+    if (variant == 0) {
+      EXPECT_EQ(stats.scl_loss[0], 0.0);
+    }
+    if (variant == 1) {
+      EXPECT_EQ(stats.domain_loss[0], 0.0);
+    }
     EXPECT_GT(trainer.Evaluate(f.split.test_users).count, 0);
   }
 }

@@ -85,25 +85,6 @@ TEST(GemmTest, TNMatchesReferenceOnAllShapes) {
   }
 }
 
-TEST(GemmTest, StridedNTMatchesReferenceWithOverlappingRows) {
-  // The text conv's sliding windows: lda = embed < K, rows overlap.
-  Rng rng(14);
-  int embed = 8, kernel = 3, length = 20, channels = 5;
-  int windows = length - kernel + 1;
-  int filter_len = kernel * embed;
-  std::vector<float> doc =
-      RandomVec(static_cast<size_t>(length) * embed, &rng);
-  std::vector<float> w =
-      RandomVec(static_cast<size_t>(channels) * filter_len, &rng);
-  std::vector<float> want(static_cast<size_t>(windows) * channels, 0.0f);
-  std::vector<float> got = want;
-  reference::GemmNTStrided(doc.data(), embed, w.data(), want.data(), windows,
-                           filter_len, channels);
-  GemmNTStrided(doc.data(), embed, w.data(), got.data(), windows, filter_len,
-                channels);
-  EXPECT_LE(MaxAbsDiff(want, got), 1e-4f);
-}
-
 TEST(GemmTest, BitIdenticalAcrossThreadCounts) {
   // The substrate's core guarantee: the pool size never changes a single
   // bit of the output.

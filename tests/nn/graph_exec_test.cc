@@ -182,8 +182,10 @@ Tensor MiniForward(MiniModel& m, int b, int step, Rng* dropout_rng,
   return Add(loss, Scale(scl, 0.3f));
 }
 
+/// `release_before` >= 0 releases the executor's plans before that step.
 MiniRun RunMini(int threads, GraphExecutor* exec,
-                const std::vector<int>& batch_sizes, bool use_tanh = false) {
+                const std::vector<int>& batch_sizes, bool use_tanh = false,
+                int release_before = -1) {
   SetNumThreads(threads);
   MiniModel m(99);
   Rng dropout_rng(4242);
@@ -191,6 +193,7 @@ MiniRun RunMini(int threads, GraphExecutor* exec,
   constexpr float kLr = 0.05f;
   for (size_t step = 0; step < batch_sizes.size(); ++step) {
     int b = batch_sizes[step];
+    if (static_cast<int>(step) == release_before) exec->ReleasePlans();
     StepScope scope(exec, /*signature=*/b);
     Tensor loss = MiniForward(m, b, static_cast<int>(step), &dropout_rng,
                               use_tanh);
@@ -241,6 +244,25 @@ TEST(GraphExecTest, ReplayBitIdenticalToEagerAcrossThreadCounts) {
     EXPECT_EQ(exec.stats().record_steps, 1);
     EXPECT_EQ(exec.stats().replay_steps, 5);
     EXPECT_EQ(exec.stats().fallback_signatures, 0);
+  }
+}
+
+TEST(GraphExecTest, ReleasedPlansReRecordBitIdentical) {
+  std::vector<int> batches(6, 4);
+  MiniRun golden = RunMini(1, nullptr, batches);
+  for (int threads : {1, 4}) {
+    GraphExecutor exec;
+    MiniRun graph = RunMini(threads, &exec, batches, /*use_tanh=*/false,
+                            /*release_before=*/3);
+    ExpectBitIdentical(golden, graph);
+    // Steps 0 and 3 record, the other four replay; stats survive release.
+    EXPECT_EQ(exec.stats().plans, 2) << threads << " threads";
+    EXPECT_EQ(exec.stats().record_steps, 2);
+    EXPECT_EQ(exec.stats().replay_steps, 4);
+    EXPECT_EQ(exec.plan_count(), 1u);
+    exec.ReleasePlans();
+    EXPECT_EQ(exec.plan_count(), 0u);
+    EXPECT_EQ(exec.stats().plans, 2);
   }
 }
 
