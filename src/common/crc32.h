@@ -11,6 +11,9 @@ namespace omnimatch {
 /// by zlib, PNG and the checkpoint file format. Detects the corruption modes
 /// a crash or disk fault produces (truncation, bit flips, torn writes).
 ///
+/// Portable slicing-by-16 (one table lookup per byte, 16 independent
+/// lookups per step); DESIGN.md "Checkpoint format" gives its speed.
+///
 /// Incremental use: feed `crc` from the previous call to checksum a stream
 /// in chunks; the default 0 starts a fresh checksum.
 uint32_t Crc32(const void* data, size_t size, uint32_t crc = 0);

@@ -11,8 +11,11 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
+#include <initializer_list>
 
+#include "common/crc32.h"
 #include "common/string_util.h"
+#include "obs/trace.h"
 
 namespace omnimatch {
 
@@ -27,6 +30,13 @@ Result<std::string> ReadFileToString(const std::string& path) {
     return Status::IoError(path + ": " + std::strerror(errno));
   }
   std::string data;
+  // Size the string once for a regular file instead of regrowing it chunk
+  // by chunk; the loop below still reads whatever is there.
+  if (std::fseek(f, 0, SEEK_END) == 0) {
+    const long end = std::ftell(f);
+    if (end > 0) data.reserve(static_cast<size_t>(end));
+    std::rewind(f);
+  }
   char chunk[1 << 16];
   size_t n = 0;
   while ((n = std::fread(chunk, 1, sizeof(chunk), f)) > 0) {
@@ -50,14 +60,23 @@ std::string UniqueTmpPath(const std::string& path) {
                        counter.fetch_add(1, std::memory_order_relaxed)));
 }
 
-Status WriteFileAtomic(const std::string& path, std::string_view data) {
+namespace {
+
+constexpr size_t kFrameHeaderSize = 4 + 4 + 8 + 4;
+
+/// WriteFileAtomic over the concatenation of `parts`.
+Status WriteFileAtomicParts(const std::string& path,
+                            std::initializer_list<std::string_view> parts) {
   std::string tmp = UniqueTmpPath(path);
   std::FILE* f = std::fopen(tmp.c_str(), "wb");
   if (f == nullptr) {
     return Status::IoError(tmp + ": " + std::strerror(errno));
   }
-  bool ok = data.empty() ||
-            std::fwrite(data.data(), 1, data.size(), f) == data.size();
+  bool ok = true;
+  for (std::string_view part : parts) {
+    ok = ok && (part.empty() ||
+                std::fwrite(part.data(), 1, part.size(), f) == part.size());
+  }
   ok = ok && std::fflush(f) == 0;
   // fsync before rename: otherwise the rename can hit disk before the data
   // and a power loss leaves a valid name pointing at garbage.
@@ -74,6 +93,63 @@ Status WriteFileAtomic(const std::string& path, std::string_view data) {
                   std::strerror(errno)));
   }
   return Status::OK();
+}
+
+}  // namespace
+
+Status WriteFileAtomic(const std::string& path, std::string_view data) {
+  return WriteFileAtomicParts(path, {data});
+}
+
+Status WriteFramedFile(const std::string& path, const FrameFormat& format,
+                       std::string_view payload) {
+  ByteWriter header;
+  for (char c : format.magic) header.Write<char>(c);
+  header.Write<uint32_t>(format.version);
+  header.Write<uint64_t>(payload.size());
+  header.Write<uint32_t>(Crc32(payload));
+  return WriteFileAtomicParts(path, {header.buffer(), payload});
+}
+
+Result<std::string_view> ParseFramedFile(const std::string& path,
+                                         std::string_view file,
+                                         const FrameFormat& format) {
+  if (file.size() < kFrameHeaderSize) {
+    return Status::InvalidArgument(
+        StrFormat("%s: too small to be a %s", path.c_str(), format.noun));
+  }
+  if (std::memcmp(file.data(), format.magic, sizeof(format.magic)) != 0) {
+    return Status::InvalidArgument(
+        StrFormat("%s: not a %s", path.c_str(), format.noun));
+  }
+  ByteReader header(file.substr(sizeof(format.magic),
+                                kFrameHeaderSize - sizeof(format.magic)));
+  uint32_t version = 0;
+  uint64_t payload_size = 0;
+  uint32_t crc = 0;
+  header.Read(&version);
+  header.Read(&payload_size);
+  header.Read(&crc);
+  if (version != format.version) {
+    return Status::InvalidArgument(
+        StrFormat("%s: %s version %u, this build reads %u", path.c_str(),
+                  format.noun, version, format.version));
+  }
+  std::string_view payload = file.substr(kFrameHeaderSize);
+  // An exact size match rejects both truncation AND trailing garbage — an
+  // appended byte is as much corruption as a missing one.
+  if (payload.size() != payload_size) {
+    return Status::InvalidArgument(StrFormat(
+        "%s: payload is %zu bytes, header promises %llu "
+        "(truncated or trailing garbage)",
+        path.c_str(), payload.size(),
+        static_cast<unsigned long long>(payload_size)));
+  }
+  OM_TRACE_SPAN("io.frame_crc32");
+  if (Crc32(payload) != crc) {
+    return Status::InvalidArgument(path + ": payload checksum mismatch");
+  }
+  return payload;
 }
 
 Status EnsureDirectory(const std::string& path) {

@@ -27,6 +27,35 @@ std::string UniqueTmpPath(const std::string& path);
 /// half-write; concurrent writers never clobber each other's staging files.
 Status WriteFileAtomic(const std::string& path, std::string_view data);
 
+/// A CRC-framed file format. The file is a 20-byte little-endian header
+///   bytes 0-3   magic
+///   bytes 4-7   format version (u32)
+///   bytes 8-15  payload size in bytes (u64)
+///   bytes 16-19 CRC-32 of the payload (u32)
+/// followed by exactly `payload size` payload bytes. OMCK checkpoints and
+/// OMWT weight files share this framing; each names its own magic, version
+/// and the noun its error messages use.
+struct FrameFormat {
+  char magic[4];
+  uint32_t version;
+  const char* noun;  // "checkpoint", "weight file"
+};
+
+/// Writes the header for `payload`, then the payload itself, with the
+/// crash-safety of WriteFileAtomic. The payload is written from where it
+/// lies, not copied behind the header first.
+Status WriteFramedFile(const std::string& path, const FrameFormat& format,
+                       std::string_view payload);
+
+/// Checks the header of the framed file image `file` (read from `path`,
+/// which names it in messages) against `format` and the payload's CRC, and
+/// returns a view of the payload inside `file`. InvalidArgument for a file
+/// shorter than the header, a foreign magic, another version, a size that
+/// differs from the header's in either direction, or a checksum mismatch.
+Result<std::string_view> ParseFramedFile(const std::string& path,
+                                         std::string_view file,
+                                         const FrameFormat& format);
+
 /// Creates `path` as a directory if it does not already exist (single
 /// level, like mkdir -p for one component at a time). OK when the directory
 /// already exists; IoError otherwise.

@@ -1,10 +1,8 @@
 #include "core/checkpoint.h"
 
-#include <cstring>
 #include <filesystem>
 #include <system_error>
 
-#include "common/crc32.h"
 #include "common/fault.h"
 #include "common/io.h"
 #include "common/string_util.h"
@@ -128,62 +126,18 @@ Status SaveCheckpointFile(const std::string& path,
   if (FaultInjector::Global().ShouldFire("checkpoint_write")) {
     return Status::IoError(path + ": injected checkpoint write fault");
   }
-  std::string payload = EncodePayload(state);
-  ByteWriter file;
-  file.Write<char>(kCheckpointMagic[0]);
-  file.Write<char>(kCheckpointMagic[1]);
-  file.Write<char>(kCheckpointMagic[2]);
-  file.Write<char>(kCheckpointMagic[3]);
-  file.Write<uint32_t>(kCheckpointVersion);
-  file.Write<uint64_t>(payload.size());
-  file.Write<uint32_t>(Crc32(payload));
-  std::string out = file.Release();
-  out += payload;
-  return WriteFileAtomic(path, out);
+  return WriteFramedFile(path, kCheckpointFormat, EncodePayload(state));
 }
 
 Result<CheckpointState> LoadCheckpointFile(const std::string& path) {
   Result<std::string> file = ReadFileToString(path);
   if (!file.ok()) return file.status();
-  const std::string& raw = file.value();
-
-  constexpr size_t kHeaderSize = 4 + 4 + 8 + 4;
-  if (raw.size() < kHeaderSize) {
-    return Status::InvalidArgument(path + ": too small to be a checkpoint");
-  }
-  ByteReader header(std::string_view(raw).substr(0, kHeaderSize));
-  char magic[4];
-  uint32_t version = 0;
-  uint64_t payload_size = 0;
-  uint32_t crc = 0;
-  header.Read(&magic[0]);
-  header.Read(&magic[1]);
-  header.Read(&magic[2]);
-  header.Read(&magic[3]);
-  header.Read(&version);
-  header.Read(&payload_size);
-  header.Read(&crc);
-  if (std::memcmp(magic, kCheckpointMagic, 4) != 0) {
-    return Status::InvalidArgument(path + ": not a checkpoint file");
-  }
-  if (version != kCheckpointVersion) {
-    return Status::InvalidArgument(
-        StrFormat("%s: checkpoint version %u, this build reads %u",
-                  path.c_str(), version, kCheckpointVersion));
-  }
-  if (raw.size() - kHeaderSize != payload_size) {
-    return Status::InvalidArgument(StrFormat(
-        "%s: payload is %zu bytes, header promises %llu (truncated?)",
-        path.c_str(), raw.size() - kHeaderSize,
-        static_cast<unsigned long long>(payload_size)));
-  }
-  std::string_view payload = std::string_view(raw).substr(kHeaderSize);
-  if (Crc32(payload) != crc) {
-    return Status::InvalidArgument(path + ": payload checksum mismatch");
-  }
+  Result<std::string_view> framed =
+      ParseFramedFile(path, file.value(), kCheckpointFormat);
+  if (!framed.ok()) return framed.status();
 
   CheckpointState state;
-  ByteReader r(payload);
+  ByteReader r(framed.value());
   auto section = [&](SectionTag tag,
                      auto parse) -> Status {
     uint32_t got = 0;

@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "common/io.h"
 #include "common/rng.h"
 #include "common/status.h"
 #include "core/guard.h"
@@ -62,20 +63,17 @@ struct CheckpointState {
   int64_t guard_healthy_steps = 0;
 };
 
-/// On-disk layout (little-endian):
-///   bytes 0-3   magic "OMCK"
-///   bytes 4-7   format version (u32, currently 1)
-///   bytes 8-15  payload size in bytes (u64)
-///   bytes 16-19 CRC-32 of the payload (u32)
-///   bytes 20-   payload: the CheckpointState sections
-/// The file is written atomically (tmp + fsync + rename), so a crash mid-
-/// save leaves the previous checkpoint intact. See DESIGN.md "Checkpoint
-/// format" for the section layout inside the payload.
-inline constexpr char kCheckpointMagic[4] = {'O', 'M', 'C', 'K'};
-/// v2 appended the guard section (recovery trace, live learning rate, EMA
-/// state); v1 files are rejected — silently resuming without the backed-off
-/// LR would re-diverge a recovered run.
-inline constexpr uint32_t kCheckpointVersion = 2;
+/// On-disk layout: the CRC-framed file of common/io.h (magic "OMCK",
+/// version, payload size, payload CRC-32), whose payload holds the
+/// CheckpointState sections. The file is written atomically (tmp + fsync +
+/// rename), so a crash mid-save leaves the previous checkpoint intact. See
+/// DESIGN.md "Checkpoint format" for the section layout inside the payload.
+///
+/// Version 2 appended the guard section (recovery trace, live learning rate,
+/// EMA state); v1 files are rejected — silently resuming without the
+/// backed-off LR would re-diverge a recovered run.
+inline constexpr FrameFormat kCheckpointFormat = {
+    {'O', 'M', 'C', 'K'}, 2, "checkpoint"};
 
 /// Serializes `state` and writes it crash-safely to `path`.
 Status SaveCheckpointFile(const std::string& path,

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
-#include <cstring>
 #include <fstream>
 #include <limits>
 
@@ -12,7 +11,6 @@
 #endif
 
 #include "common/check.h"
-#include "common/crc32.h"
 #include "common/fault.h"
 #include "common/logging.h"
 #include "common/stopwatch.h"
@@ -812,19 +810,10 @@ eval::Metrics OmniMatchTrainer::Evaluate(const std::vector<int>& users) {
   return result.ok() ? result.value() : eval::Metrics{};
 }
 
-namespace {
-
-/// OMWT weight-file framing, the checkpoint (OMCK) discipline scaled down:
-/// magic + version + payload size + payload CRC-32 header, then the
-/// length-prefixed parameter payload, written atomically (tmp + fsync +
-/// rename). The old format was a bare ofstream dump: a crash mid-write left
-/// a torn file at the final path, bit flips loaded silently, and trailing
-/// garbage was never noticed.
-constexpr char kWeightsMagic[4] = {'O', 'M', 'W', 'T'};
-constexpr uint32_t kWeightsVersion = 1;
-constexpr size_t kWeightsHeaderSize = 4 + 4 + 8 + 4;
-
-}  // namespace
+/// OMWT weight files: the parameter payload in the CRC-framed file format
+/// checkpoints use, so a torn write, a bit flip or trailing garbage is
+/// rejected on load.
+constexpr FrameFormat kWeightsFormat = {{'O', 'M', 'W', 'T'}, 1, "weight file"};
 
 Status OmniMatchTrainer::SaveWeights(const std::string& path) const {
   OM_CHECK(prepared_) << "call Prepare() first";
@@ -834,65 +823,19 @@ Status OmniMatchTrainer::SaveWeights(const std::string& path) const {
   for (const nn::Tensor& p : params) {
     body.WriteVector(p.data());
   }
-  std::string payload = body.Release();
-  ByteWriter file;
-  file.Write<char>(kWeightsMagic[0]);
-  file.Write<char>(kWeightsMagic[1]);
-  file.Write<char>(kWeightsMagic[2]);
-  file.Write<char>(kWeightsMagic[3]);
-  file.Write<uint32_t>(kWeightsVersion);
-  file.Write<uint64_t>(payload.size());
-  file.Write<uint32_t>(Crc32(payload));
-  std::string out = file.Release();
-  out += payload;
-  return WriteFileAtomic(path, out);
+  return WriteFramedFile(path, kWeightsFormat, body.buffer());
 }
 
 Status OmniMatchTrainer::LoadWeights(const std::string& path) {
   OM_CHECK(prepared_) << "call Prepare() first";
   Result<std::string> file = ReadFileToString(path);
   if (!file.ok()) return file.status();
-  const std::string& raw = file.value();
-
-  if (raw.size() < kWeightsHeaderSize) {
-    return Status::InvalidArgument(path + ": too small to be a weight file");
-  }
-  ByteReader header(std::string_view(raw).substr(0, kWeightsHeaderSize));
-  char magic[4];
-  uint32_t version = 0;
-  uint64_t payload_size = 0;
-  uint32_t crc = 0;
-  header.Read(&magic[0]);
-  header.Read(&magic[1]);
-  header.Read(&magic[2]);
-  header.Read(&magic[3]);
-  header.Read(&version);
-  header.Read(&payload_size);
-  header.Read(&crc);
-  if (std::memcmp(magic, kWeightsMagic, 4) != 0) {
-    return Status::InvalidArgument(path + ": not a weight file");
-  }
-  if (version != kWeightsVersion) {
-    return Status::InvalidArgument(
-        StrFormat("%s: weight file version %u, this build reads %u",
-                  path.c_str(), version, kWeightsVersion));
-  }
-  // An exact size match rejects both truncation AND trailing garbage — an
-  // appended byte is as much corruption as a missing one.
-  if (raw.size() - kWeightsHeaderSize != payload_size) {
-    return Status::InvalidArgument(StrFormat(
-        "%s: payload is %zu bytes, header promises %llu "
-        "(truncated or trailing garbage)",
-        path.c_str(), raw.size() - kWeightsHeaderSize,
-        static_cast<unsigned long long>(payload_size)));
-  }
-  std::string_view payload = std::string_view(raw).substr(kWeightsHeaderSize);
-  if (Crc32(payload) != crc) {
-    return Status::InvalidArgument(path + ": payload checksum mismatch");
-  }
+  Result<std::string_view> payload =
+      ParseFramedFile(path, file.value(), kWeightsFormat);
+  if (!payload.ok()) return payload.status();
 
   std::vector<nn::Tensor> params = model_->Parameters();
-  ByteReader r(payload);
+  ByteReader r(payload.value());
   uint64_t count = 0;
   if (!r.Read(&count)) {
     return Status::InvalidArgument(path + ": truncated weight payload");

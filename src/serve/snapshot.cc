@@ -11,6 +11,7 @@
 #include "core/scoring.h"
 #include "core/trainer.h"
 #include "nn/tensor.h"
+#include "obs/trace.h"
 
 namespace omnimatch {
 namespace serve {
@@ -142,10 +143,15 @@ Result<std::shared_ptr<const ModelSnapshot>> ModelSnapshot::Load(
   OM_CHECK(corpus != nullptr);
   OM_CHECK_EQ(corpus->config_fingerprint(), config.Fingerprint());
 
-  Result<core::CheckpointState> loaded =
-      core::LoadCheckpointFile(checkpoint_path);
-  if (!loaded.ok()) return loaded.status();
-  core::CheckpointState state = std::move(loaded).value();
+  core::CheckpointState state;
+  {
+    // Read, frame checksum (the nested "io.frame_crc32") and decode.
+    OM_TRACE_SPAN("snapshot.read_checkpoint");
+    Result<core::CheckpointState> loaded =
+        core::LoadCheckpointFile(checkpoint_path);
+    if (!loaded.ok()) return loaded.status();
+    state = std::move(loaded).value();
+  }
 
   if (state.config_fingerprint != config.Fingerprint()) {
     return Status::InvalidArgument(
@@ -157,6 +163,7 @@ Result<std::shared_ptr<const ModelSnapshot>> ModelSnapshot::Load(
   std::vector<std::vector<float>>& chosen =
       use_best ? state.best_params : state.params;
 
+  OM_TRACE_SPAN("snapshot.build_model");
   auto snapshot = std::shared_ptr<ModelSnapshot>(new ModelSnapshot());
   snapshot->config_ = config;
   snapshot->corpus_ = std::move(corpus);

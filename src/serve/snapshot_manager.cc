@@ -7,6 +7,7 @@
 #include "common/check.h"
 #include "common/fault.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 
 namespace omnimatch {
 namespace serve {
@@ -82,6 +83,7 @@ Status SnapshotManager::SwapTo(
   if (FaultInjector::Global().ShouldFire("snapshot_load", &hit)) {
     status = Status::Internal("injected snapshot_load fault");
   } else {
+    OM_TRACE_SPAN("swap.validate_probes");
     status = ValidateProbes(candidate);
   }
   if (!status.ok()) {
@@ -91,7 +93,10 @@ Status SnapshotManager::SwapTo(
     if (obs::MetricsEnabled()) SwapRollbackCounter()->Increment();
     return status;
   }
-  server_->SwapSnapshot(std::move(candidate));
+  {
+    OM_TRACE_SPAN("swap.install");
+    server_->SwapSnapshot(std::move(candidate));
+  }
   ++swaps_;
   if (obs::MetricsEnabled()) SwapSuccessCounter()->Increment();
   return Status::OK();

@@ -47,6 +47,13 @@ std::string FreshDir(const std::string& name) {
   return dir;
 }
 
+/// Rewrites the byte at `offset` of the file at `path` in place.
+void OverwriteByte(const std::string& path, size_t offset, char value) {
+  std::fstream f(path, std::ios::binary | std::ios::in | std::ios::out);
+  f.seekp(static_cast<std::streamoff>(offset));
+  f.put(value);
+}
+
 CheckpointState SampleState() {
   CheckpointState s;
   s.config_fingerprint = 0x1234567890ABCDEFull;
@@ -128,18 +135,19 @@ TEST(CheckpointFileTest, TruncationAtEveryBoundaryRejectedCleanly) {
   ASSERT_TRUE(SaveCheckpointFile(path, SampleState()).ok());
   std::string bytes = ReadFileToString(path).value();
   ASSERT_GT(bytes.size(), 24u);
-  // Cut inside the header, at the header/payload boundary, inside the
-  // payload, and one byte short of complete.
-  for (size_t cut : {size_t{0}, size_t{3}, size_t{12}, size_t{20},
-                     bytes.size() / 2, bytes.size() - 1}) {
-    std::string trunc_path = testing::TempDir() + "/ckpt_trunc.omck";
-    std::ofstream(trunc_path, std::ios::binary) << bytes.substr(0, cut);
+  // Every prefix: inside the header, at the header/payload boundary,
+  // inside and between the payload's sections, and one byte short of
+  // complete. Cut in place, longest first.
+  std::string trunc_path = testing::TempDir() + "/ckpt_trunc.omck";
+  std::ofstream(trunc_path, std::ios::binary) << bytes;
+  for (size_t cut = bytes.size(); cut-- > 0;) {
+    std::filesystem::resize_file(trunc_path, cut);
     Result<CheckpointState> r = LoadCheckpointFile(trunc_path);
     ASSERT_FALSE(r.ok()) << "cut at " << cut;
     EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument)
         << "cut at " << cut << ": " << r.status().ToString();
-    std::remove(trunc_path.c_str());
   }
+  std::remove(trunc_path.c_str());
   std::remove(path.c_str());
 }
 
@@ -147,20 +155,23 @@ TEST(CheckpointFileTest, BitFlipAnywhereRejected) {
   std::string path = testing::TempDir() + "/ckpt_flip_src.omck";
   ASSERT_TRUE(SaveCheckpointFile(path, SampleState()).ok());
   std::string bytes = ReadFileToString(path).value();
-  // Magic, version, payload size, CRC field, first payload byte, middle,
-  // last byte: a single flipped bit anywhere must be caught.
-  for (size_t at : {size_t{0}, size_t{4}, size_t{8}, size_t{16}, size_t{20},
-                    bytes.size() / 2, bytes.size() - 1}) {
-    std::string corrupt = bytes;
-    corrupt[at] = static_cast<char>(corrupt[at] ^ 0x01);
-    std::string flip_path = testing::TempDir() + "/ckpt_flip.omck";
-    std::ofstream(flip_path, std::ios::binary) << corrupt;
-    Result<CheckpointState> r = LoadCheckpointFile(flip_path);
-    ASSERT_FALSE(r.ok()) << "flip at " << at;
-    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument)
-        << "flip at " << at << ": " << r.status().ToString();
-    std::remove(flip_path.c_str());
+  // Every bit of the magic, version, payload size, CRC field and payload:
+  // a single flipped bit anywhere must be caught.
+  std::string flip_path = testing::TempDir() + "/ckpt_flip.omck";
+  std::ofstream(flip_path, std::ios::binary) << bytes;
+  for (size_t at = 0; at < bytes.size(); ++at) {
+    for (int bit = 0; bit < 8; ++bit) {
+      OverwriteByte(flip_path, at, static_cast<char>(bytes[at] ^ (1 << bit)));
+      Result<CheckpointState> r = LoadCheckpointFile(flip_path);
+      ASSERT_FALSE(r.ok()) << "flip at " << at << " bit " << bit;
+      EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument)
+          << "flip at " << at << " bit " << bit << ": "
+          << r.status().ToString();
+    }
+    OverwriteByte(flip_path, at, bytes[at]);
   }
+  ASSERT_TRUE(LoadCheckpointFile(flip_path).ok());
+  std::remove(flip_path.c_str());
   std::remove(path.c_str());
 }
 

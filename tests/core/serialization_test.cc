@@ -1,6 +1,8 @@
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -35,6 +37,22 @@ OmniMatchConfig TinyModel() {
   config.epochs = 2;
   config.seed = 31;
   return config;
+}
+
+/// Rewrites the byte at `offset` of the file at `path` in place.
+void OverwriteByte(const std::string& path, size_t offset, char value) {
+  std::fstream f(path, std::ios::binary | std::ios::in | std::ios::out);
+  f.seekp(static_cast<std::streamoff>(offset));
+  f.put(value);
+}
+
+/// Every parameter's values, in Parameters() order.
+std::vector<std::vector<float>> ParameterValues(OmniMatchTrainer& trainer) {
+  std::vector<std::vector<float>> out;
+  for (const nn::Tensor& p : trainer.model()->Parameters()) {
+    out.push_back(p.data());
+  }
+  return out;
 }
 
 TEST(SerializationTest, SaveLoadRoundTripReproducesPredictions) {
@@ -102,6 +120,7 @@ TEST(SerializationTest, LoadTruncatedFileFails) {
   ASSERT_TRUE(trainer.Prepare().ok());
   std::string path = testing::TempDir() + "/omnimatch_trunc.bin";
   ASSERT_TRUE(trainer.SaveWeights(path).ok());
+  const std::vector<std::vector<float>> weights = ParameterValues(trainer);
   // Truncate the file to half.
   FILE* f = fopen(path.c_str(), "r+");
   ASSERT_NE(f, nullptr);
@@ -111,6 +130,16 @@ TEST(SerializationTest, LoadTruncatedFileFails) {
   fclose(f);
   Status status = trainer.LoadWeights(path);
   EXPECT_FALSE(status.ok());
+  // Then every other length, cut in place longest first.
+  ASSERT_TRUE(trainer.SaveWeights(path).ok());
+  for (long cut = size; cut-- > 0;) {
+    std::filesystem::resize_file(path, static_cast<uintmax_t>(cut));
+    status = trainer.LoadWeights(path);
+    ASSERT_FALSE(status.ok()) << "cut at " << cut;
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument)
+        << "cut at " << cut << ": " << status.ToString();
+  }
+  EXPECT_EQ(ParameterValues(trainer), weights);
   std::remove(path.c_str());
 }
 
@@ -140,6 +169,23 @@ TEST(SerializationTest, LoadCorruptedPayloadFailsAndPreservesWeights) {
   // The rejected load must not have half-written anything.
   eval::Metrics after = trainer.Evaluate(split.test_users);
   EXPECT_DOUBLE_EQ(before.rmse, after.rmse);
+
+  // Every single-bit flip of the header and the payload, in place.
+  bytes[bytes.size() / 2] ^= 0x40;
+  std::ofstream(path, std::ios::binary | std::ios::trunc) << bytes;
+  const std::vector<std::vector<float>> weights = ParameterValues(trainer);
+  for (size_t at = 0; at < bytes.size(); ++at) {
+    for (int bit = 0; bit < 8; ++bit) {
+      OverwriteByte(path, at, static_cast<char>(bytes[at] ^ (1 << bit)));
+      status = trainer.LoadWeights(path);
+      ASSERT_FALSE(status.ok()) << "flip at " << at << " bit " << bit;
+      EXPECT_EQ(status.code(), StatusCode::kInvalidArgument)
+          << "flip at " << at << " bit " << bit << ": " << status.ToString();
+    }
+    OverwriteByte(path, at, bytes[at]);
+  }
+  EXPECT_EQ(ParameterValues(trainer), weights);
+  ASSERT_TRUE(trainer.LoadWeights(path).ok());
   std::remove(path.c_str());
 }
 
