@@ -11,12 +11,9 @@ namespace nn {
 /// Minimum number of scalar ops before an elementwise loop is worth
 /// sharding over the pool; below this the loop runs inline.
 ///
-/// Shared between the eager ops (ops.cc) and the recorded-graph replay
-/// executor (graph.cc): both sides MUST shard with identical grains so a
-/// replayed step partitions every loop exactly like the eager step it was
-/// recorded from. (Chunking never changes values — each index is written by
-/// exactly one chunk — but keeping the grains in one place keeps the two
-/// execution paths from drifting apart.)
+/// Shared by the op kernels (ops.cc) and the fused linear epilogue
+/// (gemm.cc), which shards its rows like AddRowBroadcast. Chunking never
+/// changes values — each index is written by exactly one chunk.
 constexpr int64_t kElemGrain = 1 << 14;
 
 /// Shards an elementwise loop [0, n) over the thread pool. Each index is

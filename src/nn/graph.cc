@@ -2,15 +2,14 @@
 
 #include <algorithm>
 #include <climits>
-#include <cmath>
 #include <string>
 #include <utility>
 
 #include "common/check.h"
 #include "common/logging.h"
 #include "common/threadpool.h"
-#include "nn/elemwise.h"
 #include "nn/gemm.h"
+#include "nn/op_kernels.h"
 #include "nn/text_conv.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -137,7 +136,6 @@ struct Node {
   // Attributes. f0 and ints are dynamic (copied from the live call each
   // step); rng and shape_attr are static and verified on replay.
   float f0 = 0.0f;  // Scale s / Dropout p / GradReverse lambda / SupCon tau
-  int i1 = 0;       // SupConLoss valid_anchors (recomputed each forward)
   Rng* rng = nullptr;
   std::vector<int> ints;        // Gather ids / loss labels
   std::vector<int> shape_attr;  // Reshape target shape
@@ -148,11 +146,12 @@ struct Node {
   int64_t grad_off = -1;
   int64_t scratch_off = -1;
 
-  // Plan-owned op workspaces, sized once at compile and reused every step
-  // (dropout mask, softmax probs, SupCon intermediates, conv argmax).
-  std::vector<float> ws0, ws1, ws2, ws3, ws4, ws5, ws6, ws7;
-  std::vector<double> dws0;
-  std::vector<int> iws0, iws1;
+  // The op kernel's workspace (only the one of this node's kind is used),
+  // sized once at compile and reused every step.
+  DropoutWorkspace dropout;
+  CrossEntropyWorkspace cross_entropy;
+  SupConWorkspace supcon;
+  TextConvWorkspace conv;
 };
 
 /// A compiled step: the node IR, the forward call order, the backward
@@ -205,6 +204,18 @@ namespace {
 /// kernel chunks, never ops), so one thread-local is the whole story.
 thread_local Session* tls_session = nullptr;
 
+/// Non-null while the current thread is inside a live recording StepScope.
+Session* ActiveRecording() {
+  Session* s = tls_session;
+  return (s != nullptr && s->recording && !s->aborted) ? s : nullptr;
+}
+
+/// Non-null while the current thread is inside a replaying StepScope.
+Session* ActiveReplay() {
+  Session* s = tls_session;
+  return (s != nullptr && s->replaying) ? s : nullptr;
+}
+
 float* NodeData(Plan& p, int id) {
   Node& n = p.nodes[id];
   return n.data_off >= 0 ? p.arena.data() + n.data_off
@@ -218,22 +229,29 @@ float* NodeGrad(Plan& p, int id) {
   return n.impl->grad.data();
 }
 
-/// The text-conv kernel's arguments for node `n` on the plan's buffers. Its
-/// inputs are the embedded documents, then (weight, bias) per kernel size;
-/// with `grads`, each group also gets the gradient buffers its inputs want.
-void ConvCall(Plan& p, const Node& n, bool grads, TextConvShape* shape,
-              TextConvGroup* groups) {
+/// The text-conv shape of node `n`, from its recorded input shapes.
+TextConvShape ConvShape(const Plan& p, const Node& n) {
   const Node& in = p.nodes[n.inputs[0]];
-  shape->batch = in.shape[0];
-  shape->length = in.shape[1];
-  shape->embed = in.shape[2];
-  shape->channels = p.nodes[n.inputs[1]].shape[0];
-  shape->num_groups = static_cast<int>(n.inputs.size() - 1) / 2;
-  for (int g = 0; g < shape->num_groups; ++g) {
+  TextConvShape shape;
+  shape.batch = in.shape[0];
+  shape.length = in.shape[1];
+  shape.embed = in.shape[2];
+  shape.channels = p.nodes[n.inputs[1]].shape[0];
+  shape.num_groups = static_cast<int>(n.inputs.size() - 1) / 2;
+  return shape;
+}
+
+/// The text-conv kernel's filter bank for node `n` on the plan's buffers.
+/// Its inputs are the embedded documents, then (weight, bias) per kernel
+/// size; with `grads`, each group also gets the gradient buffers its inputs
+/// want.
+void ConvGroups(Plan& p, const Node& n, const TextConvShape& shape,
+                bool grads, TextConvGroup* groups) {
+  for (int g = 0; g < shape.num_groups; ++g) {
     const int w = n.inputs[1 + 2 * g];
     const int b = n.inputs[2 + 2 * g];
     groups[g] = TextConvGroup();
-    groups[g].kernel_size = p.nodes[w].shape[1] / shape->embed;
+    groups[g].kernel_size = p.nodes[w].shape[1] / shape.embed;
     groups[g].weight = NodeData(p, w);
     groups[g].bias = NodeData(p, b);
     if (grads && n.in_req[1 + 2 * g] != 0) {
@@ -245,88 +263,49 @@ void ConvCall(Plan& p, const Node& n, bool grads, TextConvShape* shape,
   }
 }
 
-/// Runs one node's forward kernel on the plan's buffers. Each case is a
-/// transcription of the matching eager kernel in ops.cc/losses.cc — same
-/// loops, same grains, same accumulation order — so a replayed step is
-/// bit-identical to the eager step it was recorded from.
+/// The ids a Gather or GatherReshape node reads: its own, or those of the
+/// fused-away Gather member.
+const std::vector<int>& GatherIds(const Plan& p, const Node& n) {
+  return n.kind == OpKind::kGatherReshape ? p.nodes[n.members[0]].ints
+                                          : n.ints;
+}
+
+/// Runs one node's forward kernel on the plan's buffers: the same kernel
+/// the eager op runs, on arena pointers.
 void ExecForward(Plan& p, int id) {
   Node& n = p.nodes[id];
   float* out = NodeData(p, id);
+  auto in = [&](int i) { return NodeData(p, n.inputs[i]); };
+  auto in_shape = [&](int i) -> const std::vector<int>& {
+    return p.nodes[n.inputs[i]].shape;
+  };
   switch (n.kind) {
-    case OpKind::kAdd: {
-      const float* a = NodeData(p, n.inputs[0]);
-      const float* b = NodeData(p, n.inputs[1]);
-      ParallelElems(static_cast<size_t>(n.numel), [&](size_t lo, size_t hi) {
-        for (size_t i = lo; i < hi; ++i) out[i] = a[i] + b[i];
-      });
+    case OpKind::kAdd:
+      AddForward(in(0), in(1), out, n.numel);
       break;
-    }
-    case OpKind::kMul: {
-      const float* a = NodeData(p, n.inputs[0]);
-      const float* b = NodeData(p, n.inputs[1]);
-      ParallelElems(static_cast<size_t>(n.numel), [&](size_t lo, size_t hi) {
-        for (size_t i = lo; i < hi; ++i) out[i] = a[i] * b[i];
-      });
+    case OpKind::kMul:
+      MulForward(in(0), in(1), out, n.numel);
       break;
-    }
-    case OpKind::kScale: {
-      const float* a = NodeData(p, n.inputs[0]);
-      float s = n.f0;
-      ParallelElems(static_cast<size_t>(n.numel), [&](size_t lo, size_t hi) {
-        for (size_t i = lo; i < hi; ++i) out[i] = a[i] * s;
-      });
+    case OpKind::kScale:
+      ScaleForward(in(0), n.f0, out, n.numel);
       break;
-    }
-    case OpKind::kAddRowBroadcast: {
-      int rows = n.shape[0];
-      int cols = n.shape[1];
-      const float* mv = NodeData(p, n.inputs[0]);
-      const float* rv = NodeData(p, n.inputs[1]);
-      ParallelFor(0, rows, std::max<int64_t>(1, kElemGrain / cols),
-                  [&](int64_t r0, int64_t r1) {
-                    for (int64_t r = r0; r < r1; ++r) {
-                      const float* src = mv + static_cast<size_t>(r) * cols;
-                      float* dst = out + static_cast<size_t>(r) * cols;
-                      for (int c = 0; c < cols; ++c) dst[c] = src[c] + rv[c];
-                    }
-                  });
+    case OpKind::kAddRowBroadcast:
+      AddRowBroadcastForward(in(0), in(1), out, n.shape[0], n.shape[1]);
       break;
-    }
-    case OpKind::kRelu: {
-      const float* x = NodeData(p, n.inputs[0]);
-      ParallelElems(static_cast<size_t>(n.numel), [&](size_t lo, size_t hi) {
-        for (size_t i = lo; i < hi; ++i) out[i] = x[i] > 0.0f ? x[i] : 0.0f;
-      });
+    case OpKind::kRelu:
+      ReluForward(in(0), out, n.numel);
       break;
-    }
     case OpKind::kReshape:
-    case OpKind::kGradReverse: {
-      const float* x = NodeData(p, n.inputs[0]);
-      std::copy(x, x + n.numel, out);
+    case OpKind::kGradReverse:
+      CopyForward(in(0), out, n.numel);
       break;
-    }
-    case OpKind::kDropout: {
-      const float* x = NodeData(p, n.inputs[0]);
-      float keep_scale = 1.0f / (1.0f - n.f0);
-      float* mask = n.ws0.data();
-      size_t count = static_cast<size_t>(n.numel);
-      // Serial, one Bernoulli per element: consumes the caller's RNG stream
-      // exactly like the eager op.
-      for (size_t i = 0; i < count; ++i) {
-        mask[i] = n.rng->Bernoulli(n.f0) ? 0.0f : keep_scale;
-        out[i] = x[i] * mask[i];
-      }
+    case OpKind::kDropout:
+      DropoutForward(in(0), n.f0, n.rng, n.numel, &n.dropout, out);
       break;
-    }
-    case OpKind::kMatMul: {
-      const Node& a = p.nodes[n.inputs[0]];
-      const Node& b = p.nodes[n.inputs[1]];
-      int m = a.shape[0], k = a.shape[1], cols = b.shape[1];
-      std::fill(out, out + n.numel, 0.0f);
-      GemmNN(NodeData(p, n.inputs[0]), NodeData(p, n.inputs[1]), out, m, k,
-             cols);
+    case OpKind::kMatMul:
+      MatMulForward(in(0), in(1), out, in_shape(0)[0], in_shape(0)[1],
+                    in_shape(1)[1]);
       break;
-    }
     case OpKind::kFusedLinear: {
       const Node& x = p.nodes[n.xinputs[0]];
       const Node& w = p.nodes[n.xinputs[1]];
@@ -336,207 +315,58 @@ void ExecForward(Plan& p, int id) {
       break;
     }
     case OpKind::kConcatCols: {
-      int rows = n.shape[0];
-      int total_cols = n.shape[1];
       int col_offset = 0;
-      for (int pid : n.inputs) {
-        const Node& part = p.nodes[pid];
-        int cols = part.shape[1];
-        const float* pv = NodeData(p, pid);
-        for (int r = 0; r < rows; ++r) {
-          std::copy(pv + static_cast<size_t>(r) * cols,
-                    pv + static_cast<size_t>(r + 1) * cols,
-                    out + static_cast<size_t>(r) * total_cols + col_offset);
-        }
+      for (int i = 0; i < static_cast<int>(n.inputs.size()); ++i) {
+        const int cols = in_shape(i)[1];
+        ConcatColsForward(in(i), n.shape[0], cols, n.shape[1], col_offset,
+                          out);
         col_offset += cols;
       }
       break;
     }
     case OpKind::kConcatRows: {
-      size_t offset = 0;
+      int64_t offset = 0;
       for (int pid : n.inputs) {
-        const Node& part = p.nodes[pid];
-        const float* pv = NodeData(p, pid);
-        std::copy(pv, pv + part.numel, out + offset);
-        offset += static_cast<size_t>(part.numel);
+        CopyForward(NodeData(p, pid), out + offset, p.nodes[pid].numel);
+        offset += p.nodes[pid].numel;
       }
       break;
     }
     case OpKind::kGather:
     case OpKind::kGatherReshape: {
-      bool fused = n.kind == OpKind::kGatherReshape;
-      int table_id = fused ? n.xinputs[0] : n.inputs[0];
-      const std::vector<int>& ids =
-          fused ? p.nodes[n.members[0]].ints : n.ints;
-      const Node& tbl = p.nodes[table_id];
-      int vocab = tbl.shape[0];
-      int width = tbl.shape[1];
-      for (int id_r : ids) {
-        OM_CHECK(id_r >= 0 && id_r < vocab)
-            << "Gather id " << id_r << " of " << vocab;
-      }
-      const float* tv = NodeData(p, table_id);
-      ParallelFor(0, static_cast<int64_t>(ids.size()),
-                  std::max<int64_t>(1, kElemGrain / width),
-                  [&](int64_t r0, int64_t r1) {
-                    for (int64_t r = r0; r < r1; ++r) {
-                      std::copy(tv + static_cast<size_t>(ids[r]) * width,
-                                tv + static_cast<size_t>(ids[r] + 1) * width,
-                                out + static_cast<size_t>(r) * width);
-                    }
-                  });
+      const int table = n.kind == OpKind::kGatherReshape ? n.xinputs[0]
+                                                         : n.inputs[0];
+      const std::vector<int>& ids = GatherIds(p, n);
+      GatherForward(NodeData(p, table), p.nodes[table].shape[0],
+                    p.nodes[table].shape[1], ids.data(),
+                    static_cast<int64_t>(ids.size()), out);
       break;
     }
-    case OpKind::kMeanAxis1: {
-      const Node& in = p.nodes[n.inputs[0]];
-      int batch = in.shape[0];
-      int length = in.shape[1];
-      int width = in.shape[2];
-      const float* xv = NodeData(p, n.inputs[0]);
-      float inv = 1.0f / static_cast<float>(length);
-      int64_t per_doc = static_cast<int64_t>(length) * width;
-      std::fill(out, out + n.numel, 0.0f);
-      ParallelFor(0, batch, std::max<int64_t>(1, kElemGrain / per_doc),
-                  [&](int64_t b0, int64_t b1) {
-                    for (int64_t b = b0; b < b1; ++b) {
-                      float* orow = out + static_cast<size_t>(b) * width;
-                      for (int l = 0; l < length; ++l) {
-                        const float* row =
-                            xv + (static_cast<size_t>(b) * length + l) * width;
-                        for (int e = 0; e < width; ++e) orow[e] += row[e];
-                      }
-                      for (int e = 0; e < width; ++e) orow[e] *= inv;
-                    }
-                  });
+    case OpKind::kMeanAxis1:
+      MeanAxis1Forward(in(0), in_shape(0)[0], in_shape(0)[1], in_shape(0)[2],
+                       out);
       break;
-    }
     case OpKind::kTextConvMaxPool: {
-      TextConvShape shape;
+      const TextConvShape shape = ConvShape(p, n);
       TextConvGroup groups[kMaxTextConvGroups];
-      ConvCall(p, n, /*grads=*/false, &shape, groups);
-      TextConvMaxPoolForward(NodeData(p, n.inputs[0]), shape, groups, out,
-                             n.iws0.data());
+      ConvGroups(p, n, shape, /*grads=*/false, groups);
+      TextConvMaxPoolForward(in(0), shape, groups, out, &n.conv);
       break;
     }
-    case OpKind::kSoftmaxCrossEntropy: {
-      const Node& ln = p.nodes[n.inputs[0]];
-      int batch = ln.shape[0];
-      int classes = ln.shape[1];
-      const std::vector<int>& labels = n.ints;
-      for (int y : labels) OM_CHECK(y >= 0 && y < classes) << "label " << y;
-      const float* x = NodeData(p, n.inputs[0]);
-      float* probs = n.ws0.data();
-      float* row_loss = n.ws1.data();
-      ParallelFor(0, batch, 64, [&](int64_t b0, int64_t b1) {
-        for (int64_t b = b0; b < b1; ++b) {
-          const float* row = x + static_cast<size_t>(b) * classes;
-          float* prow = probs + static_cast<size_t>(b) * classes;
-          float max_v = row[0];
-          for (int c = 1; c < classes; ++c) max_v = std::max(max_v, row[c]);
-          float sum = 0.0f;
-          for (int c = 0; c < classes; ++c) {
-            prow[c] = std::exp(row[c] - max_v);
-            sum += prow[c];
-          }
-          float inv = 1.0f / sum;
-          for (int c = 0; c < classes; ++c) prow[c] *= inv;
-          row_loss[b] = -std::log(std::max(prow[labels[b]], 1e-12f));
-        }
-      });
-      double total = 0.0;
-      for (int b = 0; b < batch; ++b) total += row_loss[b];
-      out[0] = static_cast<float>(total / batch);
+    case OpKind::kSoftmaxCrossEntropy:
+      out[0] = SoftmaxCrossEntropyForward(in(0), n.ints.data(),
+                                          in_shape(0)[0], in_shape(0)[1],
+                                          &n.cross_entropy);
       break;
-    }
-    case OpKind::kSupConLoss: {
-      const Node& fn = p.nodes[n.inputs[0]];
-      int batch = fn.shape[0];
-      int dim = fn.shape[1];
-      const std::vector<int>& labels = n.ints;
-      const float* z = NodeData(p, n.inputs[0]);
-      float* norm_feats = n.ws0.data();
-      float* norms = n.ws1.data();
-      float* sims = n.ws2.data();
-      float* probs = n.ws3.data();
-      float* lse = n.ws4.data();
-      double* anchor_loss = n.dws0.data();
-      int* pos_count = n.iws1.data();
-      ParallelFor(0, batch, 8, [&](int64_t i0, int64_t i1) {
-        for (int64_t i = i0; i < i1; ++i) {
-          const float* row = z + static_cast<size_t>(i) * dim;
-          double sq = 0.0;
-          for (int d = 0; d < dim; ++d) {
-            sq += static_cast<double>(row[d]) * row[d];
-          }
-          float norm = static_cast<float>(std::sqrt(sq)) + 1e-8f;
-          norms[i] = norm;
-          float* nrow = norm_feats + static_cast<size_t>(i) * dim;
-          for (int d = 0; d < dim; ++d) nrow[d] = row[d] / norm;
-        }
-      });
-      const float inv_tau = 1.0f / n.f0;
-      size_t bb = static_cast<size_t>(batch) * batch;
-      std::fill(sims, sims + bb, 0.0f);
-      GemmNT(norm_feats, norm_feats, sims, batch, dim, batch);
-      for (size_t i = 0; i < bb; ++i) sims[i] *= inv_tau;
-      // probs was zeroed at compile; the diagonal is only ever multiplied
-      // (never written), so it stays exactly 0.0f across steps — the same
-      // value the eager op's fresh zero-initialized buffer holds.
-      ParallelFor(0, batch, 8, [&](int64_t i0, int64_t i1) {
-        for (int64_t i = i0; i < i1; ++i) {
-          float max_v = -1e30f;
-          for (int j = 0; j < batch; ++j) {
-            if (j != i) {
-              max_v =
-                  std::max(max_v, sims[static_cast<size_t>(i) * batch + j]);
-            }
-          }
-          double sum = 0.0;
-          for (int j = 0; j < batch; ++j) {
-            if (j == i) continue;
-            double e =
-                std::exp(sims[static_cast<size_t>(i) * batch + j] - max_v);
-            probs[static_cast<size_t>(i) * batch + j] = static_cast<float>(e);
-            sum += e;
-          }
-          lse[i] = max_v + static_cast<float>(std::log(sum));
-          float inv = static_cast<float>(1.0 / sum);
-          for (int j = 0; j < batch; ++j) {
-            probs[static_cast<size_t>(i) * batch + j] *= inv;
-          }
-        }
-      });
-      ParallelFor(0, batch, 8, [&](int64_t i0, int64_t i1) {
-        for (int64_t i = i0; i < i1; ++i) {
-          int cnt = 0;
-          double pos_sum = 0.0;
-          for (int j = 0; j < batch; ++j) {
-            if (j != i && labels[j] == labels[i]) {
-              ++cnt;
-              pos_sum += sims[static_cast<size_t>(i) * batch + j];
-            }
-          }
-          pos_count[i] = cnt;
-          if (cnt > 0) anchor_loss[i] = -(pos_sum / cnt - lse[i]);
-        }
-      });
-      int valid_anchors = 0;
-      double total = 0.0;
-      for (int i = 0; i < batch; ++i) {
-        if (pos_count[i] > 0) {
-          ++valid_anchors;
-          total += anchor_loss[i];
-        }
-      }
+    case OpKind::kSupConLoss:
+      out[0] = SupConForward(in(0), n.ints.data(), in_shape(0)[0],
+                             in_shape(0)[1], n.f0, &n.supcon);
       // The recorded step had positive pairs (degenerate batches abort the
       // recording), and the trainer duplicates the SCL label set, so every
       // replayed batch does too.
-      OM_CHECK_GT(valid_anchors, 0)
+      OM_CHECK_GT(n.supcon.valid_anchors, 0)
           << "SupConLoss: replayed batch has no positive pairs";
-      n.i1 = valid_anchors;
-      out[0] = static_cast<float>(total / valid_anchors);
       break;
-    }
     default:
       OM_CHECK(false) << "graph exec: no forward kernel for "
                       << OpKindName(n.kind);
@@ -544,7 +374,7 @@ void ExecForward(Plan& p, int id) {
 }
 
 /// Runs one backward step: zero this step's first-touched grad buffers,
-/// then the node's backward kernel (transcribed from the eager closures).
+/// then the node's backward kernel — the one the eager closure runs.
 void ExecBackwardStep(Plan& p, const Plan::BwdStep& step) {
   for (int gid : step.zero_grads) {
     Node& g = p.nodes[gid];
@@ -553,341 +383,130 @@ void ExecBackwardStep(Plan& p, const Plan::BwdStep& step) {
   }
   int id = step.node;
   Node& n = p.nodes[id];
+  float* dout = NodeGrad(p, id);
+  auto in = [&](int i) { return NodeData(p, n.inputs[i]); };
+  auto in_shape = [&](int i) -> const std::vector<int>& {
+    return p.nodes[n.inputs[i]].shape;
+  };
+  // The gradient buffer of input i, or null when it wants none.
+  auto din = [&](int i) -> float* {
+    return n.in_req[i] != 0 ? NodeGrad(p, n.inputs[i]) : nullptr;
+  };
   switch (n.kind) {
-    case OpKind::kAdd: {
-      const float* og = NodeGrad(p, id);
+    case OpKind::kAdd:
       for (int j = 0; j < 2; ++j) {
-        if (!n.in_req[j]) continue;
-        float* ig = NodeGrad(p, n.inputs[j]);
-        ParallelElems(static_cast<size_t>(n.numel),
-                      [&](size_t lo, size_t hi) {
-                        for (size_t i = lo; i < hi; ++i) ig[i] += og[i];
-                      });
+        if (float* g = din(j)) AccumulateGrad(dout, g, n.numel);
       }
       break;
-    }
     case OpKind::kMul: {
-      const float* og = NodeGrad(p, id);
-      if (n.in_req[0]) {
-        float* ag = NodeGrad(p, n.inputs[0]);
-        const float* bd = NodeData(p, n.inputs[1]);
-        ParallelElems(static_cast<size_t>(n.numel),
-                      [&](size_t lo, size_t hi) {
-                        for (size_t i = lo; i < hi; ++i) {
-                          ag[i] += og[i] * bd[i];
-                        }
-                      });
-      }
-      if (n.in_req[1]) {
-        float* bg = NodeGrad(p, n.inputs[1]);
-        const float* ad = NodeData(p, n.inputs[0]);
-        ParallelElems(static_cast<size_t>(n.numel),
-                      [&](size_t lo, size_t hi) {
-                        for (size_t i = lo; i < hi; ++i) {
-                          bg[i] += og[i] * ad[i];
-                        }
-                      });
-      }
+      float* da = din(0);
+      float* db = din(1);
+      MulBackward(in(0), in(1), dout, da, db, n.numel);
       break;
     }
-    case OpKind::kScale: {
-      const float* og = NodeGrad(p, id);
-      float* ag = NodeGrad(p, n.inputs[0]);
-      float s = n.f0;
-      ParallelElems(static_cast<size_t>(n.numel), [&](size_t lo, size_t hi) {
-        for (size_t i = lo; i < hi; ++i) ag[i] += s * og[i];
-      });
+    case OpKind::kScale:
+      ScaleBackward(dout, n.f0, din(0), n.numel);
       break;
-    }
     case OpKind::kAddRowBroadcast: {
-      int rows = n.shape[0];
-      int cols = n.shape[1];
-      const float* og = NodeGrad(p, id);
-      if (n.in_req[0]) {
-        float* mg = NodeGrad(p, n.inputs[0]);
-        ParallelElems(static_cast<size_t>(n.numel),
-                      [&](size_t lo, size_t hi) {
-                        for (size_t i = lo; i < hi; ++i) mg[i] += og[i];
-                      });
-      }
-      if (n.in_req[1]) {
-        float* rg = NodeGrad(p, n.inputs[1]);
-        ParallelFor(0, cols, std::max<int64_t>(1, kElemGrain / rows),
-                    [&](int64_t c0, int64_t c1) {
-                      for (int r = 0; r < rows; ++r) {
-                        const float* grow = og + static_cast<size_t>(r) * cols;
-                        for (int64_t c = c0; c < c1; ++c) rg[c] += grow[c];
-                      }
-                    });
-      }
+      float* dmat = din(0);
+      float* drow = din(1);
+      AddRowBroadcastBackward(dout, dmat, drow, n.shape[0], n.shape[1]);
       break;
     }
-    case OpKind::kRelu: {
-      const float* og = NodeGrad(p, id);
-      const float* xd = NodeData(p, n.inputs[0]);
-      float* xg = NodeGrad(p, n.inputs[0]);
-      ParallelElems(static_cast<size_t>(n.numel), [&](size_t lo, size_t hi) {
-        for (size_t i = lo; i < hi; ++i) {
-          if (xd[i] > 0.0f) xg[i] += og[i];
-        }
-      });
+    case OpKind::kRelu:
+      ReluBackward(in(0), dout, din(0), n.numel);
       break;
-    }
-    case OpKind::kReshape: {
-      const float* og = NodeGrad(p, id);
-      float* xg = NodeGrad(p, n.inputs[0]);
-      for (int64_t i = 0; i < n.numel; ++i) xg[i] += og[i];
+    case OpKind::kReshape:
+      AccumulateGrad(dout, din(0), n.numel);
       break;
-    }
-    case OpKind::kGradReverse: {
-      const float* og = NodeGrad(p, id);
-      float* xg = NodeGrad(p, n.inputs[0]);
-      float lambda = n.f0;
-      for (int64_t i = 0; i < n.numel; ++i) xg[i] -= lambda * og[i];
+    case OpKind::kGradReverse:
+      GradReverseBackward(dout, n.f0, din(0), n.numel);
       break;
-    }
-    case OpKind::kDropout: {
-      const float* og = NodeGrad(p, id);
-      const float* mask = n.ws0.data();
-      float* xg = NodeGrad(p, n.inputs[0]);
-      ParallelElems(static_cast<size_t>(n.numel), [&](size_t lo, size_t hi) {
-        for (size_t i = lo; i < hi; ++i) xg[i] += og[i] * mask[i];
-      });
+    case OpKind::kDropout:
+      DropoutBackward(dout, n.dropout, din(0), n.numel);
       break;
-    }
     case OpKind::kMatMul: {
-      const Node& a = p.nodes[n.inputs[0]];
-      const Node& b = p.nodes[n.inputs[1]];
-      int m = a.shape[0], k = a.shape[1], cols = b.shape[1];
-      const float* og = NodeGrad(p, id);
-      if (n.in_req[0]) {
-        GemmNT(og, NodeData(p, n.inputs[1]), NodeGrad(p, n.inputs[0]), m,
-               cols, k);
-      }
-      if (n.in_req[1]) {
-        GemmTN(NodeData(p, n.inputs[0]), og, NodeGrad(p, n.inputs[1]), k, m,
-               cols);
-      }
+      float* da = din(0);
+      float* db = din(1);
+      MatMulBackward(in(0), in(1), dout, da, db, in_shape(0)[0],
+                     in_shape(0)[1], in_shape(1)[1]);
       break;
     }
     case OpKind::kFusedLinear: {
       const Node& x = p.nodes[n.xinputs[0]];
       const Node& w = p.nodes[n.xinputs[1]];
-      int m = x.shape[0], k = x.shape[1], cols = w.shape[1];
-      float* og = NodeGrad(p, id);
-      const float* gsrc = og;
+      const float* gsrc = dout;
       if (n.fused_relu) {
         // The fused chain elided the pre-activation tensor t; out > 0 iff
-        // t > 0 (ReLU keeps positives as-is), so the eager Relu backward's
-        // mask is reproducible from the fused output.
-        const float* od = NodeData(p, id);
+        // t > 0 (ReLU keeps positives as-is), so the Relu backward kernel
+        // masks with the fused output in place of t.
         float* scratch = p.arena.data() + n.scratch_off;
-        ParallelElems(static_cast<size_t>(n.numel),
-                      [&](size_t lo, size_t hi) {
-                        for (size_t i = lo; i < hi; ++i) {
-                          scratch[i] = od[i] > 0.0f ? og[i] : 0.0f;
-                        }
-                      });
+        std::fill(scratch, scratch + n.numel, 0.0f);
+        ReluBackward(NodeData(p, id), dout, scratch, n.numel);
         gsrc = scratch;
       }
       if (n.xin_req[2]) {
-        float* bg = NodeGrad(p, n.xinputs[2]);
-        ParallelFor(0, cols, std::max<int64_t>(1, kElemGrain / m),
-                    [&](int64_t c0, int64_t c1) {
-                      for (int r = 0; r < m; ++r) {
-                        const float* grow =
-                            gsrc + static_cast<size_t>(r) * cols;
-                        for (int64_t c = c0; c < c1; ++c) bg[c] += grow[c];
-                      }
-                    });
+        AddRowBroadcastBackward(gsrc, nullptr, NodeGrad(p, n.xinputs[2]),
+                                x.shape[0], w.shape[1]);
       }
-      if (n.xin_req[0]) {
-        GemmNT(gsrc, NodeData(p, n.xinputs[1]), NodeGrad(p, n.xinputs[0]), m,
-               cols, k);
-      }
-      if (n.xin_req[1]) {
-        GemmTN(NodeData(p, n.xinputs[0]), gsrc, NodeGrad(p, n.xinputs[1]), k,
-               m, cols);
-      }
+      float* dx = n.xin_req[0] ? NodeGrad(p, n.xinputs[0]) : nullptr;
+      float* dw = n.xin_req[1] ? NodeGrad(p, n.xinputs[1]) : nullptr;
+      MatMulBackward(NodeData(p, n.xinputs[0]), NodeData(p, n.xinputs[1]),
+                     gsrc, dx, dw, x.shape[0], x.shape[1], w.shape[1]);
       break;
     }
     case OpKind::kConcatCols: {
-      int rows = n.shape[0];
-      int total_cols = n.shape[1];
-      const float* og = NodeGrad(p, id);
-      int offset = 0;
-      for (size_t pi = 0; pi < n.inputs.size(); ++pi) {
-        const Node& part = p.nodes[n.inputs[pi]];
-        int cols = part.shape[1];
-        if (n.in_req[pi]) {
-          float* base = NodeGrad(p, n.inputs[pi]);
-          for (int r = 0; r < rows; ++r) {
-            const float* src =
-                og + static_cast<size_t>(r) * total_cols + offset;
-            float* dst = base + static_cast<size_t>(r) * cols;
-            for (int c = 0; c < cols; ++c) dst[c] += src[c];
-          }
+      int col_offset = 0;
+      for (int i = 0; i < static_cast<int>(n.inputs.size()); ++i) {
+        const int cols = in_shape(i)[1];
+        if (float* dpart = din(i)) {
+          ConcatColsBackward(dout, n.shape[0], cols, n.shape[1], col_offset,
+                             dpart);
         }
-        offset += cols;
+        col_offset += cols;
       }
       break;
     }
     case OpKind::kConcatRows: {
-      const float* og = NodeGrad(p, id);
-      size_t off = 0;
-      for (size_t pi = 0; pi < n.inputs.size(); ++pi) {
-        const Node& part = p.nodes[n.inputs[pi]];
-        size_t count = static_cast<size_t>(part.numel);
-        if (n.in_req[pi]) {
-          float* dst = NodeGrad(p, n.inputs[pi]);
-          for (size_t i = 0; i < count; ++i) dst[i] += og[off + i];
-        }
-        off += count;
+      int64_t offset = 0;
+      for (int i = 0; i < static_cast<int>(n.inputs.size()); ++i) {
+        const int64_t count = p.nodes[n.inputs[i]].numel;
+        if (float* dpart = din(i)) AccumulateGrad(dout + offset, dpart, count);
+        offset += count;
       }
       break;
     }
     case OpKind::kGather:
     case OpKind::kGatherReshape: {
-      bool fused = n.kind == OpKind::kGatherReshape;
-      int table_id = fused ? n.xinputs[0] : n.inputs[0];
-      const std::vector<int>& ids =
-          fused ? p.nodes[n.members[0]].ints : n.ints;
-      const Node& tbl = p.nodes[table_id];
-      int vocab = tbl.shape[0];
-      int width = tbl.shape[1];
-      float* tg = NodeGrad(p, table_id);
-      const float* og = NodeGrad(p, id);
-      // Destination-sharded scatter-add, identical to the eager Gather
-      // backward (same shard size, same ascending id rescan per shard).
-      int64_t work = static_cast<int64_t>(ids.size()) * width;
-      int64_t shard_rows =
-          work < kElemGrain
-              ? vocab
-              : std::max<int64_t>(64, vocab / (GetNumThreads() * 4));
-      ParallelFor(0, vocab, shard_rows, [&](int64_t lo, int64_t hi) {
-        for (size_t r = 0; r < ids.size(); ++r) {
-          int id_r = ids[r];
-          if (id_r < lo || id_r >= hi) continue;
-          float* dst = tg + static_cast<size_t>(id_r) * width;
-          const float* src = og + r * width;
-          for (int c = 0; c < width; ++c) dst[c] += src[c];
-        }
-      });
+      const int table = n.kind == OpKind::kGatherReshape ? n.xinputs[0]
+                                                         : n.inputs[0];
+      const std::vector<int>& ids = GatherIds(p, n);
+      GatherBackward(dout, ids.data(), static_cast<int64_t>(ids.size()),
+                     p.nodes[table].shape[0], p.nodes[table].shape[1],
+                     NodeGrad(p, table));
       break;
     }
-    case OpKind::kMeanAxis1: {
-      const Node& in = p.nodes[n.inputs[0]];
-      int batch = in.shape[0];
-      int length = in.shape[1];
-      int width = in.shape[2];
-      const float* og = NodeGrad(p, id);
-      float* xg = NodeGrad(p, n.inputs[0]);
-      float inv = 1.0f / static_cast<float>(length);
-      int64_t per_doc = static_cast<int64_t>(length) * width;
-      ParallelFor(0, batch, std::max<int64_t>(1, kElemGrain / per_doc),
-                  [&](int64_t b0, int64_t b1) {
-                    for (int64_t b = b0; b < b1; ++b) {
-                      const float* grow = og + static_cast<size_t>(b) * width;
-                      for (int l = 0; l < length; ++l) {
-                        float* row =
-                            xg + (static_cast<size_t>(b) * length + l) * width;
-                        for (int e = 0; e < width; ++e) {
-                          row[e] += inv * grow[e];
-                        }
-                      }
-                    }
-                  });
+    case OpKind::kMeanAxis1:
+      MeanAxis1Backward(dout, in_shape(0)[0], in_shape(0)[1], in_shape(0)[2],
+                        din(0));
       break;
-    }
     case OpKind::kTextConvMaxPool: {
-      TextConvShape shape;
+      const TextConvShape shape = ConvShape(p, n);
       TextConvGroup groups[kMaxTextConvGroups];
-      ConvCall(p, n, /*grads=*/true, &shape, groups);
-      TextConvMaxPoolBackward(
-          NodeData(p, n.inputs[0]), shape, groups, NodeData(p, id),
-          NodeGrad(p, id), n.iws0.data(),
-          n.in_req[0] != 0 ? NodeGrad(p, n.inputs[0]) : nullptr);
+      ConvGroups(p, n, shape, /*grads=*/true, groups);
+      TextConvMaxPoolBackward(in(0), shape, groups, NodeData(p, id), dout,
+                              n.conv, din(0));
       break;
     }
-    case OpKind::kSoftmaxCrossEntropy: {
-      const Node& ln = p.nodes[n.inputs[0]];
-      int batch = ln.shape[0];
-      int classes = ln.shape[1];
-      const float* og = NodeGrad(p, id);
-      float* lg = NodeGrad(p, n.inputs[0]);
-      const float* probs = n.ws0.data();
-      float g = og[0] / static_cast<float>(batch);
-      for (int b = 0; b < batch; ++b) {
-        const float* prow = probs + static_cast<size_t>(b) * classes;
-        float* drow = lg + static_cast<size_t>(b) * classes;
-        int y = n.ints[b];
-        for (int c = 0; c < classes; ++c) {
-          drow[c] += g * (prow[c] - (c == y ? 1.0f : 0.0f));
-        }
-      }
+    case OpKind::kSoftmaxCrossEntropy:
+      SoftmaxCrossEntropyBackward(n.cross_entropy, n.ints.data(),
+                                  in_shape(0)[0], in_shape(0)[1], dout[0],
+                                  din(0));
       break;
-    }
-    case OpKind::kSupConLoss: {
-      const Node& fn = p.nodes[n.inputs[0]];
-      int batch = fn.shape[0];
-      int dim = fn.shape[1];
-      const std::vector<int>& labels = n.ints;
-      const float* og = NodeGrad(p, id);
-      float* dst_base = NodeGrad(p, n.inputs[0]);
-      const float* norm_feats = n.ws0.data();
-      const float* norms = n.ws1.data();
-      const float* probs = n.ws3.data();
-      float* gmat = n.ws5.data();
-      float* sym = n.ws6.data();
-      float* dnorm = n.ws7.data();
-      const int* pos_count = n.iws1.data();
-      const float inv_tau = 1.0f / n.f0;
-      int valid_anchors = n.i1;
-      float gscale = og[0] / static_cast<float>(valid_anchors);
-      size_t bb = static_cast<size_t>(batch) * batch;
-      // Rows with no positives and the diagonal are skipped below, so the
-      // whole matrix is re-zeroed first (eager uses a fresh zeroed vector).
-      std::fill(gmat, gmat + bb, 0.0f);
-      ParallelFor(0, batch, 8, [&](int64_t i0, int64_t i1) {
-        for (int64_t i = i0; i < i1; ++i) {
-          int cnt = pos_count[i];
-          if (cnt == 0) continue;
-          float inv_cnt = 1.0f / static_cast<float>(cnt);
-          for (int j = 0; j < batch; ++j) {
-            if (j == i) continue;
-            float g = probs[static_cast<size_t>(i) * batch + j];
-            if (labels[j] == labels[i]) g -= inv_cnt;
-            gmat[static_cast<size_t>(i) * batch + j] = g * gscale;
-          }
-        }
-      });
-      ParallelFor(0, batch, 8, [&](int64_t k0, int64_t k1) {
-        for (int64_t k = k0; k < k1; ++k) {
-          for (int j = 0; j < batch; ++j) {
-            sym[static_cast<size_t>(k) * batch + j] =
-                (gmat[static_cast<size_t>(k) * batch + j] +
-                 gmat[static_cast<size_t>(j) * batch + k]) *
-                inv_tau;
-          }
-        }
-      });
-      std::fill(dnorm, dnorm + static_cast<size_t>(batch) * dim, 0.0f);
-      GemmNN(sym, norm_feats, dnorm, batch, batch, dim);
-      ParallelFor(0, batch, 8, [&](int64_t k0, int64_t k1) {
-        for (int64_t k = k0; k < k1; ++k) {
-          const float* zk = norm_feats + static_cast<size_t>(k) * dim;
-          const float* dk = dnorm + static_cast<size_t>(k) * dim;
-          float* dst = dst_base + static_cast<size_t>(k) * dim;
-          float dot = 0.0f;
-          for (int d = 0; d < dim; ++d) dot += dk[d] * zk[d];
-          float inv_norm = 1.0f / norms[k];
-          for (int d = 0; d < dim; ++d) {
-            dst[d] += (dk[d] - dot * zk[d]) * inv_norm;
-          }
-        }
-      });
+    case OpKind::kSupConLoss:
+      SupConBackward(n.ints.data(), in_shape(0)[0], in_shape(0)[1], n.f0,
+                     dout[0], &n.supcon, din(0));
       break;
-    }
     default:
       OM_CHECK(false) << "graph exec: no backward kernel for "
                       << OpKindName(n.kind);
@@ -1179,7 +798,7 @@ void PassArena(Plan& p, GraphExecutor::Stats* stats) {
   }
 
   // Kernel scratch: the FusedLinear relu-masked gradient (its own backward
-  // step only). The text conv needs none: its workspace is per thread.
+  // step only). Op kernels keep theirs in the node's workspace.
   for (int id : p.call_order) {
     const Node& n = p.nodes[id];
     if (!n.live) continue;
@@ -1205,9 +824,6 @@ void PassArena(Plan& p, GraphExecutor::Stats* stats) {
   stats->arena_bytes_max = std::max(stats->arena_bytes_max, total_bytes);
 }
 
-/// Sizes the per-node op workspaces (reused every step) and releases the
-/// recorded impls' heap storage — non-scalar intermediates now live in the
-/// arena, so their impls keep only the shape for dim()/ndim() callers.
 /// Estimated scalar operations of one node's forward kernel (its backward
 /// is the same order of magnitude). Only has to be right about which side
 /// of kSerialWorkLimit a node lands on.
@@ -1246,7 +862,7 @@ constexpr int64_t kSerialWorkLimit = 1 << 16;
 
 /// Pre-schedules each live node's chunking: a node whose recorded work is
 /// below kSerialWorkLimit replays inside a SerialRegion, turning every
-/// ParallelFor its kernels issue into a single inline chunk. The eager
+/// parallel loop its kernels issue into a single inline chunk. The eager
 /// path cannot make this call — it learns shapes one op at a time — but
 /// the plan knows every shape up front.
 void PassChunkSchedule(Plan& p) {
@@ -1258,42 +874,28 @@ void PassChunkSchedule(Plan& p) {
   }
 }
 
+/// Sizes each node's kernel workspace (reused every step) and releases the
+/// recorded impls' heap storage — non-scalar intermediates now live in the
+/// arena, so their impls keep only the shape for dim()/ndim() callers.
 void PassFinalize(Plan& p) {
   OM_TRACE_SPAN("graph.compile.finalize");
   for (int id : p.call_order) {
     Node& n = p.nodes[id];
     if (!n.live) continue;
+    const std::vector<int>& in = p.nodes[n.inputs[0]].shape;
     switch (n.kind) {
       case OpKind::kDropout:
-        n.ws0.assign(static_cast<size_t>(n.numel), 0.0f);
+        n.dropout.Size(n.numel);
         break;
       case OpKind::kTextConvMaxPool:
-        n.iws0.assign(static_cast<size_t>(n.numel), 0);
+        n.conv.Size(ConvShape(p, n));
         break;
-      case OpKind::kSoftmaxCrossEntropy: {
-        const Node& ln = p.nodes[n.inputs[0]];
-        size_t batch = static_cast<size_t>(ln.shape[0]);
-        size_t classes = static_cast<size_t>(ln.shape[1]);
-        n.ws0.assign(batch * classes, 0.0f);  // probs
-        n.ws1.assign(batch, 0.0f);            // row_loss
+      case OpKind::kSoftmaxCrossEntropy:
+        n.cross_entropy.Size(in[0], in[1]);
         break;
-      }
-      case OpKind::kSupConLoss: {
-        const Node& fn = p.nodes[n.inputs[0]];
-        size_t batch = static_cast<size_t>(fn.shape[0]);
-        size_t dim = static_cast<size_t>(fn.shape[1]);
-        n.ws0.assign(batch * dim, 0.0f);    // norm_feats
-        n.ws1.assign(batch, 0.0f);          // norms
-        n.ws2.assign(batch * batch, 0.0f);  // sims
-        n.ws3.assign(batch * batch, 0.0f);  // probs (diagonal stays 0)
-        n.ws4.assign(batch, 0.0f);          // lse
-        n.ws5.assign(batch * batch, 0.0f);  // gmat
-        n.ws6.assign(batch * batch, 0.0f);  // sym
-        n.ws7.assign(batch * dim, 0.0f);    // dnorm
-        n.dws0.assign(batch, 0.0);          // anchor_loss
-        n.iws1.assign(batch, 0);            // pos_count
+      case OpKind::kSupConLoss:
+        n.supcon.Size(in[0], in[1]);
         break;
-      }
       default:
         break;
     }
@@ -1340,27 +942,18 @@ const char* CompilePlan(Plan& p, GraphExecutor::Stats* stats) {
 
 /// --- hooks ---------------------------------------------------------------
 
-Session* ActiveRecording() {
-  Session* s = tls_session;
-  return (s != nullptr && s->recording && !s->aborted) ? s : nullptr;
-}
-
-Session* ActiveReplay() {
-  Session* s = tls_session;
-  return (s != nullptr && s->replaying) ? s : nullptr;
-}
-
-void AbortRecording(Session* session, const char* reason) {
-  if (session == nullptr || !session->recording || session->aborted) return;
-  session->aborted = true;
-  session->abort_reason = reason;
+void AbortRecording(const char* reason) {
+  Session* s = ActiveRecording();
+  if (s == nullptr) return;
+  s->aborted = true;
+  s->abort_reason = reason;
 }
 
 void UnsupportedOp(const char* name) {
   OM_CHECK(ActiveReplay() == nullptr)
       << name << " has no graph lowering, so a recorded plan can never "
       << "contain it; reaching it mid-replay means the step diverged";
-  AbortRecording(ActiveRecording(), name);
+  AbortRecording(name);
 }
 
 void NotifyBackwardRoot(TensorImpl* root) {
@@ -1368,22 +961,23 @@ void NotifyBackwardRoot(TensorImpl* root) {
   if (s == nullptr) return;
   auto it = s->node_of.find(root);
   if (it == s->node_of.end()) {
-    AbortRecording(s, "backward root was not produced by a recorded op");
+    AbortRecording("backward root was not produced by a recorded op");
     return;
   }
   if (s->root_node >= 0 && s->root_node != it->second) {
-    AbortRecording(s, "multiple backward roots in one step");
+    AbortRecording("multiple backward roots in one step");
     return;
   }
   s->root_node = it->second;
 }
 
-void Record(Session* session, OpKind kind, const Tensor* const* inputs,
-            int num_inputs, const Tensor& out, const OpArgs& args) {
-  if (session == nullptr || !session->recording || session->aborted) return;
+void Record(OpKind kind, const Tensor* const* inputs, int num_inputs,
+            const OpArgs& args, const Tensor& out) {
+  Session* session = ActiveRecording();
+  if (session == nullptr) return;
   Plan& p = *session->rec;
   if (p.call_order.size() >= kMaxRecordedCalls) {
-    AbortRecording(session, "step too long to record");
+    AbortRecording("step too long to record");
     return;
   }
   Node n;
@@ -1409,9 +1003,10 @@ void Record(Session* session, OpKind kind, const Tensor* const* inputs,
   session->node_of[out.impl().get()] = id;
 }
 
-Tensor Replay(Session* session, OpKind kind, const Tensor* const* inputs,
-              int num_inputs, const OpArgs& args) {
-  OM_CHECK(session != nullptr && session->replaying);
+bool Replay(OpKind kind, const Tensor* const* inputs, int num_inputs,
+            const OpArgs& args, Tensor* out) {
+  Session* session = ActiveReplay();
+  if (session == nullptr) return false;
   Plan& p = *session->plan;
   OM_CHECK(session->cursor < p.call_order.size())
       << "graph replay: more op calls than recorded (next: "
@@ -1461,7 +1056,8 @@ Tensor Replay(Session* session, OpKind kind, const Tensor* const* inputs,
       ExecForward(p, id);
     }
   }
-  return Tensor(n.impl);
+  *out = Tensor(n.impl);
+  return true;
 }
 
 /// --- StepScope / GraphExecutor -------------------------------------------

@@ -37,8 +37,9 @@ namespace graph {
 ///    model code still executes (it carries the dynamic ids/labels and the
 ///    control flow), but each op call is cursor-matched against the plan
 ///    and dispatched straight to its kernel on arena buffers — zero heap
-///    allocations in steady state, bit-identical to eager at every thread
-///    count.
+///    allocations in steady state. The kernel is the eager op's own
+///    (nn/op_kernels.h, nn/text_conv.h), so replay is bit-identical to
+///    eager at every thread count by construction.
 ///
 /// Fallback contract: recording is pure observation (the eager step is
 /// untouched), so a step that hits an unsupported op simply marks its batch
@@ -169,26 +170,25 @@ struct OpArgs {
   const std::vector<int>* shape = nullptr;   // Reshape target shape
 };
 
-/// Non-null while the current thread is inside a recording StepScope.
-Session* ActiveRecording();
-/// Non-null while the current thread is inside a replaying StepScope.
-Session* ActiveReplay();
+/// Replay hook, called at the top of every recordable op. When the calling
+/// thread is replaying a compiled plan, cursor-matches this call against it
+/// (kind, inputs, static attrs), copies the dynamic attrs, runs the node's
+/// kernel on the plan buffers, stores the node's persistent output tensor
+/// in `*out` and returns true. Otherwise returns false and the op runs
+/// eagerly.
+bool Replay(OpKind kind, const Tensor* const* inputs, int num_inputs,
+            const OpArgs& args, Tensor* out);
 
-/// Appends one node for an op that just executed eagerly. Pure observation:
-/// never touches tensor values or RNG streams.
-void Record(Session* session, OpKind kind, const Tensor* const* inputs,
-            int num_inputs, const Tensor& out, const OpArgs& args);
+/// Record hook, called by every recordable op after its eager kernel: while
+/// the calling thread is recording, appends one node for the call. Pure
+/// observation: never touches tensor values or RNG streams.
+void Record(OpKind kind, const Tensor* const* inputs, int num_inputs,
+            const OpArgs& args, const Tensor& out);
 
-/// Replays the next recorded op call: cursor-matches (kind, inputs, static
-/// attrs), copies dynamic attrs, executes the node's kernel(s) on the plan
-/// buffers, and returns the node's persistent output tensor.
-Tensor Replay(Session* session, OpKind kind, const Tensor* const* inputs,
-              int num_inputs, const OpArgs& args);
-
-/// Marks the current recording as failed (unsupported op or degenerate
-/// path); the signature falls back to eager execution permanently. Safe to
-/// call with a null session.
-void AbortRecording(Session* session, const char* reason);
+/// Marks the current recording, if any, as failed (unsupported op or
+/// degenerate path); the signature falls back to eager execution
+/// permanently.
+void AbortRecording(const char* reason);
 
 /// Called at the top of ops with no graph lowering. While recording it
 /// aborts the recording (the signature stays eager); during replay it is

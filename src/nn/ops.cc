@@ -8,6 +8,7 @@
 #include "nn/elemwise.h"
 #include "nn/gemm.h"
 #include "nn/graph.h"
+#include "nn/op_kernels.h"
 #include "nn/text_conv.h"
 #include "obs/metrics.h"
 
@@ -18,18 +19,38 @@ namespace {
 
 using Impl = std::shared_ptr<TensorImpl>;
 
-/// Tape nodes allocated by eager ops. Replayed graph steps allocate none:
-/// the ratio of this counter to steps is the zero-alloc evidence surfaced
-/// in the metrics snapshot and BENCH_graph.json.
+/// Tape nodes allocated by eager ops and losses. Replayed graph steps
+/// allocate none: the ratio of this counter to steps is the zero-alloc
+/// evidence surfaced in the metrics snapshot and BENCH_graph.json.
 obs::Counter* NodeAllocCounter() {
   static obs::Counter* const counter =
       obs::MetricsRegistry::Global().GetCounter("nn.tensor_node_allocs");
   return counter;
 }
 
-/// Creates the output node of an op: shape, requires_grad propagation, and
-/// (when grad is needed) the parent edges. The caller attaches backward_fn
-/// only when `out->requires_grad` is true.
+void CheckSameShape(const Tensor& a, const Tensor& b, const char* op) {
+  OM_CHECK(a.shape() == b.shape())
+      << op << ": " << ShapeToString(a.shape()) << " vs "
+      << ShapeToString(b.shape());
+}
+
+/// A concat hands its parts to the graph hooks in a stack array, so replay
+/// performs no heap allocation. A wider concat has no graph lowering:
+/// recording one aborts the recording, and reaching one mid-replay is fatal.
+constexpr size_t kMaxConcatParts = 16;
+
+bool ConcatHookInputs(const std::vector<Tensor>& parts,
+                      const Tensor** inputs) {
+  if (parts.size() > kMaxConcatParts) {
+    graph::UnsupportedOp("a concat of more than 16 parts");
+    return false;
+  }
+  for (size_t i = 0; i < parts.size(); ++i) inputs[i] = &parts[i];
+  return true;
+}
+
+}  // namespace
+
 Tensor MakeOutput(std::vector<int> shape, std::vector<Impl> parents) {
   NodeAllocCounter()->Increment();
   auto out = std::make_shared<TensorImpl>();
@@ -42,217 +63,161 @@ Tensor MakeOutput(std::vector<int> shape, std::vector<Impl> parents) {
   return Tensor(std::move(out));
 }
 
-void CheckSameShape(const Tensor& a, const Tensor& b, const char* op) {
-  OM_CHECK(a.shape() == b.shape())
-      << op << ": " << ShapeToString(a.shape()) << " vs "
-      << ShapeToString(b.shape());
+float* GradOf(TensorImpl* t) {
+  if (!t->requires_grad) return nullptr;
+  t->EnsureGrad();
+  return t->grad.data();
 }
 
-/// Graph-executor entry hook: when the calling thread is replaying a
-/// compiled plan, dispatches this op call to the plan (running its kernel
-/// on arena buffers) and returns true with the node's output tensor. The
-/// eager body is skipped entirely. Runs before the op's own input checks —
-/// replayed intermediates keep shapes but not data, so value-based checks
-/// happen inside the plan kernels instead.
-bool ReplayOp(graph::OpKind kind, std::initializer_list<const Tensor*> inputs,
-              const graph::OpArgs& args, Tensor* out) {
-  graph::Session* session = graph::ActiveReplay();
-  if (session == nullptr) return false;
-  *out = graph::Replay(session, kind, inputs.begin(),
-                       static_cast<int>(inputs.size()), args);
-  return true;
+// Every recordable op below starts with graph::Replay, which serves the
+// call from a compiled plan when one is replaying (running the same kernel
+// on arena buffers), and ends with graph::Record, which appends the call to
+// a recording. Replay runs before the op's own shape checks: replayed
+// intermediates keep their shapes but not their data, so checks on values
+// live in the kernels, which both paths run.
+
+void AddForward(const float* a, const float* b, float* out, int64_t n) {
+  ParallelElems(static_cast<size_t>(n), [&](size_t lo, size_t hi) {
+    for (size_t i = lo; i < hi; ++i) out[i] = a[i] + b[i];
+  });
 }
 
-/// Graph-executor exit hook: appends the op that just executed eagerly to
-/// the recording, if one is active. Pure observation.
-void RecordOp(graph::OpKind kind, std::initializer_list<const Tensor*> inputs,
-              const Tensor& out, const graph::OpArgs& args) {
-  graph::Session* session = graph::ActiveRecording();
-  if (session == nullptr) return;
-  graph::Record(session, kind, inputs.begin(),
-                static_cast<int>(inputs.size()), out, args);
+void AccumulateGrad(const float* dout, float* dx, int64_t n) {
+  ParallelElems(static_cast<size_t>(n), [&](size_t lo, size_t hi) {
+    for (size_t i = lo; i < hi; ++i) dx[i] += dout[i];
+  });
 }
-
-/// Concat hooks keep the input-pointer array on the stack so the replay
-/// path performs no heap allocation.
-constexpr size_t kMaxConcatParts = 16;
-
-bool ReplayConcat(graph::OpKind kind, const std::vector<Tensor>& parts,
-                  Tensor* out) {
-  graph::Session* session = graph::ActiveReplay();
-  if (session == nullptr) return false;
-  OM_CHECK_LE(parts.size(), kMaxConcatParts) << "concat too wide to replay";
-  const Tensor* ptrs[kMaxConcatParts];
-  for (size_t i = 0; i < parts.size(); ++i) ptrs[i] = &parts[i];
-  *out = graph::Replay(session, kind, ptrs, static_cast<int>(parts.size()),
-                       graph::OpArgs());
-  return true;
-}
-
-void RecordConcat(graph::OpKind kind, const std::vector<Tensor>& parts,
-                  const Tensor& out) {
-  graph::Session* session = graph::ActiveRecording();
-  if (session == nullptr) return;
-  if (parts.size() > kMaxConcatParts) {
-    graph::AbortRecording(session, "concat with too many parts");
-    return;
-  }
-  const Tensor* ptrs[kMaxConcatParts];
-  for (size_t i = 0; i < parts.size(); ++i) ptrs[i] = &parts[i];
-  graph::Record(session, kind, ptrs, static_cast<int>(parts.size()), out,
-                graph::OpArgs());
-}
-
-}  // namespace
 
 Tensor Add(const Tensor& a, const Tensor& b) {
-  if (Tensor r; ReplayOp(graph::OpKind::kAdd, {&a, &b}, {}, &r)) return r;
+  const Tensor* in[] = {&a, &b};
+  if (Tensor r; graph::Replay(graph::OpKind::kAdd, in, 2, {}, &r)) return r;
   CheckSameShape(a, b, "Add");
   Tensor out = MakeOutput(a.shape(), {a.impl(), b.impl()});
-  const auto& av = a.data();
-  const auto& bv = b.data();
-  auto& ov = out.data();
-  ParallelElems(ov.size(), [&](size_t lo, size_t hi) {
-    for (size_t i = lo; i < hi; ++i) ov[i] = av[i] + bv[i];
-  });
+  AddForward(a.data().data(), b.data().data(), out.data().data(),
+             out.numel());
   if (out.requires_grad()) {
     Impl ai = a.impl(), bi = b.impl();
     TensorImpl* o = out.impl().get();
     out.impl()->backward_fn = [ai, bi, o]() {
-      o->EnsureGrad();
-      if (ai->requires_grad) {
-        ai->EnsureGrad();
-        ParallelElems(o->grad.size(), [&](size_t lo, size_t hi) {
-          for (size_t i = lo; i < hi; ++i) ai->grad[i] += o->grad[i];
-        });
-      }
-      if (bi->requires_grad) {
-        bi->EnsureGrad();
-        ParallelElems(o->grad.size(), [&](size_t lo, size_t hi) {
-          for (size_t i = lo; i < hi; ++i) bi->grad[i] += o->grad[i];
-        });
-      }
+      const float* dout = GradOf(o);
+      const int64_t n = static_cast<int64_t>(o->data.size());
+      if (float* da = GradOf(ai.get())) AccumulateGrad(dout, da, n);
+      if (float* db = GradOf(bi.get())) AccumulateGrad(dout, db, n);
     };
   }
-  RecordOp(graph::OpKind::kAdd, {&a, &b}, out, {});
+  graph::Record(graph::OpKind::kAdd, in, 2, {}, out);
   return out;
 }
 
-Tensor Sub(const Tensor& a, const Tensor& b) {
-  graph::UnsupportedOp("Sub");
-  CheckSameShape(a, b, "Sub");
-  Tensor out = MakeOutput(a.shape(), {a.impl(), b.impl()});
-  const auto& av = a.data();
-  const auto& bv = b.data();
-  auto& ov = out.data();
-  ParallelElems(ov.size(), [&](size_t lo, size_t hi) {
-    for (size_t i = lo; i < hi; ++i) ov[i] = av[i] - bv[i];
+void MulForward(const float* a, const float* b, float* out, int64_t n) {
+  ParallelElems(static_cast<size_t>(n), [&](size_t lo, size_t hi) {
+    for (size_t i = lo; i < hi; ++i) out[i] = a[i] * b[i];
   });
-  if (out.requires_grad()) {
-    Impl ai = a.impl(), bi = b.impl();
-    TensorImpl* o = out.impl().get();
-    out.impl()->backward_fn = [ai, bi, o]() {
-      o->EnsureGrad();
-      if (ai->requires_grad) {
-        ai->EnsureGrad();
-        ParallelElems(o->grad.size(), [&](size_t lo, size_t hi) {
-          for (size_t i = lo; i < hi; ++i) ai->grad[i] += o->grad[i];
-        });
-      }
-      if (bi->requires_grad) {
-        bi->EnsureGrad();
-        ParallelElems(o->grad.size(), [&](size_t lo, size_t hi) {
-          for (size_t i = lo; i < hi; ++i) bi->grad[i] -= o->grad[i];
-        });
-      }
-    };
+}
+
+void MulBackward(const float* a, const float* b, const float* dout, float* da,
+                 float* db, int64_t n) {
+  if (da != nullptr) {
+    ParallelElems(static_cast<size_t>(n), [&](size_t lo, size_t hi) {
+      for (size_t i = lo; i < hi; ++i) da[i] += dout[i] * b[i];
+    });
   }
-  return out;
+  if (db != nullptr) {
+    ParallelElems(static_cast<size_t>(n), [&](size_t lo, size_t hi) {
+      for (size_t i = lo; i < hi; ++i) db[i] += dout[i] * a[i];
+    });
+  }
 }
 
 Tensor Mul(const Tensor& a, const Tensor& b) {
-  if (Tensor r; ReplayOp(graph::OpKind::kMul, {&a, &b}, {}, &r)) return r;
+  const Tensor* in[] = {&a, &b};
+  if (Tensor r; graph::Replay(graph::OpKind::kMul, in, 2, {}, &r)) return r;
   CheckSameShape(a, b, "Mul");
   Tensor out = MakeOutput(a.shape(), {a.impl(), b.impl()});
-  const auto& av = a.data();
-  const auto& bv = b.data();
-  auto& ov = out.data();
-  ParallelElems(ov.size(), [&](size_t lo, size_t hi) {
-    for (size_t i = lo; i < hi; ++i) ov[i] = av[i] * bv[i];
-  });
+  MulForward(a.data().data(), b.data().data(), out.data().data(),
+             out.numel());
   if (out.requires_grad()) {
     Impl ai = a.impl(), bi = b.impl();
     TensorImpl* o = out.impl().get();
     out.impl()->backward_fn = [ai, bi, o]() {
-      o->EnsureGrad();
-      if (ai->requires_grad) {
-        ai->EnsureGrad();
-        ParallelElems(o->grad.size(), [&](size_t lo, size_t hi) {
-          for (size_t i = lo; i < hi; ++i) {
-            ai->grad[i] += o->grad[i] * bi->data[i];
-          }
-        });
-      }
-      if (bi->requires_grad) {
-        bi->EnsureGrad();
-        ParallelElems(o->grad.size(), [&](size_t lo, size_t hi) {
-          for (size_t i = lo; i < hi; ++i) {
-            bi->grad[i] += o->grad[i] * ai->data[i];
-          }
-        });
-      }
+      const float* dout = GradOf(o);
+      float* da = GradOf(ai.get());
+      float* db = GradOf(bi.get());
+      MulBackward(ai->data.data(), bi->data.data(), dout, da, db,
+                  static_cast<int64_t>(o->data.size()));
     };
   }
-  RecordOp(graph::OpKind::kMul, {&a, &b}, out, {});
+  graph::Record(graph::OpKind::kMul, in, 2, {}, out);
   return out;
+}
+
+void ScaleForward(const float* a, float s, float* out, int64_t n) {
+  ParallelElems(static_cast<size_t>(n), [&](size_t lo, size_t hi) {
+    for (size_t i = lo; i < hi; ++i) out[i] = a[i] * s;
+  });
+}
+
+void ScaleBackward(const float* dout, float s, float* da, int64_t n) {
+  ParallelElems(static_cast<size_t>(n), [&](size_t lo, size_t hi) {
+    for (size_t i = lo; i < hi; ++i) da[i] += s * dout[i];
+  });
 }
 
 Tensor Scale(const Tensor& a, float s) {
   graph::OpArgs args;
   args.f0 = s;
-  if (Tensor r; ReplayOp(graph::OpKind::kScale, {&a}, args, &r)) return r;
+  const Tensor* in = &a;
+  if (Tensor r; graph::Replay(graph::OpKind::kScale, &in, 1, args, &r)) {
+    return r;
+  }
   Tensor out = MakeOutput(a.shape(), {a.impl()});
-  const auto& av = a.data();
-  auto& ov = out.data();
-  ParallelElems(ov.size(), [&](size_t lo, size_t hi) {
-    for (size_t i = lo; i < hi; ++i) ov[i] = av[i] * s;
-  });
+  ScaleForward(a.data().data(), s, out.data().data(), out.numel());
   if (out.requires_grad()) {
     Impl ai = a.impl();
     TensorImpl* o = out.impl().get();
     out.impl()->backward_fn = [ai, o, s]() {
-      o->EnsureGrad();
-      ai->EnsureGrad();
-      ParallelElems(o->grad.size(), [&](size_t lo, size_t hi) {
-        for (size_t i = lo; i < hi; ++i) ai->grad[i] += s * o->grad[i];
-      });
+      const float* dout = GradOf(o);
+      ScaleBackward(dout, s, GradOf(ai.get()),
+                    static_cast<int64_t>(o->data.size()));
     };
   }
-  RecordOp(graph::OpKind::kScale, {&a}, out, args);
+  graph::Record(graph::OpKind::kScale, &in, 1, args, out);
   return out;
 }
 
-Tensor AddScalar(const Tensor& a, float s) {
-  graph::UnsupportedOp("AddScalar");
-  Tensor out = MakeOutput(a.shape(), {a.impl()});
-  const auto& av = a.data();
-  auto& ov = out.data();
-  for (size_t i = 0; i < ov.size(); ++i) ov[i] = av[i] + s;
-  if (out.requires_grad()) {
-    Impl ai = a.impl();
-    TensorImpl* o = out.impl().get();
-    out.impl()->backward_fn = [ai, o]() {
-      o->EnsureGrad();
-      ai->EnsureGrad();
-      for (size_t i = 0; i < o->grad.size(); ++i) ai->grad[i] += o->grad[i];
-    };
+void AddRowBroadcastForward(const float* mat, const float* row, float* out,
+                            int rows, int cols) {
+  ParallelFor(0, rows, std::max<int64_t>(1, kElemGrain / cols),
+              [&](int64_t r0, int64_t r1) {
+                for (int64_t r = r0; r < r1; ++r) {
+                  const float* src = mat + static_cast<size_t>(r) * cols;
+                  float* dst = out + static_cast<size_t>(r) * cols;
+                  for (int c = 0; c < cols; ++c) dst[c] = src[c] + row[c];
+                }
+              });
+}
+
+void AddRowBroadcastBackward(const float* dout, float* dmat, float* drow,
+                             int rows, int cols) {
+  if (dmat != nullptr) {
+    AccumulateGrad(dout, dmat, static_cast<int64_t>(rows) * cols);
   }
-  return out;
+  if (drow != nullptr) {
+    // Column reduction: each column owned by one chunk, rows walked in
+    // ascending order — deterministic for any thread count.
+    ParallelFor(0, cols, std::max<int64_t>(1, kElemGrain / rows),
+                [&](int64_t c0, int64_t c1) {
+                  for (int r = 0; r < rows; ++r) {
+                    const float* grow = dout + static_cast<size_t>(r) * cols;
+                    for (int64_t c = c0; c < c1; ++c) drow[c] += grow[c];
+                  }
+                });
+  }
 }
 
 Tensor AddRowBroadcast(const Tensor& mat, const Tensor& row) {
-  if (Tensor r;
-      ReplayOp(graph::OpKind::kAddRowBroadcast, {&mat, &row}, {}, &r)) {
+  const Tensor* in[] = {&mat, &row};
+  if (Tensor r; graph::Replay(graph::OpKind::kAddRowBroadcast, in, 2, {}, &r)) {
     return r;
   }
   OM_CHECK_EQ(mat.ndim(), 2);
@@ -261,71 +226,51 @@ Tensor AddRowBroadcast(const Tensor& mat, const Tensor& row) {
   OM_CHECK_EQ(static_cast<int>(row.numel()), cols)
       << "bias length must equal column count";
   Tensor out = MakeOutput(mat.shape(), {mat.impl(), row.impl()});
-  const auto& mv = mat.data();
-  const auto& rv = row.data();
-  auto& ov = out.data();
-  ParallelFor(0, rows, std::max<int64_t>(1, kElemGrain / cols),
-              [&](int64_t r0, int64_t r1) {
-                for (int64_t r = r0; r < r1; ++r) {
-                  const float* src = mv.data() + static_cast<size_t>(r) * cols;
-                  float* dst = ov.data() + static_cast<size_t>(r) * cols;
-                  for (int c = 0; c < cols; ++c) dst[c] = src[c] + rv[c];
-                }
-              });
+  AddRowBroadcastForward(mat.data().data(), row.data().data(),
+                         out.data().data(), rows, cols);
   if (out.requires_grad()) {
     Impl mi = mat.impl(), ri = row.impl();
     TensorImpl* o = out.impl().get();
     out.impl()->backward_fn = [mi, ri, o, rows, cols]() {
-      o->EnsureGrad();
-      if (mi->requires_grad) {
-        mi->EnsureGrad();
-        ParallelElems(o->grad.size(), [&](size_t lo, size_t hi) {
-          for (size_t i = lo; i < hi; ++i) mi->grad[i] += o->grad[i];
-        });
-      }
-      if (ri->requires_grad) {
-        ri->EnsureGrad();
-        // Column reduction: each column owned by one chunk, rows walked in
-        // ascending order — deterministic for any thread count.
-        ParallelFor(0, cols, std::max<int64_t>(1, kElemGrain / rows),
-                    [&](int64_t c0, int64_t c1) {
-                      for (int r = 0; r < rows; ++r) {
-                        const float* grow =
-                            o->grad.data() + static_cast<size_t>(r) * cols;
-                        for (int64_t c = c0; c < c1; ++c) {
-                          ri->grad[c] += grow[c];
-                        }
-                      }
-                    });
-      }
+      const float* dout = GradOf(o);
+      float* dmat = GradOf(mi.get());
+      float* drow = GradOf(ri.get());
+      AddRowBroadcastBackward(dout, dmat, drow, rows, cols);
     };
   }
-  RecordOp(graph::OpKind::kAddRowBroadcast, {&mat, &row}, out, {});
+  graph::Record(graph::OpKind::kAddRowBroadcast, in, 2, {}, out);
   return out;
 }
 
-Tensor Relu(const Tensor& x) {
-  if (Tensor r; ReplayOp(graph::OpKind::kRelu, {&x}, {}, &r)) return r;
-  Tensor out = MakeOutput(x.shape(), {x.impl()});
-  const auto& xv = x.data();
-  auto& ov = out.data();
-  ParallelElems(ov.size(), [&](size_t lo, size_t hi) {
-    for (size_t i = lo; i < hi; ++i) ov[i] = xv[i] > 0.0f ? xv[i] : 0.0f;
+void ReluForward(const float* x, float* out, int64_t n) {
+  ParallelElems(static_cast<size_t>(n), [&](size_t lo, size_t hi) {
+    for (size_t i = lo; i < hi; ++i) out[i] = x[i] > 0.0f ? x[i] : 0.0f;
   });
+}
+
+void ReluBackward(const float* x, const float* dout, float* dx, int64_t n) {
+  ParallelElems(static_cast<size_t>(n), [&](size_t lo, size_t hi) {
+    for (size_t i = lo; i < hi; ++i) {
+      if (x[i] > 0.0f) dx[i] += dout[i];
+    }
+  });
+}
+
+Tensor Relu(const Tensor& x) {
+  const Tensor* in = &x;
+  if (Tensor r; graph::Replay(graph::OpKind::kRelu, &in, 1, {}, &r)) return r;
+  Tensor out = MakeOutput(x.shape(), {x.impl()});
+  ReluForward(x.data().data(), out.data().data(), out.numel());
   if (out.requires_grad()) {
     Impl xi = x.impl();
     TensorImpl* o = out.impl().get();
     out.impl()->backward_fn = [xi, o]() {
-      o->EnsureGrad();
-      xi->EnsureGrad();
-      ParallelElems(o->grad.size(), [&](size_t lo, size_t hi) {
-        for (size_t i = lo; i < hi; ++i) {
-          if (xi->data[i] > 0.0f) xi->grad[i] += o->grad[i];
-        }
-      });
+      const float* dout = GradOf(o);
+      ReluBackward(xi->data.data(), dout, GradOf(xi.get()),
+                   static_cast<int64_t>(o->data.size()));
     };
   }
-  RecordOp(graph::OpKind::kRelu, {&x}, out, {});
+  graph::Record(graph::OpKind::kRelu, &in, 1, {}, out);
   return out;
 }
 
@@ -355,144 +300,122 @@ Tensor LeakyRelu(const Tensor& x, float slope) {
   return out;
 }
 
+void CopyForward(const float* x, float* out, int64_t n) {
+  std::copy(x, x + n, out);
+}
+
 Tensor Reshape(const Tensor& x, std::vector<int> new_shape) {
   graph::OpArgs args;
   args.shape = &new_shape;
-  if (Tensor r; ReplayOp(graph::OpKind::kReshape, {&x}, args, &r)) return r;
+  const Tensor* in = &x;
+  if (Tensor r; graph::Replay(graph::OpKind::kReshape, &in, 1, args, &r)) {
+    return r;
+  }
   OM_CHECK_EQ(ShapeNumel(new_shape), x.numel())
       << ShapeToString(x.shape()) << " -> " << ShapeToString(new_shape);
   Tensor out = MakeOutput(std::move(new_shape), {x.impl()});
-  out.data() = x.data();
+  CopyForward(x.data().data(), out.data().data(), out.numel());
   if (out.requires_grad()) {
     Impl xi = x.impl();
     TensorImpl* o = out.impl().get();
     out.impl()->backward_fn = [xi, o]() {
-      o->EnsureGrad();
-      xi->EnsureGrad();
-      for (size_t i = 0; i < o->grad.size(); ++i) xi->grad[i] += o->grad[i];
+      const float* dout = GradOf(o);
+      AccumulateGrad(dout, GradOf(xi.get()),
+                     static_cast<int64_t>(o->data.size()));
     };
   }
   args.shape = &out.shape();  // new_shape was moved into the output
-  RecordOp(graph::OpKind::kReshape, {&x}, out, args);
+  graph::Record(graph::OpKind::kReshape, &in, 1, args, out);
   return out;
 }
 
-Tensor Tanh(const Tensor& x) {
-  graph::UnsupportedOp("Tanh");
-  Tensor out = MakeOutput(x.shape(), {x.impl()});
-  const auto& xv = x.data();
-  auto& ov = out.data();
-  ParallelElems(ov.size(), [&](size_t lo, size_t hi) {
-    for (size_t i = lo; i < hi; ++i) ov[i] = std::tanh(xv[i]);
-  });
-  if (out.requires_grad()) {
-    Impl xi = x.impl();
-    TensorImpl* o = out.impl().get();
-    out.impl()->backward_fn = [xi, o]() {
-      o->EnsureGrad();
-      xi->EnsureGrad();
-      ParallelElems(o->grad.size(), [&](size_t lo, size_t hi) {
-        for (size_t i = lo; i < hi; ++i) {
-          float y = o->data[i];
-          xi->grad[i] += o->grad[i] * (1.0f - y * y);
-        }
-      });
-    };
+void DropoutWorkspace::Size(int64_t n) { mask.resize(static_cast<size_t>(n)); }
+
+void DropoutForward(const float* x, float p, Rng* rng, int64_t n,
+                    DropoutWorkspace* ws, float* out) {
+  ws->Size(n);
+  float* mask = ws->mask.data();
+  const float keep_scale = 1.0f / (1.0f - p);
+  for (int64_t i = 0; i < n; ++i) {
+    mask[i] = rng->Bernoulli(p) ? 0.0f : keep_scale;
+    out[i] = x[i] * mask[i];
   }
-  return out;
 }
 
-Tensor Sigmoid(const Tensor& x) {
-  graph::UnsupportedOp("Sigmoid");
-  Tensor out = MakeOutput(x.shape(), {x.impl()});
-  const auto& xv = x.data();
-  auto& ov = out.data();
-  ParallelElems(ov.size(), [&](size_t lo, size_t hi) {
-    for (size_t i = lo; i < hi; ++i) {
-      ov[i] = 1.0f / (1.0f + std::exp(-xv[i]));
-    }
+void DropoutBackward(const float* dout, const DropoutWorkspace& ws, float* dx,
+                     int64_t n) {
+  const float* mask = ws.mask.data();
+  ParallelElems(static_cast<size_t>(n), [&](size_t lo, size_t hi) {
+    for (size_t i = lo; i < hi; ++i) dx[i] += dout[i] * mask[i];
   });
-  if (out.requires_grad()) {
-    Impl xi = x.impl();
-    TensorImpl* o = out.impl().get();
-    out.impl()->backward_fn = [xi, o]() {
-      o->EnsureGrad();
-      xi->EnsureGrad();
-      ParallelElems(o->grad.size(), [&](size_t lo, size_t hi) {
-        for (size_t i = lo; i < hi; ++i) {
-          float y = o->data[i];
-          xi->grad[i] += o->grad[i] * y * (1.0f - y);
-        }
-      });
-    };
-  }
-  return out;
 }
 
 Tensor Dropout(const Tensor& x, float p, bool training, Rng* rng) {
   OM_CHECK(p >= 0.0f && p < 1.0f) << "dropout p=" << p;
   if (!training || p == 0.0f) return x;
   OM_CHECK(rng != nullptr);
-  // Hook after the early return: an identity Dropout issues no op call, in
+  // Hooks after the early return: an identity Dropout issues no op call, in
   // recording and replay alike.
   graph::OpArgs args;
   args.f0 = p;
   args.rng = rng;
-  if (Tensor r; ReplayOp(graph::OpKind::kDropout, {&x}, args, &r)) return r;
-  Tensor out = MakeOutput(x.shape(), {x.impl()});
-  const auto& xv = x.data();
-  auto& ov = out.data();
-  float keep_scale = 1.0f / (1.0f - p);
-  auto mask = std::make_shared<std::vector<float>>(xv.size(), 0.0f);
-  // The mask consumes the caller's RNG stream element by element; kept
-  // serial so the stream is independent of threading.
-  for (size_t i = 0; i < xv.size(); ++i) {
-    if (!rng->Bernoulli(p)) (*mask)[i] = keep_scale;
-    ov[i] = xv[i] * (*mask)[i];
+  const Tensor* in = &x;
+  if (Tensor r; graph::Replay(graph::OpKind::kDropout, &in, 1, args, &r)) {
+    return r;
   }
+  Tensor out = MakeOutput(x.shape(), {x.impl()});
+  auto ws = std::make_shared<DropoutWorkspace>();
+  DropoutForward(x.data().data(), p, rng, out.numel(), ws.get(),
+                 out.data().data());
   if (out.requires_grad()) {
     Impl xi = x.impl();
     TensorImpl* o = out.impl().get();
-    out.impl()->backward_fn = [xi, o, mask]() {
-      o->EnsureGrad();
-      xi->EnsureGrad();
-      ParallelElems(o->grad.size(), [&](size_t lo, size_t hi) {
-        for (size_t i = lo; i < hi; ++i) {
-          xi->grad[i] += o->grad[i] * (*mask)[i];
-        }
-      });
+    out.impl()->backward_fn = [xi, o, ws]() {
+      const float* dout = GradOf(o);
+      DropoutBackward(dout, *ws, GradOf(xi.get()),
+                      static_cast<int64_t>(o->data.size()));
     };
   }
-  RecordOp(graph::OpKind::kDropout, {&x}, out, args);
+  graph::Record(graph::OpKind::kDropout, &in, 1, args, out);
   return out;
 }
 
+void MatMulForward(const float* a, const float* b, float* out, int m, int k,
+                   int n) {
+  std::fill(out, out + static_cast<size_t>(m) * n, 0.0f);
+  GemmNN(a, b, out, m, k, n);
+}
+
+void MatMulBackward(const float* a, const float* b, const float* dout,
+                    float* da, float* db, int m, int k, int n) {
+  // dA[M,K] += dOut[M,N] * B[K,N]^T
+  if (da != nullptr) GemmNT(dout, b, da, m, n, k);
+  // dB[K,N] += A[M,K]^T * dOut[M,N]
+  if (db != nullptr) GemmTN(a, dout, db, k, m, n);
+}
+
 Tensor MatMul(const Tensor& a, const Tensor& b) {
-  if (Tensor r; ReplayOp(graph::OpKind::kMatMul, {&a, &b}, {}, &r)) return r;
+  const Tensor* in[] = {&a, &b};
+  if (Tensor r; graph::Replay(graph::OpKind::kMatMul, in, 2, {}, &r)) {
+    return r;
+  }
   OM_CHECK_EQ(a.ndim(), 2);
   OM_CHECK_EQ(b.ndim(), 2);
   int m = a.dim(0), k = a.dim(1), n = b.dim(1);
   OM_CHECK_EQ(k, b.dim(0)) << "MatMul inner dims";
   Tensor out = MakeOutput({m, n}, {a.impl(), b.impl()});
-  GemmNN(a.data().data(), b.data().data(), out.data().data(), m, k, n);
+  MatMulForward(a.data().data(), b.data().data(), out.data().data(), m, k, n);
   if (out.requires_grad()) {
     Impl ai = a.impl(), bi = b.impl();
     TensorImpl* o = out.impl().get();
     out.impl()->backward_fn = [ai, bi, o, m, k, n]() {
-      o->EnsureGrad();
-      if (ai->requires_grad) {
-        ai->EnsureGrad();
-        // dA[M,K] += dOut[M,N] * B[K,N]^T
-        GemmNT(o->grad.data(), bi->data.data(), ai->grad.data(), m, n, k);
-      }
-      if (bi->requires_grad) {
-        bi->EnsureGrad();
-        // dB[K,N] += A[M,K]^T * dOut[M,N]
-        GemmTN(ai->data.data(), o->grad.data(), bi->grad.data(), k, m, n);
-      }
+      const float* dout = GradOf(o);
+      float* da = GradOf(ai.get());
+      float* db = GradOf(bi.get());
+      MatMulBackward(ai->data.data(), bi->data.data(), dout, da, db, m, k, n);
     };
   }
-  RecordOp(graph::OpKind::kMatMul, {&a, &b}, out, {});
+  graph::Record(graph::OpKind::kMatMul, in, 2, {}, out);
   return out;
 }
 
@@ -524,9 +447,31 @@ Tensor MatMulNT(const Tensor& a, const Tensor& b) {
   return out;
 }
 
+void ConcatColsForward(const float* part, int rows, int cols, int total_cols,
+                       int col_offset, float* out) {
+  for (int r = 0; r < rows; ++r) {
+    std::copy(part + static_cast<size_t>(r) * cols,
+              part + static_cast<size_t>(r + 1) * cols,
+              out + static_cast<size_t>(r) * total_cols + col_offset);
+  }
+}
+
+void ConcatColsBackward(const float* dout, int rows, int cols, int total_cols,
+                        int col_offset, float* dpart) {
+  for (int r = 0; r < rows; ++r) {
+    const float* src = dout + static_cast<size_t>(r) * total_cols + col_offset;
+    float* dst = dpart + static_cast<size_t>(r) * cols;
+    for (int c = 0; c < cols; ++c) dst[c] += src[c];
+  }
+}
+
 Tensor ConcatCols(const std::vector<Tensor>& parts) {
   OM_CHECK(!parts.empty());
-  if (Tensor r; ReplayConcat(graph::OpKind::kConcatCols, parts, &r)) {
+  const Tensor* in[kMaxConcatParts];
+  const bool hooked = ConcatHookInputs(parts, in);
+  const int num_in = static_cast<int>(parts.size());
+  if (Tensor r; hooked && graph::Replay(graph::OpKind::kConcatCols, in,
+                                        num_in, {}, &r)) {
     return r;
   }
   int rows = parts[0].dim(0);
@@ -539,52 +484,37 @@ Tensor ConcatCols(const std::vector<Tensor>& parts) {
     parents.push_back(p.impl());
   }
   Tensor out = MakeOutput({rows, total_cols}, parents);
-  auto& ov = out.data();
   int col_offset = 0;
   for (const Tensor& p : parts) {
-    int cols = p.dim(1);
-    const auto& pv = p.data();
-    for (int r = 0; r < rows; ++r) {
-      std::copy(pv.begin() + static_cast<size_t>(r) * cols,
-                pv.begin() + static_cast<size_t>(r + 1) * cols,
-                ov.begin() + static_cast<size_t>(r) * total_cols + col_offset);
-    }
-    col_offset += cols;
+    ConcatColsForward(p.data().data(), rows, p.dim(1), total_cols, col_offset,
+                      out.data().data());
+    col_offset += p.dim(1);
   }
   if (out.requires_grad()) {
-    std::vector<Impl> impls;
-    std::vector<int> widths;
-    for (const Tensor& p : parts) {
-      impls.push_back(p.impl());
-      widths.push_back(p.dim(1));
-    }
     TensorImpl* o = out.impl().get();
-    out.impl()->backward_fn = [impls, widths, o, rows, total_cols]() {
-      o->EnsureGrad();
+    out.impl()->backward_fn = [parents, o, rows, total_cols]() {
+      const float* dout = GradOf(o);
       int offset = 0;
-      for (size_t i = 0; i < impls.size(); ++i) {
-        int cols = widths[i];
-        if (impls[i]->requires_grad) {
-          impls[i]->EnsureGrad();
-          for (int r = 0; r < rows; ++r) {
-            const float* src =
-                o->grad.data() + static_cast<size_t>(r) * total_cols + offset;
-            float* dst =
-                impls[i]->grad.data() + static_cast<size_t>(r) * cols;
-            for (int c = 0; c < cols; ++c) dst[c] += src[c];
-          }
+      for (const Impl& pi : parents) {
+        const int cols = pi->shape[1];
+        if (float* dpart = GradOf(pi.get())) {
+          ConcatColsBackward(dout, rows, cols, total_cols, offset, dpart);
         }
         offset += cols;
       }
     };
   }
-  RecordConcat(graph::OpKind::kConcatCols, parts, out);
+  if (hooked) graph::Record(graph::OpKind::kConcatCols, in, num_in, {}, out);
   return out;
 }
 
 Tensor ConcatRows(const std::vector<Tensor>& parts) {
   OM_CHECK(!parts.empty());
-  if (Tensor r; ReplayConcat(graph::OpKind::kConcatRows, parts, &r)) {
+  const Tensor* in[kMaxConcatParts];
+  const bool hooked = ConcatHookInputs(parts, in);
+  const int num_in = static_cast<int>(parts.size());
+  if (Tensor r; hooked && graph::Replay(graph::OpKind::kConcatRows, in,
+                                        num_in, {}, &r)) {
     return r;
   }
   int cols = parts[0].dim(1);
@@ -597,94 +527,99 @@ Tensor ConcatRows(const std::vector<Tensor>& parts) {
     parents.push_back(p.impl());
   }
   Tensor out = MakeOutput({total_rows, cols}, parents);
-  auto& ov = out.data();
   size_t offset = 0;
   for (const Tensor& p : parts) {
-    const auto& pv = p.data();
-    std::copy(pv.begin(), pv.end(), ov.begin() + offset);
-    offset += pv.size();
+    CopyForward(p.data().data(), out.data().data() + offset, p.numel());
+    offset += p.data().size();
   }
   if (out.requires_grad()) {
-    std::vector<Impl> impls;
-    for (const Tensor& p : parts) impls.push_back(p.impl());
     TensorImpl* o = out.impl().get();
-    out.impl()->backward_fn = [impls, o]() {
-      o->EnsureGrad();
+    out.impl()->backward_fn = [parents, o]() {
+      const float* dout = GradOf(o);
       size_t off = 0;
-      for (const Impl& pi : impls) {
-        size_t n = pi->data.size();
-        if (pi->requires_grad) {
-          pi->EnsureGrad();
-          for (size_t i = 0; i < n; ++i) pi->grad[i] += o->grad[off + i];
+      for (const Impl& pi : parents) {
+        const size_t n = pi->data.size();
+        if (float* dpart = GradOf(pi.get())) {
+          AccumulateGrad(dout + off, dpart, static_cast<int64_t>(n));
         }
         off += n;
       }
     };
   }
-  RecordConcat(graph::OpKind::kConcatRows, parts, out);
+  if (hooked) graph::Record(graph::OpKind::kConcatRows, in, num_in, {}, out);
   return out;
+}
+
+void GatherForward(const float* table, int vocab, int width, const int* ids,
+                   int64_t num_ids, float* out) {
+  for (int64_t r = 0; r < num_ids; ++r) {
+    OM_CHECK(ids[r] >= 0 && ids[r] < vocab)
+        << "Gather id " << ids[r] << " of " << vocab;
+  }
+  ParallelFor(0, num_ids, std::max<int64_t>(1, kElemGrain / width),
+              [&](int64_t r0, int64_t r1) {
+                for (int64_t r = r0; r < r1; ++r) {
+                  std::copy(table + static_cast<size_t>(ids[r]) * width,
+                            table + static_cast<size_t>(ids[r] + 1) * width,
+                            out + static_cast<size_t>(r) * width);
+                }
+              });
+}
+
+void GatherBackward(const float* dout, const int* ids, int64_t num_ids,
+                    int vocab, int width, float* dtable) {
+  // Scatter-add sharded by destination row: a chunk owns the table rows in
+  // [lo, hi) and walks the id list in order, accumulating only the ids it
+  // owns. Every table row is updated by exactly one chunk with a fixed
+  // accumulation order, so the result is race-free and bit-identical for
+  // any thread count. Each chunk rescans the id list, which is cheap next
+  // to the touched gradient rows; the scan also keeps the naturally sparse
+  // structure (only referenced rows are written) without a sort or
+  // per-thread buffers.
+  const int64_t work = num_ids * width;
+  const int64_t shard_rows =
+      work < kElemGrain
+          ? vocab  // single shard: plain serial scatter
+          : std::max<int64_t>(64, vocab / (GetNumThreads() * 4));
+  ParallelFor(0, vocab, shard_rows, [&](int64_t lo, int64_t hi) {
+    for (int64_t r = 0; r < num_ids; ++r) {
+      const int id = ids[r];
+      if (id < lo || id >= hi) continue;
+      float* dst = dtable + static_cast<size_t>(id) * width;
+      const float* src = dout + static_cast<size_t>(r) * width;
+      for (int c = 0; c < width; ++c) dst[c] += src[c];
+    }
+  });
 }
 
 Tensor Gather(const Tensor& table, const std::vector<int>& ids) {
   graph::OpArgs args;
   args.ints = &ids;
-  if (Tensor r; ReplayOp(graph::OpKind::kGather, {&table}, args, &r)) {
+  const Tensor* in = &table;
+  if (Tensor r; graph::Replay(graph::OpKind::kGather, &in, 1, args, &r)) {
     return r;
   }
   OM_CHECK_EQ(table.ndim(), 2);
   int vocab = table.dim(0);
   int width = table.dim(1);
   OM_CHECK(!ids.empty());
-  for (int id : ids) {
-    OM_CHECK(id >= 0 && id < vocab) << "Gather id " << id << " of " << vocab;
-  }
+  const int64_t num_ids = static_cast<int64_t>(ids.size());
   Tensor out =
       MakeOutput({static_cast<int>(ids.size()), width}, {table.impl()});
-  const auto& tv = table.data();
-  auto& ov = out.data();
-  ParallelFor(0, static_cast<int64_t>(ids.size()),
-              std::max<int64_t>(1, kElemGrain / width),
-              [&](int64_t r0, int64_t r1) {
-                for (int64_t r = r0; r < r1; ++r) {
-                  std::copy(
-                      tv.begin() + static_cast<size_t>(ids[r]) * width,
-                      tv.begin() + static_cast<size_t>(ids[r] + 1) * width,
-                      ov.begin() + static_cast<size_t>(r) * width);
-                }
-              });
+  GatherForward(table.data().data(), vocab, width, ids.data(), num_ids,
+                out.data().data());
   if (out.requires_grad()) {
     Impl ti = table.impl();
     TensorImpl* o = out.impl().get();
     auto ids_copy = std::make_shared<std::vector<int>>(ids);
     out.impl()->backward_fn = [ti, o, ids_copy, vocab, width]() {
-      o->EnsureGrad();
-      ti->EnsureGrad();
-      // Scatter-add sharded by destination row: a chunk owns the table rows
-      // in [lo, hi) and walks the id list in order, accumulating only the
-      // ids it owns. Every table row is updated by exactly one chunk with a
-      // fixed accumulation order, so the result is race-free and
-      // bit-identical for any thread count. Each chunk rescans the id list,
-      // which is cheap next to the touched gradient rows; the scan also
-      // keeps the naturally sparse structure (only referenced rows are
-      // written) without a sort or per-thread buffers.
-      int64_t work =
-          static_cast<int64_t>(ids_copy->size()) * width;
-      int64_t shard_rows =
-          work < kElemGrain
-              ? vocab  // single shard: plain serial scatter
-              : std::max<int64_t>(64, vocab / (GetNumThreads() * 4));
-      ParallelFor(0, vocab, shard_rows, [&](int64_t lo, int64_t hi) {
-        for (size_t r = 0; r < ids_copy->size(); ++r) {
-          int id = (*ids_copy)[r];
-          if (id < lo || id >= hi) continue;
-          float* dst = ti->grad.data() + static_cast<size_t>(id) * width;
-          const float* src = o->grad.data() + r * width;
-          for (int c = 0; c < width; ++c) dst[c] += src[c];
-        }
-      });
+      const float* dout = GradOf(o);
+      GatherBackward(dout, ids_copy->data(),
+                     static_cast<int64_t>(ids_copy->size()), vocab, width,
+                     GradOf(ti.get()));
     };
   }
-  RecordOp(graph::OpKind::kGather, {&table}, out, args);
+  graph::Record(graph::OpKind::kGather, &in, 1, args, out);
   return out;
 }
 
@@ -749,55 +684,62 @@ Tensor RowSum(const Tensor& x) {
   return out;
 }
 
-Tensor MeanAxis1(const Tensor& x) {
-  if (Tensor r; ReplayOp(graph::OpKind::kMeanAxis1, {&x}, {}, &r)) return r;
-  OM_CHECK_EQ(x.ndim(), 3);
-  int batch = x.dim(0);
-  int length = x.dim(1);
-  int width = x.dim(2);
-  Tensor out = MakeOutput({batch, width}, {x.impl()});
-  const auto& xv = x.data();
-  auto& ov = out.data();
-  float inv = 1.0f / static_cast<float>(length);
-  int64_t per_doc = static_cast<int64_t>(length) * width;
+void MeanAxis1Forward(const float* x, int batch, int length, int width,
+                      float* out) {
+  const float inv = 1.0f / static_cast<float>(length);
+  const int64_t per_doc = static_cast<int64_t>(length) * width;
   ParallelFor(0, batch, std::max<int64_t>(1, kElemGrain / per_doc),
               [&](int64_t b0, int64_t b1) {
                 for (int64_t b = b0; b < b1; ++b) {
-                  float* orow = ov.data() + static_cast<size_t>(b) * width;
+                  float* orow = out + static_cast<size_t>(b) * width;
+                  std::fill(orow, orow + width, 0.0f);
                   for (int l = 0; l < length; ++l) {
                     const float* row =
-                        xv.data() +
-                        (static_cast<size_t>(b) * length + l) * width;
+                        x + (static_cast<size_t>(b) * length + l) * width;
                     for (int e = 0; e < width; ++e) orow[e] += row[e];
                   }
                   for (int e = 0; e < width; ++e) orow[e] *= inv;
                 }
               });
+}
+
+void MeanAxis1Backward(const float* dout, int batch, int length, int width,
+                       float* dx) {
+  const float inv = 1.0f / static_cast<float>(length);
+  const int64_t per_doc = static_cast<int64_t>(length) * width;
+  ParallelFor(0, batch, std::max<int64_t>(1, kElemGrain / per_doc),
+              [&](int64_t b0, int64_t b1) {
+                for (int64_t b = b0; b < b1; ++b) {
+                  const float* grow = dout + static_cast<size_t>(b) * width;
+                  for (int l = 0; l < length; ++l) {
+                    float* row =
+                        dx + (static_cast<size_t>(b) * length + l) * width;
+                    for (int e = 0; e < width; ++e) row[e] += inv * grow[e];
+                  }
+                }
+              });
+}
+
+Tensor MeanAxis1(const Tensor& x) {
+  const Tensor* in = &x;
+  if (Tensor r; graph::Replay(graph::OpKind::kMeanAxis1, &in, 1, {}, &r)) {
+    return r;
+  }
+  OM_CHECK_EQ(x.ndim(), 3);
+  int batch = x.dim(0);
+  int length = x.dim(1);
+  int width = x.dim(2);
+  Tensor out = MakeOutput({batch, width}, {x.impl()});
+  MeanAxis1Forward(x.data().data(), batch, length, width, out.data().data());
   if (out.requires_grad()) {
     Impl xi = x.impl();
     TensorImpl* o = out.impl().get();
-    out.impl()->backward_fn = [xi, o, batch, length, width, inv,
-                               per_doc]() {
-      o->EnsureGrad();
-      xi->EnsureGrad();
-      ParallelFor(0, batch, std::max<int64_t>(1, kElemGrain / per_doc),
-                  [&](int64_t b0, int64_t b1) {
-                    for (int64_t b = b0; b < b1; ++b) {
-                      const float* grow =
-                          o->grad.data() + static_cast<size_t>(b) * width;
-                      for (int l = 0; l < length; ++l) {
-                        float* row =
-                            xi->grad.data() +
-                            (static_cast<size_t>(b) * length + l) * width;
-                        for (int e = 0; e < width; ++e) {
-                          row[e] += inv * grow[e];
-                        }
-                      }
-                    }
-                  });
+    out.impl()->backward_fn = [xi, o, batch, length, width]() {
+      const float* dout = GradOf(o);
+      MeanAxis1Backward(dout, batch, length, width, GradOf(xi.get()));
     };
   }
-  RecordOp(graph::OpKind::kMeanAxis1, {&x}, out, {});
+  graph::Record(graph::OpKind::kMeanAxis1, &in, 1, {}, out);
   return out;
 }
 
@@ -880,26 +822,30 @@ Tensor MeanAll(const Tensor& x) {
   return Scale(SumAll(x), inv);
 }
 
+void GradReverseBackward(const float* dout, float lambda, float* dx,
+                         int64_t n) {
+  for (int64_t i = 0; i < n; ++i) dx[i] -= lambda * dout[i];
+}
+
 Tensor GradReverse(const Tensor& x, float lambda) {
   graph::OpArgs args;
   args.f0 = lambda;
-  if (Tensor r; ReplayOp(graph::OpKind::kGradReverse, {&x}, args, &r)) {
+  const Tensor* in = &x;
+  if (Tensor r; graph::Replay(graph::OpKind::kGradReverse, &in, 1, args, &r)) {
     return r;
   }
   Tensor out = MakeOutput(x.shape(), {x.impl()});
-  out.data() = x.data();
+  CopyForward(x.data().data(), out.data().data(), out.numel());
   if (out.requires_grad()) {
     Impl xi = x.impl();
     TensorImpl* o = out.impl().get();
     out.impl()->backward_fn = [xi, o, lambda]() {
-      o->EnsureGrad();
-      xi->EnsureGrad();
-      for (size_t i = 0; i < o->grad.size(); ++i) {
-        xi->grad[i] -= lambda * o->grad[i];
-      }
+      const float* dout = GradOf(o);
+      GradReverseBackward(dout, lambda, GradOf(xi.get()),
+                          static_cast<int64_t>(o->data.size()));
     };
   }
-  RecordOp(graph::OpKind::kGradReverse, {&x}, out, args);
+  graph::Record(graph::OpKind::kGradReverse, &in, 1, args, out);
   return out;
 }
 
@@ -918,9 +864,9 @@ Tensor TextConvMaxPool(const Tensor& input, const std::vector<Tensor>& weights,
     inputs[num_inputs++] = &weights[g];
     inputs[num_inputs++] = &biases[g];
   }
-  if (graph::Session* session = graph::ActiveReplay()) {
-    return graph::Replay(session, graph::OpKind::kTextConvMaxPool, inputs,
-                         num_inputs, graph::OpArgs());
+  if (Tensor r; graph::Replay(graph::OpKind::kTextConvMaxPool, inputs,
+                              num_inputs, {}, &r)) {
+    return r;
   }
   OM_CHECK_EQ(input.ndim(), 3);
   TextConvShape shape;
@@ -947,52 +893,33 @@ Tensor TextConvMaxPool(const Tensor& input, const std::vector<Tensor>& weights,
   }
 
   Tensor out = MakeOutput({shape.batch, shape.num_groups * shape.channels},
-                          std::move(parents));
-  // argmax window per output, kept only for the backward pass.
-  std::shared_ptr<std::vector<int>> argmax;
-  if (out.requires_grad()) {
-    argmax = std::make_shared<std::vector<int>>(out.data().size(), 0);
-  }
+                          parents);
+  // The argmax windows are kept only for the backward pass.
+  std::shared_ptr<TextConvWorkspace> ws;
+  if (out.requires_grad()) ws = std::make_shared<TextConvWorkspace>();
   TextConvMaxPoolForward(input.data().data(), shape, groups,
-                         out.data().data(),
-                         argmax != nullptr ? argmax->data() : nullptr);
+                         out.data().data(), ws.get());
 
   if (out.requires_grad()) {
-    std::vector<Impl> impls;
-    for (int i = 0; i < num_inputs; ++i) impls.push_back(inputs[i]->impl());
     TensorImpl* oi = out.impl().get();
-    out.impl()->backward_fn = [impls, oi, argmax, shape]() {
-      oi->EnsureGrad();
+    out.impl()->backward_fn = [parents, oi, ws, shape]() {
       TextConvGroup grads[kMaxTextConvGroups];
       for (int g = 0; g < shape.num_groups; ++g) {
-        TensorImpl* wi = impls[static_cast<size_t>(1 + 2 * g)].get();
-        TensorImpl* bi = impls[static_cast<size_t>(2 + 2 * g)].get();
+        TensorImpl* wi = parents[static_cast<size_t>(1 + 2 * g)].get();
+        TensorImpl* bi = parents[static_cast<size_t>(2 + 2 * g)].get();
         grads[g].kernel_size = wi->shape[1] / shape.embed;
         grads[g].weight = wi->data.data();
         grads[g].bias = bi->data.data();
-        if (wi->requires_grad) {
-          wi->EnsureGrad();
-          grads[g].weight_grad = wi->grad.data();
-        }
-        if (bi->requires_grad) {
-          bi->EnsureGrad();
-          grads[g].bias_grad = bi->grad.data();
-        }
+        grads[g].weight_grad = GradOf(wi);
+        grads[g].bias_grad = GradOf(bi);
       }
-      TensorImpl* xi = impls[0].get();
-      float* dx = nullptr;
-      if (xi->requires_grad) {
-        xi->EnsureGrad();
-        dx = xi->grad.data();
-      }
+      TensorImpl* xi = parents[0].get();
+      const float* dout = GradOf(oi);
       TextConvMaxPoolBackward(xi->data.data(), shape, grads, oi->data.data(),
-                              oi->grad.data(), argmax->data(), dx);
+                              dout, *ws, GradOf(xi));
     };
   }
-  if (graph::Session* session = graph::ActiveRecording()) {
-    graph::Record(session, graph::OpKind::kTextConvMaxPool, inputs,
-                  num_inputs, out, graph::OpArgs());
-  }
+  graph::Record(graph::OpKind::kTextConvMaxPool, inputs, num_inputs, {}, out);
   return out;
 }
 

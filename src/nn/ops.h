@@ -16,17 +16,11 @@ namespace nn {
 /// Elementwise a + b. Shapes must match.
 Tensor Add(const Tensor& a, const Tensor& b);
 
-/// Elementwise a - b. Shapes must match.
-Tensor Sub(const Tensor& a, const Tensor& b);
-
 /// Elementwise a * b (Hadamard). Shapes must match.
 Tensor Mul(const Tensor& a, const Tensor& b);
 
 /// a * scalar.
 Tensor Scale(const Tensor& a, float s);
-
-/// a + scalar (broadcast).
-Tensor AddScalar(const Tensor& a, float s);
 
 /// mat [B, N] + row [1, N] or [N], broadcast over rows (bias add).
 Tensor AddRowBroadcast(const Tensor& mat, const Tensor& row);
@@ -40,12 +34,6 @@ Tensor LeakyRelu(const Tensor& x, float slope = 0.2f);
 /// Same data viewed under a new shape (element count must match).
 /// Copies on forward; gradient flows through element-wise.
 Tensor Reshape(const Tensor& x, std::vector<int> new_shape);
-
-/// tanh(x).
-Tensor Tanh(const Tensor& x);
-
-/// 1 / (1 + exp(-x)).
-Tensor Sigmoid(const Tensor& x);
 
 /// Inverted dropout: zeroes each element with probability `p` and rescales
 /// survivors by 1/(1-p). Identity when `training` is false or p == 0.

@@ -53,9 +53,19 @@ void CheckShape(const TextConvShape& shape, const TextConvGroup* groups) {
 
 }  // namespace
 
+void TextConvWorkspace::Size(const TextConvShape& shape) {
+  argmax.resize(static_cast<size_t>(shape.batch) * shape.num_groups *
+                shape.channels);
+}
+
 void TextConvMaxPoolForward(const float* x, const TextConvShape& shape,
                             const TextConvGroup* groups, float* out,
-                            int* argmax) {
+                            TextConvWorkspace* ws) {
+  int* argmax = nullptr;
+  if (ws != nullptr) {
+    ws->Size(shape);
+    argmax = ws->argmax.data();
+  }
   textconv::ForwardWith(ActiveKernel(), x, shape, groups, out, argmax);
 }
 
@@ -120,9 +130,10 @@ void textconv::ForwardWith(ForwardDocsFn kernel, const float* x,
 
 void TextConvMaxPoolBackward(const float* x, const TextConvShape& shape,
                              const TextConvGroup* groups, const float* out,
-                             const float* dout, const int* argmax,
+                             const float* dout, const TextConvWorkspace& ws,
                              float* dx) {
   CheckShape(shape, groups);
+  const int* argmax = ws.argmax.data();
   const int batch = shape.batch;
   const int length = shape.length;
   const int embed = shape.embed;

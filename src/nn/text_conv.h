@@ -1,6 +1,8 @@
 #ifndef OMNIMATCH_NN_TEXT_CONV_H_
 #define OMNIMATCH_NN_TEXT_CONV_H_
 
+#include <vector>
+
 namespace omnimatch {
 namespace nn {
 
@@ -51,13 +53,20 @@ struct TextConvShape {
   int num_groups = 0;
 };
 
+/// What the backward pass needs of the forward: the pooled window of every
+/// output, [batch, num_groups * channels].
+struct TextConvWorkspace {
+  std::vector<int> argmax;
+  void Size(const TextConvShape& shape);
+};
+
 /// x [batch, length, embed] -> out [batch, num_groups * channels], group g
-/// in columns [g*C, (g+1)*C). argmax (same shape; null: not recorded)
-/// receives the pooled window of every output. Every kernel size must be
-/// at most `length`.
+/// in columns [g*C, (g+1)*C). `ws` (null: no backward will run) is sized
+/// and receives the argmax windows. Every kernel size must be at most
+/// `length`.
 void TextConvMaxPoolForward(const float* x, const TextConvShape& shape,
                             const TextConvGroup* groups, float* out,
-                            int* argmax);
+                            TextConvWorkspace* ws);
 
 /// Argmax-sparse backward: an output contributes only when its gradient is
 /// nonzero and it passed the ReLU. Accumulates into dx (null: not wanted)
@@ -67,7 +76,8 @@ void TextConvMaxPoolForward(const float* x, const TextConvShape& shape,
 /// count.
 void TextConvMaxPoolBackward(const float* x, const TextConvShape& shape,
                              const TextConvGroup* groups, const float* out,
-                             const float* dout, const int* argmax, float* dx);
+                             const float* dout, const TextConvWorkspace& ws,
+                             float* dx);
 
 }  // namespace nn
 }  // namespace omnimatch

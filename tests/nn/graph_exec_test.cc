@@ -139,9 +139,10 @@ struct MiniRun {
   std::vector<std::vector<float>> params;
 };
 
-/// One forward + losses; `use_tanh` injects an op with no graph lowering.
+/// One forward + losses; `use_leaky_relu` injects an op with no graph
+/// lowering.
 Tensor MiniForward(MiniModel& m, int b, int step, Rng* dropout_rng,
-                   bool use_tanh) {
+                   bool use_leaky_relu) {
   std::vector<int> ids(static_cast<size_t>(b) * kDocLen);
   std::vector<int> labels(static_cast<size_t>(b));
   for (size_t i = 0; i < ids.size(); ++i) {
@@ -157,7 +158,7 @@ Tensor MiniForward(MiniModel& m, int b, int step, Rng* dropout_rng,
   Tensor mean = MeanAxis1(docs);
   Tensor feat = ConcatCols({conv, mean});
   Tensor h = Relu(AddRowBroadcast(MatMul(feat, m.w1), m.b1));
-  if (use_tanh) h = Tanh(h);
+  if (use_leaky_relu) h = LeakyRelu(h);
   Tensor hd = Dropout(h, 0.3f, /*training=*/true, dropout_rng);
   Tensor logits = AddRowBroadcast(MatMul(hd, m.w2), m.b2);
   Tensor loss = SoftmaxCrossEntropy(logits, labels);
@@ -182,10 +183,13 @@ Tensor MiniForward(MiniModel& m, int b, int step, Rng* dropout_rng,
   return Add(loss, Scale(scl, 0.3f));
 }
 
+/// Trains MiniModel for one step per entry of `batch_sizes`, each step's
+/// loss coming from `forward(model, batch, step, dropout_rng)`.
 /// `release_before` >= 0 releases the executor's plans before that step.
-MiniRun RunMini(int threads, GraphExecutor* exec,
-                const std::vector<int>& batch_sizes, bool use_tanh = false,
-                int release_before = -1) {
+template <typename Forward>
+MiniRun RunSteps(int threads, GraphExecutor* exec,
+                 const std::vector<int>& batch_sizes, int release_before,
+                 Forward forward) {
   SetNumThreads(threads);
   MiniModel m(99);
   Rng dropout_rng(4242);
@@ -195,8 +199,7 @@ MiniRun RunMini(int threads, GraphExecutor* exec,
     int b = batch_sizes[step];
     if (static_cast<int>(step) == release_before) exec->ReleasePlans();
     StepScope scope(exec, /*signature=*/b);
-    Tensor loss = MiniForward(m, b, static_cast<int>(step), &dropout_rng,
-                              use_tanh);
+    Tensor loss = forward(m, b, static_cast<int>(step), &dropout_rng);
     out.losses.push_back(loss.ScalarValue());
     loss.Backward();
     for (Tensor* p : m.Params()) {
@@ -213,6 +216,15 @@ MiniRun RunMini(int threads, GraphExecutor* exec,
   }
   SetNumThreads(0);
   return out;
+}
+
+MiniRun RunMini(int threads, GraphExecutor* exec,
+                const std::vector<int>& batch_sizes,
+                bool use_leaky_relu = false, int release_before = -1) {
+  return RunSteps(threads, exec, batch_sizes, release_before,
+                  [use_leaky_relu](MiniModel& m, int b, int step, Rng* rng) {
+                    return MiniForward(m, b, step, rng, use_leaky_relu);
+                  });
 }
 
 void ExpectBitIdentical(const MiniRun& a, const MiniRun& b) {
@@ -252,7 +264,7 @@ TEST(GraphExecTest, ReleasedPlansReRecordBitIdentical) {
   MiniRun golden = RunMini(1, nullptr, batches);
   for (int threads : {1, 4}) {
     GraphExecutor exec;
-    MiniRun graph = RunMini(threads, &exec, batches, /*use_tanh=*/false,
+    MiniRun graph = RunMini(threads, &exec, batches, /*use_leaky_relu=*/false,
                             /*release_before=*/3);
     ExpectBitIdentical(golden, graph);
     // Steps 0 and 3 record, the other four replay; stats survive release.
@@ -290,15 +302,68 @@ TEST(GraphExecTest, BatchShapeChangeRecordsSecondPlan) {
 
 TEST(GraphExecTest, UnsupportedOpFallsBackToEager) {
   std::vector<int> batches(4, 4);
-  MiniRun eager = RunMini(1, nullptr, batches, /*use_tanh=*/true);
+  MiniRun eager = RunMini(1, nullptr, batches, /*use_leaky_relu=*/true);
   GraphExecutor exec;
-  MiniRun graph = RunMini(1, &exec, batches, /*use_tanh=*/true);
+  MiniRun graph = RunMini(1, &exec, batches, /*use_leaky_relu=*/true);
   ExpectBitIdentical(eager, graph);
-  // Tanh has no lowering: the signature is marked permanently eager after
+  // LeakyRelu has no lowering: the signature is marked permanently eager after
   // the first recording attempt and no plan is ever compiled.
   EXPECT_EQ(exec.stats().plans, 0);
   EXPECT_EQ(exec.stats().replay_steps, 0);
   EXPECT_EQ(exec.stats().fallback_signatures, 1);
+}
+
+/// MiniForward's program rewired so nothing fuses: the Gather output and
+/// both MatMul outputs have two consumers each, so every recordable kind
+/// (Mul, MatMul, Gather, Relu and Reshape included) replays through its own
+/// kernel, and every node reaches the loss.
+Tensor UnfusedForward(MiniModel& m, int b, int step, Rng* dropout_rng) {
+  std::vector<int> ids(static_cast<size_t>(b) * kDocLen);
+  std::vector<int> labels(static_cast<size_t>(b));
+  for (size_t i = 0; i < ids.size(); ++i) {
+    ids[i] = static_cast<int>((step * 5 + i * 7 + 2) % kVocab);
+  }
+  for (int i = 0; i < b; ++i) {
+    labels[static_cast<size_t>(i)] = (step + 2 * i) % kClasses;
+  }
+
+  Tensor emb = Gather(m.table, ids);
+  Tensor docs = Reshape(emb, {b, kDocLen, kEmbed});
+  Tensor half_docs = Reshape(Scale(emb, 0.5f), {b, kDocLen, kEmbed});
+  Tensor conv = TextConvMaxPool(docs, m.conv_w, m.conv_b, kKernel);
+  Tensor feat = ConcatCols({conv, MeanAxis1(half_docs)});
+  Tensor z = MatMul(feat, m.w1);
+  Tensor h = Mul(Relu(AddRowBroadcast(z, m.b1)), z);
+  Tensor hd = Dropout(h, 0.3f, /*training=*/true, dropout_rng);
+  Tensor lin = MatMul(hd, m.w2);
+  Tensor logits = Add(AddRowBroadcast(lin, m.b2), lin);
+  Tensor loss = SoftmaxCrossEntropy(logits, labels);
+
+  std::vector<int> twice = labels;
+  twice.insert(twice.end(), labels.begin(), labels.end());
+  Tensor scl =
+      SupConLoss(ConcatRows({hd, GradReverse(hd, 0.5f)}), twice, 0.2f);
+  return Add(loss, Scale(scl, 0.3f));
+}
+
+TEST(GraphExecTest, EveryOpKindReplaysBitIdentical) {
+  std::vector<int> batches(5, 4);
+  MiniRun golden = RunSteps(1, nullptr, batches, -1, UnfusedForward);
+  for (int threads : {1, 2, 4}) {
+    MiniRun eager = RunSteps(threads, nullptr, batches, -1, UnfusedForward);
+    ExpectBitIdentical(golden, eager);
+
+    GraphExecutor exec;
+    MiniRun graph = RunSteps(threads, &exec, batches, -1, UnfusedForward);
+    ExpectBitIdentical(golden, graph);
+    EXPECT_EQ(exec.stats().plans, 1) << threads << " threads";
+    EXPECT_EQ(exec.stats().replay_steps, 4);
+    EXPECT_EQ(exec.stats().fallback_signatures, 0);
+    // Nothing fused and nothing dead: every node ran its own kernel.
+    EXPECT_EQ(exec.stats().fused_linear, 0);
+    EXPECT_EQ(exec.stats().fused_gather, 0);
+    EXPECT_EQ(exec.stats().dead_nodes, 0);
+  }
 }
 
 TEST(GraphExecTest, TapeReleasedAfterBackward) {

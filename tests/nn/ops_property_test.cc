@@ -116,7 +116,7 @@ TEST_P(IdentityTest, ReluIsIdempotent) {
 TEST_P(IdentityTest, SoftmaxInvariantToRowShift) {
   Rng rng(static_cast<uint64_t>(GetParam() + 100));
   Tensor x = RandomTensor({GetParam(), 5}, &rng, false);
-  Tensor shifted = AddScalar(x, 7.5f);
+  Tensor shifted = Add(x, Tensor::Full(x.shape(), 7.5f));
   Tensor sx = Softmax(x);
   Tensor ss = Softmax(shifted);
   for (size_t i = 0; i < sx.data().size(); ++i) {

@@ -106,7 +106,7 @@ TEST(TensorTest, DiamondGraphGradient) {
 TEST(TensorTest, DeepChainBackwardDoesNotOverflowStack) {
   Tensor x = Tensor::FromData({1}, {1.0f}, /*requires_grad=*/true);
   Tensor h = x;
-  for (int i = 0; i < 20000; ++i) h = AddScalar(h, 0.0f);
+  for (int i = 0; i < 20000; ++i) h = Scale(h, 1.0f);
   Tensor y = SumAll(h);
   y.Backward();
   EXPECT_FLOAT_EQ(x.grad()[0], 1.0f);

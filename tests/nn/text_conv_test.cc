@@ -116,10 +116,13 @@ ConvResult Kernel(const std::vector<float>& x, const Bank& bank, int batch,
                   int length) {
   const size_t n =
       static_cast<size_t>(batch) * bank.kernels.size() * bank.channels;
-  ConvResult r{std::vector<float>(n, -1.0f), std::vector<int>(n, -1)};
+  ConvResult r{std::vector<float>(n, -1.0f), {}};
   std::vector<TextConvGroup> groups = bank.Groups();
+  TextConvWorkspace ws;
+  ws.argmax.assign(n, -1);  // already sized: the kernel must write each one
   TextConvMaxPoolForward(x.data(), bank.Shape(batch, length), groups.data(),
-                         r.out.data(), r.argmax.data());
+                         r.out.data(), &ws);
+  r.argmax = ws.argmax;
   return r;
 }
 

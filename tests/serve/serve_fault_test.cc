@@ -273,6 +273,80 @@ TEST(AdmissionTest, ExpiredRequestsAnsweredDeadlineExceeded) {
   EXPECT_EQ(2, server.stats().deadline_exceeded);
 }
 
+/// Asserts the server's own counters account for every ScoreAsync call
+/// exactly once: the served tiers sum to requests_served, and served plus
+/// every unscored status sums to the calls made.
+void ExpectLedgerBalances(const InferenceServer::Stats& s, size_t calls) {
+  EXPECT_EQ(s.served_full + s.served_degraded_cached +
+                s.served_degraded_fallback,
+            s.requests_served);
+  EXPECT_EQ(s.requests_served + s.deadline_exceeded + s.rejected_overloaded +
+                s.rejected_shutdown,
+            static_cast<int64_t>(calls));
+}
+
+TEST(AdmissionTest, StatsLedgerBalances) {
+  FaultGuard guard;
+  FaultWorld& w = World();
+  // Two rejected admissions, forced cached-only and global-mean batches,
+  // and two slow batches whose queued requests pass their deadline.
+  ASSERT_TRUE(FaultInjector::Global()
+                  .ArmFromString("queue_admit@2:count=2;"
+                                 "executor_score@3:mag=1,count=2;"
+                                 "executor_score@8:mag=2,count=2;"
+                                 "serve_slow@5:mag=30,count=2")
+                  .ok());
+  InferenceServer::Options options;
+  options.executors = 1;
+  options.max_batch = 4;
+  options.linger_us = 0;
+  options.max_queue = 64;
+  options.deadline_ms = 10;
+  InferenceServer server(w.snapshot_a, options);
+
+  // Rounds of traffic, each drained before the next: every round dispatches
+  // at least one batch, so all four faults fire within ten rounds.
+  const std::vector<ScoreRequest> pairs = SomePairs(6, 3);
+  std::vector<int64_t> by_status(6, 0);
+  size_t calls = 0;
+  auto resolve = [&](std::vector<std::future<ScoreResult>>* futures) {
+    for (auto& f : *futures) {
+      ++by_status[static_cast<size_t>(f.get().status)];
+    }
+    calls += futures->size();
+    futures->clear();
+  };
+  std::vector<std::future<ScoreResult>> futures;
+  for (int round = 0; round < 10; ++round) {
+    for (const ScoreRequest& p : pairs) {
+      futures.push_back(server.ScoreAsync(p.user, p.item));
+    }
+    resolve(&futures);
+  }
+  server.Shutdown();
+  futures.push_back(server.ScoreAsync(pairs[0].user, pairs[0].item));
+  resolve(&futures);
+
+  auto count = [&](RequestStatus status) {
+    return by_status[static_cast<size_t>(status)];
+  };
+  const InferenceServer::Stats s = server.stats();
+  EXPECT_EQ(count(RequestStatus::kOk), s.served_full);
+  EXPECT_EQ(count(RequestStatus::kDegradedCached), s.served_degraded_cached);
+  EXPECT_EQ(count(RequestStatus::kDegradedFallback),
+            s.served_degraded_fallback);
+  EXPECT_EQ(count(RequestStatus::kDeadlineExceeded), s.deadline_exceeded);
+  EXPECT_EQ(count(RequestStatus::kOverloaded), s.rejected_overloaded);
+  EXPECT_EQ(count(RequestStatus::kShuttingDown), s.rejected_shutdown);
+  ExpectLedgerBalances(s, calls);
+  // Every kind of answer occurred, so the balance is not a sum of zeros.
+  EXPECT_GT(s.served_full, 0);
+  EXPECT_GT(s.served_degraded_cached + s.served_degraded_fallback, 0);
+  EXPECT_GT(s.deadline_exceeded, 0);
+  EXPECT_EQ(2, s.rejected_overloaded);
+  EXPECT_EQ(1, s.rejected_shutdown);
+}
+
 TEST(DegradationTest, QueuePressureDegradesToGlobalMean) {
   FaultGuard guard;
   FaultWorld& w = World();
@@ -726,6 +800,7 @@ TEST(ServeFaultEnvTest, SurvivesEnvArmedFaultsUnderTraffic) {
     }
   }
   EXPECT_EQ(futures.size(), static_cast<size_t>(with_score + rejected));
+  ExpectLedgerBalances(server.stats(), futures.size());
   EXPECT_GT(with_score, 0);
   EXPECT_GT(FaultInjector::Global().fired(), 0);
   FaultInjector::Global().Disarm();
