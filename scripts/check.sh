@@ -112,9 +112,11 @@ run_portable() {
 # equivalence tests, so every guard rollback/retry path and the compiled
 # replay path are walked under instrumentation — plus data_test, so the
 # OMDS validator meets its corrupted images (every flipped byte of a small
-# one included) under instrumentation. Each sanitizer lane then
-# re-runs the serving suite's env-fault test with every serve probe point
-# armed, so the degraded/rollback paths themselves run instrumented.
+# one included) under instrumentation, and text_test, so the token table's
+# offset arithmetic and the span document builder run instrumented. Each
+# sanitizer lane then re-runs the serving suite's env-fault test with every
+# serve probe point armed, so the degraded/rollback paths themselves run
+# instrumented.
 run_sanitizer() {
   local kind="$1" dir="build-$1" ; shift
   echo "=== ${kind} build (${dir}) ==="
@@ -136,14 +138,14 @@ case "${MODE}" in
   release)  run_release ;;
   portable) run_portable ;;
   tsan)    run_sanitizer thread common_test nn_test obs_test serve_test serve_fault_test ;;
-  asan)    run_sanitizer address common_test nn_test core_test data_test obs_test serve_test serve_fault_test ;;
-  ubsan)   run_sanitizer undefined common_test nn_test core_test data_test obs_test serve_test serve_fault_test ;;
+  asan)    run_sanitizer address common_test nn_test core_test data_test text_test obs_test serve_test serve_fault_test ;;
+  ubsan)   run_sanitizer undefined common_test nn_test core_test data_test text_test obs_test serve_test serve_fault_test ;;
   all)
     run_release
     run_portable
     run_sanitizer thread common_test nn_test obs_test serve_test serve_fault_test
-    run_sanitizer address common_test nn_test core_test data_test obs_test serve_test serve_fault_test
-    run_sanitizer undefined common_test nn_test core_test data_test obs_test serve_test serve_fault_test
+    run_sanitizer address common_test nn_test core_test data_test text_test obs_test serve_test serve_fault_test
+    run_sanitizer undefined common_test nn_test core_test data_test text_test obs_test serve_test serve_fault_test
     ;;
   *) echo "usage: $0 [all|release|portable|tsan|asan|ubsan]" >&2 ; exit 2 ;;
 esac

@@ -1,6 +1,7 @@
 #include "core/aux_review.h"
 
 #include <algorithm>
+#include <unordered_set>
 
 #include "common/check.h"
 #include "common/threadpool.h"
@@ -34,6 +35,14 @@ obs::Histogram* BucketSizeHist() {
   return h;
 }
 
+/// The `field` text of record `record`.
+std::string_view TextOf(const data::DomainDataset& domain, int record,
+                        TextField field) {
+  const size_t i = static_cast<size_t>(record);
+  return field == TextField::kSummary ? domain.ReviewSummary(i)
+                                      : domain.ReviewFullText(i);
+}
+
 }  // namespace
 
 AuxReviewGenerator::AuxReviewGenerator(const data::CrossDomainDataset* cross,
@@ -53,14 +62,7 @@ AuxReviewGenerator::AuxReviewGenerator(const data::CrossDomainDataset* cross,
       });
 }
 
-std::string_view AuxReviewGenerator::TextAt(const data::DomainDataset& domain,
-                                            int rec_idx) const {
-  size_t i = static_cast<size_t>(rec_idx);
-  return field_ == TextField::kSummary ? domain.ReviewSummary(i)
-                                       : domain.ReviewFullText(i);
-}
-
-std::vector<std::string> AuxReviewGenerator::GenerateForUser(
+std::vector<int> AuxReviewGenerator::GenerateRecords(
     int user_id, Rng* rng, AuxReviewTrace* trace) const {
   OM_CHECK(rng != nullptr);
   const bool tracing = trace != nullptr;
@@ -74,9 +76,11 @@ std::vector<std::string> AuxReviewGenerator::GenerateForUser(
   // a metrics sink is attached. Counters stay always-on (their contract).
   const bool observe = obs::MetricsEnabled();
 
-  std::vector<std::string> aux_reviews;
+  const data::IdSpan records = source.RecordsOfUser(user_id);
+  std::vector<int> borrowed;
+  borrowed.reserve(records.size());
   // foreach record in u's source-domain purchase records (Alg. 1 line 5).
-  for (int rec_idx : source.RecordsOfUser(user_id)) {
+  for (int rec_idx : records) {
     const int item = source.ReviewItem(static_cast<size_t>(rec_idx));
     const float rating = source.ReviewRating(static_cast<size_t>(rec_idx));
 
@@ -95,9 +99,7 @@ std::vector<std::string> AuxReviewGenerator::GenerateForUser(
     if (observe) BucketSizeHist()->Observe(static_cast<double>(n));
 
     int aux_user = -1;
-    int target_item = -1;
-    std::string_view borrowed;
-    bool borrowed_set = false;
+    int aux_idx = -1;
     if (n > 0) {
       LikeMindedHits()->Increment();
       // Randomly select one like-minded user (line 12).
@@ -106,12 +108,9 @@ std::vector<std::string> AuxReviewGenerator::GenerateForUser(
       // Randomly select one of their target-domain records (lines 13-15).
       data::IdSpan aux_records = target.RecordsOfUser(aux_user);
       if (!aux_records.empty()) {
-        int aux_idx = aux_records[rng->UniformU32(
+        aux_idx = aux_records[rng->UniformU32(
             static_cast<uint32_t>(aux_records.size()))];
-        target_item = target.ReviewItem(static_cast<size_t>(aux_idx));
-        borrowed = TextAt(target, aux_idx);
-        borrowed_set = true;
-        aux_reviews.emplace_back(borrowed);
+        borrowed.push_back(aux_idx);
       } else {
         EmptyTargetFallbacks()->Increment();
       }
@@ -123,22 +122,33 @@ std::vector<std::string> AuxReviewGenerator::GenerateForUser(
       AuxReviewChoice choice;
       choice.source_item = item;
       choice.rating = rating;
-      choice.source_review = std::string(TextAt(source, rec_idx));
+      choice.source_review = std::string(TextOf(source, rec_idx, field_));
       choice.num_like_minded = static_cast<int>(n);
       choice.like_minded_user = aux_user;
-      choice.target_item = target_item;
-      if (borrowed_set) choice.aux_review = std::string(borrowed);
+      if (aux_idx >= 0) {
+        choice.target_item = target.ReviewItem(static_cast<size_t>(aux_idx));
+        choice.aux_review = std::string(TextOf(target, aux_idx, field_));
+      }
       trace->choices.push_back(std::move(choice));
     }
   }
-  return aux_reviews;
+  return borrowed;
+}
+
+std::vector<std::string> AuxReviewGenerator::GenerateForUser(
+    int user_id, Rng* rng, AuxReviewTrace* trace) const {
+  std::vector<std::string> texts;
+  for (int idx : GenerateRecords(user_id, rng, trace)) {
+    texts.emplace_back(TextOf(cross_->target(), idx, field_));
+  }
+  return texts;
 }
 
 std::vector<std::string> AuxReviewGenerator::SourceReviews(
     int user_id) const {
   std::vector<std::string> texts;
-  for (int idx : cross_->source().RecordsOfUser(user_id)) {
-    texts.emplace_back(TextAt(cross_->source(), idx));
+  for (int idx : SourceRecords(user_id)) {
+    texts.emplace_back(TextOf(cross_->source(), idx, field_));
   }
   return texts;
 }
@@ -167,21 +177,53 @@ std::vector<std::vector<std::string>> AuxReviewGenerator::GenerateAll(
   return out;
 }
 
+std::shared_ptr<const ReviewTokens> TokenizeReviews(
+    const data::CrossDomainDataset& cross, const std::vector<int>& train_users,
+    TextField field, int min_count) {
+  const data::DomainDataset& source = cross.source();
+  const data::DomainDataset& target = cross.target();
+  const std::unordered_set<int> train_set(train_users.begin(),
+                                          train_users.end());
+  std::vector<text::TextColumn> columns(2);
+  columns[0].num_records = source.num_reviews();
+  columns[0].text = [&](size_t i) {
+    return TextOf(source, static_cast<int>(i), field);
+  };
+  columns[0].counted = [](size_t) { return true; };
+  columns[1].num_records = target.num_reviews();
+  columns[1].text = [&](size_t i) {
+    return TextOf(target, static_cast<int>(i), field);
+  };
+  columns[1].counted = [&](size_t i) {
+    return train_set.count(target.ReviewUser(i)) > 0;
+  };
+  auto tokens = std::make_shared<ReviewTokens>();
+  std::vector<text::TokenTable> tables =
+      text::TokenizeColumns(columns, min_count, &tokens->vocab);
+  tokens->source = std::move(tables[0]);
+  tokens->target = std::move(tables[1]);
+  return tokens;
+}
+
 std::vector<std::vector<int>> ColdStartDocs(const AuxReviewGenerator& generator,
                                             const OmniMatchConfig& config,
-                                            const text::Vocabulary& vocab,
+                                            const ReviewTokens& tokens,
                                             int user_id, Rng* rng) {
   const int samples =
       config.use_aux_reviews ? std::max(1, config.aux_eval_samples) : 1;
   std::vector<std::vector<int>> docs;
   docs.reserve(static_cast<size_t>(samples));
   for (int k = 0; k < samples; ++k) {
-    std::vector<std::string> reviews;
+    std::vector<int> borrowed;
     if (config.use_aux_reviews) {
-      reviews = generator.GenerateForUser(user_id, rng);
+      borrowed = generator.GenerateRecords(user_id, rng);
     }
-    if (reviews.empty()) reviews = generator.SourceReviews(user_id);
-    docs.push_back(text::BuildDocumentIds(reviews, vocab, config.doc_len));
+    docs.push_back(
+        borrowed.empty()
+            ? text::BuildDocument(tokens.source,
+                                  generator.SourceRecords(user_id),
+                                  config.doc_len)
+            : text::BuildDocument(tokens.target, borrowed, config.doc_len));
   }
   return docs;
 }

@@ -2,6 +2,7 @@
 #define OMNIMATCH_CORE_AUX_REVIEW_H_
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -9,6 +10,7 @@
 #include "common/rng.h"
 #include "core/config.h"
 #include "data/dataset.h"
+#include "text/token_table.h"
 #include "text/vocabulary.h"
 
 namespace omnimatch {
@@ -61,10 +63,17 @@ class AuxReviewGenerator {
                      std::vector<int> eligible_users,
                      TextField field = TextField::kSummary);
 
-  /// Runs Algorithm 1's inner loop for one user. Returns the auxiliary
-  /// review texts (one per usable source record). `trace`, when non-null,
-  /// receives the full decision log including skipped records (tracing is
-  /// the only mode that materializes per-choice strings).
+  /// Runs Algorithm 1's inner loop for one user. Returns the borrowed
+  /// target-domain record indices (one per usable source record, in source
+  /// record order). `trace`, when non-null, receives the full decision log
+  /// including skipped records (tracing is the only mode that materializes
+  /// per-choice strings). The one implementation of Algorithm 1: every
+  /// method below and ColdStartDocs draw through it.
+  std::vector<int> GenerateRecords(int user_id, Rng* rng,
+                                   AuxReviewTrace* trace = nullptr) const;
+
+  /// GenerateRecords as review texts: the configured text field of each
+  /// borrowed record.
   std::vector<std::string> GenerateForUser(int user_id, Rng* rng,
                                            AuxReviewTrace* trace = nullptr) const;
 
@@ -89,6 +98,11 @@ class AuxReviewGenerator {
            SplitMix64(static_cast<uint64_t>(static_cast<uint32_t>(user_id)));
   }
 
+  /// The user's own source-domain records, ascending.
+  data::IdSpan SourceRecords(int user_id) const {
+    return cross_->source().RecordsOfUser(user_id);
+  }
+
   /// The user's own source-domain review texts, in record order.
   std::vector<std::string> SourceReviews(int user_id) const;
 
@@ -97,8 +111,6 @@ class AuxReviewGenerator {
   }
 
  private:
-  std::string_view TextAt(const data::DomainDataset& domain, int rec_idx) const;
-
   const data::CrossDomainDataset* cross_;
   std::vector<int> eligible_sorted_;
   /// source.item_rating_index() restricted to eligible users: same keys,
@@ -108,15 +120,36 @@ class AuxReviewGenerator {
   TextField field_;
 };
 
+/// Every review of one scenario tokenized once per (dataset, vocabulary,
+/// text field): the vocabulary of training-visible text and one token-id
+/// table per domain, indexed by record. Every document — fixed, per-step
+/// training and Algorithm 1 — is built from id spans of these tables.
+struct ReviewTokens {
+  text::Vocabulary vocab;
+  text::TokenTable source;
+  text::TokenTable target;
+};
+
+/// Tokenizes the `field` text of every record of `cross` once. The
+/// vocabulary is built from training-visible text — every source review,
+/// then the target reviews of `train_users`, each in record order — and
+/// keeps the tokens seen at least `min_count` times there, in order of
+/// first occurrence. Cold users' target reviews are tokenized too (the
+/// oracle documents read them) but never enter the vocabulary.
+std::shared_ptr<const ReviewTokens> TokenizeReviews(
+    const data::CrossDomainDataset& cross, const std::vector<int>& train_users,
+    TextField field, int min_count);
+
 /// The cold-start target documents of `user_id` (§5.2 evaluation
 /// ensemble): aux_eval_samples Algorithm 1 documents drawn from `rng` in
 /// order (first = primary, rest = ensemble variants), each falling back to
 /// the user's raw source reviews when Algorithm 1 finds no like-minded
 /// match. With use_aux_reviews off (the w/o-AuxReviews ablation) it is one
 /// document of the raw source reviews, and `rng` is not drawn from.
+/// `tokens` must come from the generator's dataset and text field.
 std::vector<std::vector<int>> ColdStartDocs(const AuxReviewGenerator& generator,
                                             const OmniMatchConfig& config,
-                                            const text::Vocabulary& vocab,
+                                            const ReviewTokens& tokens,
                                             int user_id, Rng* rng);
 
 }  // namespace core

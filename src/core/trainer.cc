@@ -5,6 +5,7 @@
 #include <cmath>
 #include <fstream>
 #include <limits>
+#include <unordered_set>
 
 #if defined(__GLIBC__)
 #include <malloc.h>
@@ -25,7 +26,6 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "text/document.h"
-#include "text/tokenizer.h"
 
 namespace omnimatch {
 namespace core {
@@ -56,11 +56,9 @@ OmniMatchTrainer::OmniMatchTrainer(const OmniMatchConfig& config,
   OM_CHECK(cross_ != nullptr);
 }
 
-std::string_view OmniMatchTrainer::TextAt(const data::DomainDataset& domain,
-                                          size_t idx) const {
-  return config_.text_field == TextField::kSummary
-             ? domain.ReviewSummary(idx)
-             : domain.ReviewFullText(idx);
+const text::Vocabulary& OmniMatchTrainer::vocabulary() const {
+  OM_CHECK(tokens_ != nullptr) << "call Prepare() first";
+  return tokens_->vocab;
 }
 
 Status OmniMatchTrainer::Prepare() {
@@ -76,8 +74,11 @@ Status OmniMatchTrainer::Prepare() {
   aux_generator_ = std::make_unique<AuxReviewGenerator>(
       cross_, split_.train_users, config_.text_field);
   {
+    // Training-visible text: every source-domain review (cold users' source
+    // history is known) plus target-domain reviews of training users only.
     OM_TRACE_SPAN("build_vocabulary");
-    BuildVocabulary();
+    tokens_ = TokenizeReviews(*cross_, split_.train_users, config_.text_field,
+                              config_.min_vocab_count);
   }
   {
     OM_TRACE_SPAN("build_documents");
@@ -87,7 +88,8 @@ Status OmniMatchTrainer::Prepare() {
     return Status::FailedPrecondition(
         "training users have no target-domain records");
   }
-  model_ = std::make_unique<OmniMatchModel>(config_, vocab_.size(), &rng_);
+  model_ = std::make_unique<OmniMatchModel>(config_, vocabulary().size(),
+                                            &rng_);
   graph_exec_ = config_.graph_exec
                     ? std::make_unique<nn::graph::GraphExecutor>()
                     : nullptr;
@@ -114,80 +116,39 @@ Status OmniMatchTrainer::Prepare() {
   prepared_ = true;
   if (config_.verbose) {
     OM_LOG(Info) << "prepared " << cross_->ScenarioName() << ": vocab "
-                 << vocab_.size() << ", train samples "
+                 << vocabulary().size() << ", train samples "
                  << train_samples_.size() << ", params "
                  << model_->NumParameters();
   }
   return Status::OK();
 }
 
-void OmniMatchTrainer::BuildVocabulary() {
-  // Training-visible text: every source-domain review (cold users' source
-  // history is known) plus target-domain reviews of training users only.
-  std::vector<std::vector<std::string>> docs;
-  const data::DomainDataset& source = cross_->source();
-  for (size_t i = 0; i < source.num_reviews(); ++i) {
-    docs.push_back(text::Tokenize(TextAt(source, i)));
-  }
-  std::unordered_set<int> train_set(split_.train_users.begin(),
-                                    split_.train_users.end());
-  const data::DomainDataset& target = cross_->target();
-  for (size_t i = 0; i < target.num_reviews(); ++i) {
-    if (train_set.count(target.ReviewUser(i)) > 0) {
-      docs.push_back(text::Tokenize(TextAt(target, i)));
-    }
-  }
-  vocab_ = text::Vocabulary();
-  vocab_.BuildFromDocuments(docs, config_.min_vocab_count);
-}
-
 void OmniMatchTrainer::BuildDocuments() {
   user_source_docs_.clear();
   user_target_docs_.clear();
   item_docs_.clear();
+  item_records_.clear();
+  train_aux_records_.clear();
+  cold_aux_doc_variants_.clear();
   train_samples_.clear();
 
+  const data::DomainDataset& source = cross_->source();
+  const data::DomainDataset& target = cross_->target();
   std::unordered_set<int> train_set(split_.train_users.begin(),
                                     split_.train_users.end());
 
-  user_source_reviews_.clear();
-  user_target_reviews_.clear();
-  item_reviews_.clear();
-
-  auto reviews_of = [&](const data::DomainDataset& domain,
-                        int user) -> std::vector<std::string> {
-    std::vector<std::string> texts;
-    for (int idx : domain.RecordsOfUser(user)) {
-      texts.emplace_back(TextAt(domain, static_cast<size_t>(idx)));
-    }
-    return texts;
-  };
-  auto encode_each = [&](const std::vector<std::string>& texts) {
-    std::vector<std::vector<int>> out;
-    out.reserve(texts.size());
-    for (const std::string& t : texts) {
-      out.push_back(vocab_.Encode(text::Tokenize(t)));
-    }
-    return out;
-  };
-
   // Source documents for every overlapping user (R^u of Eq. 1).
   for (int u : cross_->overlapping_users()) {
-    std::vector<std::string> texts = reviews_of(cross_->source(), u);
-    user_source_docs_[u] =
-        text::BuildDocumentIds(texts, vocab_, config_.doc_len);
-    user_source_reviews_[u] = encode_each(texts);
+    user_source_docs_[u] = text::BuildDocument(
+        tokens_->source, source.RecordsOfUser(u), config_.doc_len);
   }
 
   // Target documents: training users use their real target reviews; cold
   // users get Algorithm 1 auxiliary documents (or their source reviews as a
   // degraded fallback in the w/o-AuxReviews ablation).
-  train_aux_reviews_.clear();
   for (int u : split_.train_users) {
-    std::vector<std::string> texts = reviews_of(cross_->target(), u);
-    user_target_docs_[u] =
-        text::BuildDocumentIds(texts, vocab_, config_.doc_len);
-    user_target_reviews_[u] = encode_each(texts);
+    user_target_docs_[u] = text::BuildDocument(
+        tokens_->target, target.RecordsOfUser(u), config_.doc_len);
   }
   if (config_.aux_augmentation_prob > 0.0f) {
     // Cold-start self-simulation: the generator already excludes the user
@@ -197,11 +158,9 @@ void OmniMatchTrainer::BuildDocuments() {
     // building above consumes no randomness.
     OM_TRACE_SPAN_TIMED("auxgen", PhaseHist("trainer.auxgen_ns"));
     for (int u : split_.train_users) {
-      train_aux_reviews_[u] =
-          encode_each(aux_generator_->GenerateForUser(u, &rng_));
+      train_aux_records_[u] = aux_generator_->GenerateRecords(u, &rng_);
     }
   }
-  cold_aux_doc_variants_.clear();
   std::vector<int> cold_users = split_.validation_users;
   cold_users.insert(cold_users.end(), split_.test_users.begin(),
                     split_.test_users.end());
@@ -209,7 +168,7 @@ void OmniMatchTrainer::BuildDocuments() {
     OM_TRACE_SPAN_TIMED("auxgen", PhaseHist("trainer.auxgen_ns"));
     for (int u : cold_users) {
       std::vector<std::vector<int>> docs =
-          ColdStartDocs(*aux_generator_, config_, vocab_, u, &rng_);
+          ColdStartDocs(*aux_generator_, config_, *tokens_, u, &rng_);
       user_target_docs_[u] = std::move(docs[0]);
       docs.erase(docs.begin());
       if (!docs.empty()) cold_aux_doc_variants_[u] = std::move(docs);
@@ -218,18 +177,16 @@ void OmniMatchTrainer::BuildDocuments() {
 
   // Item documents from training users' target reviews only (test users'
   // reviews are hidden).
-  for (int item : cross_->target().items()) {
-    std::vector<std::string> texts;
-    for (int idx : cross_->target().RecordsOfItem(item)) {
-      size_t i = static_cast<size_t>(idx);
-      if (train_set.count(cross_->target().ReviewUser(i)) > 0) {
-        texts.emplace_back(TextAt(cross_->target(), i));
+  for (int item : target.items()) {
+    std::vector<int>& records = item_records_[item];
+    for (int idx : target.RecordsOfItem(item)) {
+      if (train_set.count(target.ReviewUser(static_cast<size_t>(idx))) > 0) {
+        records.push_back(idx);
       }
     }
     // All pads when no training user reviewed the item.
     item_docs_[item] =
-        text::BuildDocumentIds(texts, vocab_, config_.item_doc_len);
-    item_reviews_[item] = encode_each(texts);
+        text::BuildDocument(tokens_->target, records, config_.item_doc_len);
   }
 
   // Training samples: target-domain records of training users.
@@ -265,17 +222,15 @@ std::vector<int> OmniMatchTrainer::GatherDocs(
   return flat;
 }
 
-void OmniMatchTrainer::AssembleTrainingDoc(
-    const std::vector<std::vector<int>>* reviews, int doc_len, Rng* rng,
-    int* dst) const {
+void OmniMatchTrainer::AssembleTrainingDoc(const text::TokenTable& table,
+                                           IdSpan records, int doc_len,
+                                           Rng* rng, int* dst) const {
   int filled = 0;
-  if (reviews != nullptr && !reviews->empty()) {
-    std::vector<int> order(reviews->size());
-    for (size_t i = 0; i < order.size(); ++i) order[i] = static_cast<int>(i);
+  if (!records.empty()) {
+    std::vector<int> order(records.begin(), records.end());
     if (config_.shuffle_reviews_in_training) rng->Shuffle(order);
     for (int r : order) {
-      const std::vector<int>& tokens = (*reviews)[static_cast<size_t>(r)];
-      for (int tok : tokens) {
+      for (int tok : table.Record(static_cast<size_t>(r))) {
         if (filled >= doc_len) break;
         bool masked = config_.word_dropout > 0.0f &&
                       rng->Bernoulli(config_.word_dropout);
@@ -301,7 +256,7 @@ Rng DocRng(uint64_t base, int64_t index) {
 }  // namespace
 
 std::vector<int> OmniMatchTrainer::GatherTrainingDocs(
-    const std::unordered_map<int, std::vector<std::vector<int>>>& reviews,
+    const text::TokenTable& table, const RecordsOf& records_of,
     const std::unordered_map<int, std::vector<int>>& fixed_docs,
     const std::vector<int>& keys, int doc_len) {
   if (!config_.shuffle_reviews_in_training && config_.word_dropout <= 0.0f) {
@@ -317,10 +272,10 @@ std::vector<int> OmniMatchTrainer::GatherTrainingDocs(
               [&](int64_t k0, int64_t k1) {
                 for (int64_t k = k0; k < k1; ++k) {
                   Rng rng = DocRng(base, k);
-                  auto it = reviews.find(keys[static_cast<size_t>(k)]);
                   AssembleTrainingDoc(
-                      it == reviews.end() ? nullptr : &it->second, doc_len,
-                      &rng, flat.data() + static_cast<size_t>(k) * doc_len);
+                      table, records_of(keys[static_cast<size_t>(k)]),
+                      doc_len, &rng,
+                      flat.data() + static_cast<size_t>(k) * doc_len);
                 }
               });
   return flat;
@@ -336,23 +291,18 @@ std::vector<int> OmniMatchTrainer::GatherTargetTrainingDocs(
                 for (int64_t k = k0; k < k1; ++k) {
                   Rng rng = DocRng(base, k);
                   int u = users[static_cast<size_t>(k)];
-                  const std::vector<std::vector<int>>* reviews = nullptr;
+                  IdSpan records;
                   if (config_.aux_augmentation_prob > 0.0f &&
                       rng.Bernoulli(config_.aux_augmentation_prob)) {
-                    auto aux = train_aux_reviews_.find(u);
-                    if (aux != train_aux_reviews_.end() &&
-                        !aux->second.empty()) {
-                      reviews = &aux->second;
-                    }
+                    auto aux = train_aux_records_.find(u);
+                    if (aux != train_aux_records_.end()) records = aux->second;
                   }
-                  if (reviews == nullptr) {
-                    auto real = user_target_reviews_.find(u);
-                    if (real != user_target_reviews_.end()) {
-                      reviews = &real->second;
-                    }
+                  // Real reviews unless a non-empty aux document was drawn.
+                  if (records.empty()) {
+                    records = cross_->target().RecordsOfUser(u);
                   }
                   AssembleTrainingDoc(
-                      reviews, doc_len, &rng,
+                      tokens_->target, records, doc_len, &rng,
                       flat.data() + static_cast<size_t>(k) * doc_len);
                 }
               });
@@ -404,11 +354,19 @@ OmniMatchTrainer::StepOutcome OmniMatchTrainer::TrainBatch(
   std::vector<int> src_doc_ids, tgt_doc_ids, item_doc_ids;
   {
     OM_TRACE_SPAN_TIMED("doc_assembly", PhaseHist("trainer.doc_assembly_ns"));
-    src_doc_ids = GatherTrainingDocs(user_source_reviews_, user_source_docs_,
-                                     users, config_.doc_len);
+    src_doc_ids = GatherTrainingDocs(
+        tokens_->source,
+        [this](int u) { return cross_->source().RecordsOfUser(u); },
+        user_source_docs_, users, config_.doc_len);
     tgt_doc_ids = GatherTargetTrainingDocs(users);
-    item_doc_ids = GatherTrainingDocs(item_reviews_, item_docs_, items,
-                                      config_.item_doc_len);
+    item_doc_ids = GatherTrainingDocs(
+        tokens_->target,
+        [this](int item) -> IdSpan {
+          auto it = item_records_.find(item);
+          if (it == item_records_.end()) return {};
+          return it->second;
+        },
+        item_docs_, items, config_.item_doc_len);
   }
 
   // --- Feature Extraction Module (Fig. 2 B) ---
@@ -575,10 +533,23 @@ void RestoreParams(std::vector<nn::Tensor>& params,
                    const std::vector<std::vector<float>>& snapshot) {
   for (size_t i = 0; i < params.size(); ++i) params[i].data() = snapshot[i];
 }
+
+/// glibc keeps freed heap pages resident in its arenas, one per thread that
+/// allocated; hand them back to the OS. The main thread cannot reuse what
+/// another thread's arena holds free.
+void ReleaseFreeHeap() {
+#if defined(__GLIBC__)
+  malloc_trim(0);
+#endif
+}
 }  // namespace
 
 TrainStats OmniMatchTrainer::Train() {
   OM_CHECK(prepared_) << "call Prepare() first";
+  // What evaluation and serving threads freed since the last trim would
+  // otherwise stay resident underneath training's working set, which the
+  // first step allocates, and set the process's peak.
+  ReleaseFreeHeap();
   Stopwatch watch;
   const bool track_validation =
       config_.select_best_epoch && !split_.validation_users.empty();
@@ -722,13 +693,10 @@ TrainStats OmniMatchTrainer::Train() {
   // Evaluation and serving never replay, so from here on the compiled
   // plans' arenas would only hold memory; a later Train() re-records.
   if (graph_exec_ != nullptr) graph_exec_->ReleasePlans();
-#if defined(__GLIBC__)
-  // glibc keeps freed heap pages resident in its arenas. Hand the step
-  // working set (plan arenas, the recording steps' tapes, guard and
-  // validation buffers) back to the OS, so a process that serves after
-  // training does not carry training's high-water mark.
-  malloc_trim(0);
-#endif
+  // Hand the step working set (plan arenas, the recording steps' tapes,
+  // guard and validation buffers) back to the OS, so a process that serves
+  // after training does not carry training's high-water mark.
+  ReleaseFreeHeap();
   TrainStats stats = progress_;
   if (track_validation && !best_params_.empty()) {
     RestoreParams(params, best_params_);
@@ -991,13 +959,10 @@ Status OmniMatchTrainer::LoadCheckpoint(const std::string& path) {
 void OmniMatchTrainer::UseOracleTargetDocs(const std::vector<int>& users) {
   OM_CHECK(prepared_) << "call Prepare() first";
   for (int u : users) {
-    std::vector<std::string> texts;
-    for (int idx : cross_->target().RecordsOfUser(u)) {
-      texts.emplace_back(TextAt(cross_->target(), static_cast<size_t>(idx)));
-    }
-    if (texts.empty()) continue;
+    data::IdSpan records = cross_->target().RecordsOfUser(u);
+    if (records.empty()) continue;
     user_target_docs_[u] =
-        text::BuildDocumentIds(texts, vocab_, config_.doc_len);
+        text::BuildDocument(tokens_->target, records, config_.doc_len);
     // The oracle document replaces the whole ensemble, not just pass 0.
     cold_aux_doc_variants_.erase(u);
   }

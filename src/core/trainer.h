@@ -2,11 +2,10 @@
 #define OMNIMATCH_CORE_TRAINER_H_
 
 #include <array>
+#include <functional>
 #include <memory>
 #include <string>
-#include <string_view>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "common/rng.h"
@@ -126,7 +125,12 @@ class OmniMatchTrainer {
   /// [epochs_completed, config.epochs).
   int epochs_completed() const { return epochs_completed_; }
 
-  const text::Vocabulary& vocabulary() const { return vocab_; }
+  const text::Vocabulary& vocabulary() const;
+  /// The vocabulary and every review as token ids, built once by Prepare()
+  /// and shared (immutable) with any serving corpus built from this run.
+  const std::shared_ptr<const ReviewTokens>& review_tokens() const {
+    return tokens_;
+  }
   const AuxReviewGenerator* aux_generator() const {
     return aux_generator_.get();
   }
@@ -182,10 +186,9 @@ class OmniMatchTrainer {
     std::vector<Rng::State> model_rngs;
   };
 
-  /// The configured text field of record `idx` (works on both dataset
-  /// backends; the view borrows from the dataset).
-  std::string_view TextAt(const data::DomainDataset& domain, size_t idx) const;
-  void BuildVocabulary();
+  /// Record indices a training document is assembled from, by key.
+  using RecordsOf = std::function<IdSpan(int key)>;
+
   void BuildDocuments();
   /// Runs one training batch: forward, backward, hardened gradient clip,
   /// and — only when the gradients are finite — the optimizer step.
@@ -204,16 +207,17 @@ class OmniMatchTrainer {
   std::vector<int> GatherDocs(
       const std::unordered_map<int, std::vector<int>>& docs,
       const std::vector<int>& keys, int doc_len) const;
-  /// Training path: re-assembles each document from its reviews in a fresh
-  /// random order with word dropout; falls back to the fixed documents when
-  /// augmentation is disabled.
+  /// Training path: re-assembles each key's document from its records'
+  /// token spans in `table`, in a fresh random order with word dropout;
+  /// falls back to the fixed documents when augmentation is disabled.
   std::vector<int> GatherTrainingDocs(
-      const std::unordered_map<int, std::vector<std::vector<int>>>& reviews,
+      const text::TokenTable& table, const RecordsOf& records_of,
       const std::unordered_map<int, std::vector<int>>& fixed_docs,
       const std::vector<int>& keys, int doc_len);
-  /// Writes one augmented document assembled from `reviews` (or pads) into
-  /// dst[0, doc_len), drawing shuffle/word-dropout randomness from `rng`.
-  void AssembleTrainingDoc(const std::vector<std::vector<int>>* reviews,
+  /// Writes one augmented document assembled from the token spans of
+  /// `records` in `table` (or pads) into dst[0, doc_len), drawing
+  /// shuffle/word-dropout randomness from `rng`.
+  void AssembleTrainingDoc(const text::TokenTable& table, IdSpan records,
                            int doc_len, Rng* rng, int* dst) const;
   /// Draws one 64-bit value from rng_ from which each document slot derives
   /// an independent child stream; keeps batch assembly parallelizable while
@@ -227,7 +231,7 @@ class OmniMatchTrainer {
   data::ColdStartSplit split_;
   Rng rng_;
 
-  text::Vocabulary vocab_;
+  std::shared_ptr<const ReviewTokens> tokens_;
   std::unique_ptr<AuxReviewGenerator> aux_generator_;
   std::unique_ptr<OmniMatchModel> model_;
   std::unique_ptr<nn::Optimizer> optimizer_;
@@ -238,14 +242,14 @@ class OmniMatchTrainer {
   std::unordered_map<int, std::vector<int>> user_source_docs_;
   std::unordered_map<int, std::vector<int>> user_target_docs_;
   std::unordered_map<int, std::vector<int>> item_docs_;
-  /// Per-review encoded token lists, re-assembled per training batch when
-  /// shuffle_reviews_in_training is on.
-  std::unordered_map<int, std::vector<std::vector<int>>> user_source_reviews_;
-  std::unordered_map<int, std::vector<std::vector<int>>> user_target_reviews_;
-  std::unordered_map<int, std::vector<std::vector<int>>> item_reviews_;
-  /// Auxiliary documents for TRAIN users (cold-start self-simulation),
+  /// Record indices the per-step training documents are re-assembled from
+  /// (shuffle_reviews_in_training / word_dropout); users' own records come
+  /// straight from the dataset's user index. Item records: the training
+  /// users' target records of each item.
+  std::unordered_map<int, std::vector<int>> item_records_;
+  /// Borrowed target records for TRAIN users (cold-start self-simulation),
   /// generated with the user excluded from the eligible like-minded pool.
-  std::unordered_map<int, std::vector<std::vector<int>>> train_aux_reviews_;
+  std::unordered_map<int, std::vector<int>> train_aux_records_;
   /// Extra independently sampled auxiliary documents per cold user
   /// (aux_eval_samples - 1 of them; the first sample is user_target_docs_).
   std::unordered_map<int, std::vector<std::vector<int>>> cold_aux_doc_variants_;

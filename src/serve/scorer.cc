@@ -42,6 +42,11 @@ obs::Histogram* ScoreBatchHist() {
       "serve.score_batch_ns", obs::Histogram::LatencyBoundsNs());
   return h;
 }
+obs::Histogram* ColdDocsHist() {
+  static obs::Histogram* h = obs::MetricsRegistry::Global().GetHistogram(
+      "serve.cold_docs_ns", obs::Histogram::LatencyBoundsNs());
+  return h;
+}
 obs::Histogram* AdmitHist() {
   static obs::Histogram* h = obs::MetricsRegistry::Global().GetHistogram(
       "serve.admit_ns", obs::Histogram::LatencyBoundsNs());
@@ -100,7 +105,10 @@ std::vector<std::shared_ptr<const UserEntry>> Scorer::GetOrAdmit(
         snap.user_source_docs());
     if (d.target[0] == nullptr) {
       // Unknown user: Algorithm 1 online, at admission time.
-      p.owned_docs = snap.BuildColdUserDocs(users[i]);
+      {
+        OM_TRACE_SPAN_TIMED("serve.cold_docs", ColdDocsHist());
+        p.owned_docs = snap.BuildColdUserDocs(users[i]);
+      }
       if (p.owned_docs.empty()) {
         auto entry = std::make_shared<UserEntry>();
         entry->fallback = true;

@@ -102,7 +102,7 @@ Result<std::shared_ptr<const ServingCorpus>> ServingCorpus::Build(
   corpus->config_fingerprint_ = config.Fingerprint();
   corpus->cross_ = cross;
   corpus->global_mean_rating_ = cross->target().GlobalMeanRating();
-  corpus->vocab_ = trainer.vocabulary();
+  corpus->tokens_ = trainer.review_tokens();
   corpus->aux_generator_ = std::make_unique<core::AuxReviewGenerator>(
       cross, split.train_users, config.text_field);
   corpus->user_source_docs_ = trainer.user_source_docs();
@@ -228,8 +228,8 @@ std::vector<std::vector<int>> ModelSnapshot::BuildColdUserDocs(
   // snapshot, independent of request order and of which replica serves it —
   // the same contract the offline parallel GenerateAll uses.
   Rng rng(core::AuxReviewGenerator::PerUserSeed(version_, user_id));
-  return core::ColdStartDocs(aux_generator(), config_, vocabulary(), user_id,
-                             &rng);
+  return core::ColdStartDocs(aux_generator(), config_,
+                             corpus_->review_tokens(), user_id, &rng);
 }
 
 }  // namespace serve

@@ -19,14 +19,16 @@
 namespace omnimatch {
 namespace serve {
 
-/// The frozen inputs a snapshot scores from: the vocabulary, the Algorithm-1
-/// generator, every frozen source/target/item document and cold-user
-/// document variant, the all-pad fallback documents and the target domain's
-/// global mean rating. They are a pure function of (config fingerprint,
-/// dataset, split) — never of a checkpoint's parameters — so one corpus is
-/// built once and shared by every snapshot of the same scenario: a hot swap
-/// between checkpoints of one run reuses the incumbent's corpus instead of
-/// rebuilding it (SnapshotManager::SwapFromCheckpoint).
+/// The frozen inputs a snapshot scores from: the vocabulary and every review
+/// as token ids (core::ReviewTokens, taken over from the trainer that built
+/// them), the Algorithm-1 generator, every frozen source/target/item
+/// document and cold-user document variant, the all-pad fallback documents
+/// and the target domain's global mean rating. They are a pure function of
+/// (config fingerprint, dataset, split) — never of a checkpoint's
+/// parameters — so one corpus is built once and shared by every snapshot of
+/// the same scenario: a hot swap between checkpoints of one run reuses the
+/// incumbent's corpus instead of rebuilding it
+/// (SnapshotManager::SwapFromCheckpoint).
 ///
 /// Immutable after Build() returns, so const references may be shared
 /// freely across threads and across any number of live snapshots; each
@@ -56,7 +58,10 @@ class ServingCorpus {
 
   uint64_t config_fingerprint() const { return config_fingerprint_; }
   const data::CrossDomainDataset* cross() const { return cross_; }
-  const text::Vocabulary& vocabulary() const { return vocab_; }
+  const text::Vocabulary& vocabulary() const { return tokens_->vocab; }
+  /// Every review as token ids; online cold admission builds its documents
+  /// from spans of it.
+  const core::ReviewTokens& review_tokens() const { return *tokens_; }
   const core::AuxReviewGenerator& aux_generator() const {
     return *aux_generator_;
   }
@@ -86,7 +91,7 @@ class ServingCorpus {
   data::ColdStartSplit split_;
 
   float global_mean_rating_ = 0.0f;
-  text::Vocabulary vocab_;
+  std::shared_ptr<const core::ReviewTokens> tokens_;
   std::unique_ptr<core::AuxReviewGenerator> aux_generator_;
   std::unordered_map<int, std::vector<int>> user_source_docs_;
   std::unordered_map<int, std::vector<int>> user_target_docs_;
@@ -214,7 +219,8 @@ class ModelSnapshot {
   /// the RNG is seeded from (version, user_id), so the same user admitted
   /// twice — or on two replicas serving the same snapshot — gets the same
   /// documents. Returns core::ColdStartDocs — the builder the trainer uses
-  /// for its cold users — drawn from that per-user stream. Empty result
+  /// for its cold users — drawn from that per-user stream, assembled from
+  /// the corpus's token table without touching review text. Empty result
   /// when the user has no source records at all.
   std::vector<std::vector<int>> BuildColdUserDocs(int user_id) const;
 

@@ -1,35 +1,26 @@
 #include "text/document.h"
 
+#include <algorithm>
+
 #include "common/check.h"
-#include "text/tokenizer.h"
 
 namespace omnimatch {
 namespace text {
 
-std::vector<std::string> ConcatAndTokenize(
-    const std::vector<std::string>& reviews) {
-  std::vector<std::string> tokens;
-  for (const std::string& review : reviews) {
-    std::vector<std::string> t = Tokenize(review);
-    tokens.insert(tokens.end(), t.begin(), t.end());
-  }
-  return tokens;
-}
-
-std::vector<int> BuildDocumentIds(const std::vector<std::string>& reviews,
-                                  const Vocabulary& vocab, int max_len) {
+std::vector<int> BuildDocument(const TokenTable& table, IdSpan records,
+                               int max_len) {
   OM_CHECK_GT(max_len, 0);
-  std::vector<std::string> tokens = ConcatAndTokenize(reviews);
-  std::vector<int> ids;
-  ids.reserve(static_cast<size_t>(max_len));
-  for (const std::string& tok : tokens) {
-    if (static_cast<int>(ids.size()) >= max_len) break;
-    ids.push_back(vocab.IdOf(tok));
+  const size_t len = static_cast<size_t>(max_len);
+  std::vector<int> doc;
+  doc.reserve(len);
+  for (int r : records) {
+    IdSpan ids = table.Record(static_cast<size_t>(r));
+    const size_t take = std::min(ids.size(), len - doc.size());
+    doc.insert(doc.end(), ids.begin(), ids.begin() + take);
+    if (doc.size() == len) break;
   }
-  while (static_cast<int>(ids.size()) < max_len) {
-    ids.push_back(Vocabulary::kPadId);
-  }
-  return ids;
+  doc.resize(len, Vocabulary::kPadId);
+  return doc;
 }
 
 }  // namespace text

@@ -1,28 +1,22 @@
 #ifndef OMNIMATCH_TEXT_DOCUMENT_H_
 #define OMNIMATCH_TEXT_DOCUMENT_H_
 
-#include <string>
 #include <vector>
 
-#include "text/vocabulary.h"
+#include "text/token_table.h"
 
 namespace omnimatch {
 namespace text {
 
-/// Builds the user/item review document of §4.2: concatenates review texts
-/// (Eq. 1), tokenizes (Eq. 2), encodes against `vocab`, then truncates or
-/// pads with `<pad>` to exactly `max_len` ids.
+/// Builds the user/item review document of §4.2 from already tokenized
+/// reviews: concatenates the id spans of `records` in `table`, in order
+/// (Eq. 1-2), then truncates or pads with `<pad>` to exactly `max_len` ids.
 ///
-/// The paper joins auxiliary reviews with an `<sp>` marker (§5.10); callers
-/// who want that pass the reviews through unchanged — the tokenizer strips
-/// the angle brackets, leaving an "sp" token which acts as the separator if
-/// present in the vocabulary.
-std::vector<int> BuildDocumentIds(const std::vector<std::string>& reviews,
-                                  const Vocabulary& vocab, int max_len);
-
-/// Tokenized (not encoded) concatenation of the reviews, unbounded length.
-std::vector<std::string> ConcatAndTokenize(
-    const std::vector<std::string>& reviews);
+/// The paper joins auxiliary reviews with an `<sp>` marker (§5.10); the
+/// tokenizer strips the angle brackets, leaving an "sp" token which acts as
+/// the separator if a review carries it and it is in the vocabulary.
+std::vector<int> BuildDocument(const TokenTable& table, IdSpan records,
+                               int max_len);
 
 }  // namespace text
 }  // namespace omnimatch

@@ -19,21 +19,6 @@ int Vocabulary::AddToken(const std::string& token) {
   return it->second;
 }
 
-void Vocabulary::BuildFromDocuments(
-    const std::vector<std::vector<std::string>>& docs, int min_count) {
-  OM_CHECK_GE(min_count, 1);
-  std::unordered_map<std::string, int> counts;
-  for (const auto& doc : docs) {
-    for (const auto& tok : doc) ++counts[tok];
-  }
-  // Deterministic insertion order: walk documents again in order.
-  for (const auto& doc : docs) {
-    for (const auto& tok : doc) {
-      if (counts[tok] >= min_count) AddToken(tok);
-    }
-  }
-}
-
 int Vocabulary::IdOf(const std::string& token) const {
   auto it = token_to_id_.find(token);
   return it == token_to_id_.end() ? kUnkId : it->second;

@@ -13,8 +13,8 @@ namespace text {
 /// Token <-> id mapping with reserved ids.
 ///
 /// Id 0 is `<pad>` (document padding), id 1 is `<unk>` (out-of-vocabulary
-/// tokens at encode time). Build the vocabulary once from the training
-/// corpus, then `Encode` any document.
+/// tokens at encode time). The vocabulary of a corpus is built by
+/// TokenizeColumns (text/token_table.h) in the same pass that tokenizes it.
 class Vocabulary {
  public:
   static constexpr int kPadId = 0;
@@ -24,11 +24,6 @@ class Vocabulary {
 
   /// Adds a token (no-op if present); returns its id.
   int AddToken(const std::string& token);
-
-  /// Counts occurrences across `documents` and adds every token appearing
-  /// at least `min_count` times.
-  void BuildFromDocuments(const std::vector<std::vector<std::string>>& docs,
-                          int min_count = 1);
 
   /// Token id, or kUnkId when absent.
   int IdOf(const std::string& token) const;

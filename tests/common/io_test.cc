@@ -7,11 +7,13 @@
 
 #include <gtest/gtest.h>
 
+#include "test_util/temp_dir.h"
+
 namespace omnimatch {
 namespace {
 
 std::string TempPath(const std::string& name) {
-  return testing::TempDir() + "/" + name;
+  return testing_util::TestTempDir() + "/" + name;
 }
 
 TEST(IoTest, WriteAtomicThenReadRoundTrips) {

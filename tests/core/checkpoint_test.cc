@@ -12,6 +12,7 @@
 #include "core/trainer.h"
 #include "data/splits.h"
 #include "data/synthetic.h"
+#include "test_util/temp_dir.h"
 
 namespace omnimatch {
 namespace core {
@@ -42,7 +43,7 @@ OmniMatchConfig TinyModel() {
 }
 
 std::string FreshDir(const std::string& name) {
-  std::string dir = testing::TempDir() + "/" + name;
+  std::string dir = testing_util::TestTempDir() + "/" + name;
   std::filesystem::remove_all(dir);
   return dir;
 }
@@ -86,7 +87,7 @@ CheckpointState SampleState() {
 }
 
 TEST(CheckpointFileTest, SaveLoadRoundTripsEveryField) {
-  std::string path = testing::TempDir() + "/ckpt_roundtrip.omck";
+  std::string path = testing_util::TestTempDir() + "/ckpt_roundtrip.omck";
   CheckpointState s = SampleState();
   ASSERT_TRUE(SaveCheckpointFile(path, s).ok());
   Result<CheckpointState> r = LoadCheckpointFile(path);
@@ -131,14 +132,14 @@ TEST(CheckpointFileTest, MissingFileIsIoError) {
 }
 
 TEST(CheckpointFileTest, TruncationAtEveryBoundaryRejectedCleanly) {
-  std::string path = testing::TempDir() + "/ckpt_trunc_src.omck";
+  std::string path = testing_util::TestTempDir() + "/ckpt_trunc_src.omck";
   ASSERT_TRUE(SaveCheckpointFile(path, SampleState()).ok());
   std::string bytes = ReadFileToString(path).value();
   ASSERT_GT(bytes.size(), 24u);
   // Every prefix: inside the header, at the header/payload boundary,
   // inside and between the payload's sections, and one byte short of
   // complete. Cut in place, longest first.
-  std::string trunc_path = testing::TempDir() + "/ckpt_trunc.omck";
+  std::string trunc_path = testing_util::TestTempDir() + "/ckpt_trunc.omck";
   std::ofstream(trunc_path, std::ios::binary) << bytes;
   for (size_t cut = bytes.size(); cut-- > 0;) {
     std::filesystem::resize_file(trunc_path, cut);
@@ -152,12 +153,12 @@ TEST(CheckpointFileTest, TruncationAtEveryBoundaryRejectedCleanly) {
 }
 
 TEST(CheckpointFileTest, BitFlipAnywhereRejected) {
-  std::string path = testing::TempDir() + "/ckpt_flip_src.omck";
+  std::string path = testing_util::TestTempDir() + "/ckpt_flip_src.omck";
   ASSERT_TRUE(SaveCheckpointFile(path, SampleState()).ok());
   std::string bytes = ReadFileToString(path).value();
   // Every bit of the magic, version, payload size, CRC field and payload:
   // a single flipped bit anywhere must be caught.
-  std::string flip_path = testing::TempDir() + "/ckpt_flip.omck";
+  std::string flip_path = testing_util::TestTempDir() + "/ckpt_flip.omck";
   std::ofstream(flip_path, std::ios::binary) << bytes;
   for (size_t at = 0; at < bytes.size(); ++at) {
     for (int bit = 0; bit < 8; ++bit) {
@@ -176,7 +177,7 @@ TEST(CheckpointFileTest, BitFlipAnywhereRejected) {
 }
 
 TEST(CheckpointFileTest, TrailingGarbageRejected) {
-  std::string path = testing::TempDir() + "/ckpt_trail.omck";
+  std::string path = testing_util::TestTempDir() + "/ckpt_trail.omck";
   ASSERT_TRUE(SaveCheckpointFile(path, SampleState()).ok());
   std::string bytes = ReadFileToString(path).value();
   bytes.push_back('\0');
@@ -188,7 +189,7 @@ TEST(CheckpointFileTest, TrailingGarbageRejected) {
 }
 
 TEST(CheckpointFileTest, UnknownVersionRejected) {
-  std::string path = testing::TempDir() + "/ckpt_version.omck";
+  std::string path = testing_util::TestTempDir() + "/ckpt_version.omck";
   ASSERT_TRUE(SaveCheckpointFile(path, SampleState()).ok());
   std::string bytes = ReadFileToString(path).value();
   bytes[4] = 99;  // version lives at bytes 4-7
@@ -330,7 +331,7 @@ TEST(CheckpointResumeTest, CorruptedCheckpointRejectedByTrainer) {
   OmniMatchTrainer trainer(config, &cross, split);
   ASSERT_TRUE(trainer.Prepare().ok());
   trainer.Train();
-  std::string path = testing::TempDir() + "/ckpt_corrupt.omck";
+  std::string path = testing_util::TestTempDir() + "/ckpt_corrupt.omck";
   ASSERT_TRUE(trainer.SaveCheckpoint(path).ok());
 
   std::string bytes = ReadFileToString(path).value();

@@ -16,6 +16,7 @@
 #include "data/splits.h"
 #include "data/synthetic.h"
 #include "nn/health.h"
+#include "test_util/temp_dir.h"
 
 namespace omnimatch {
 namespace core {
@@ -199,7 +200,7 @@ TEST_F(FaultInjectionTest, CheckpointWriteFaultDoesNotKillTraining) {
   Fixture f;
   OmniMatchConfig config = TinyModel();
   config.checkpoint_every = 1;
-  config.checkpoint_dir = testing::TempDir() + "/ckpt_write_fault";
+  config.checkpoint_dir = testing_util::TestTempDir() + "/ckpt_write_fault";
   std::filesystem::remove_all(config.checkpoint_dir);
   Arm("checkpoint_write@0");  // first save fails
 
@@ -240,7 +241,7 @@ TEST_F(FaultInjectionTest, GuardStateSurvivesCheckpointResume) {
   Fixture f;
   OmniMatchConfig config = TinyModel();
   config.checkpoint_every = 1;
-  config.checkpoint_dir = testing::TempDir() + "/ckpt_guard_resume";
+  config.checkpoint_dir = testing_util::TestTempDir() + "/ckpt_guard_resume";
   std::filesystem::remove_all(config.checkpoint_dir);
 
   // Full run: a NaN gradient at step 2 (epoch 1) forces a recovery with LR

@@ -14,6 +14,7 @@
 #include "core/trainer.h"
 #include "data/splits.h"
 #include "data/synthetic.h"
+#include "test_util/temp_dir.h"
 
 namespace omnimatch {
 namespace core {
@@ -138,7 +139,7 @@ TEST(GraphTrainerTest, RecordedKillAndResumeMatchesEagerBitForBit) {
   data::CrossDomainDataset cross = world.MakePair("Books", "Movies");
   Rng rng(5);
   data::ColdStartSplit split = data::MakeColdStartSplit(cross, &rng);
-  std::string dir = testing::TempDir() + "/graph_resume";
+  std::string dir = testing_util::TestTempDir() + "/graph_resume";
   std::filesystem::remove_all(dir);
 
   OmniMatchTrainer eager(SmallTrainConfig(1, /*graph_exec=*/false), &cross,

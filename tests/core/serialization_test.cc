@@ -10,6 +10,7 @@
 #include "core/trainer.h"
 #include "data/splits.h"
 #include "data/synthetic.h"
+#include "test_util/temp_dir.h"
 
 namespace omnimatch {
 namespace core {
@@ -64,7 +65,7 @@ TEST(SerializationTest, SaveLoadRoundTripReproducesPredictions) {
   OmniMatchTrainer trained(TinyModel(), &cross, split);
   ASSERT_TRUE(trained.Prepare().ok());
   trained.Train();
-  std::string path = testing::TempDir() + "/omnimatch_weights.bin";
+  std::string path = testing_util::TestTempDir() + "/omnimatch_weights.bin";
   ASSERT_TRUE(trained.SaveWeights(path).ok());
 
   OmniMatchTrainer fresh(TinyModel(), &cross, split);
@@ -86,7 +87,7 @@ TEST(SerializationTest, LoadRejectsDifferentArchitecture) {
 
   OmniMatchTrainer trained(TinyModel(), &cross, split);
   ASSERT_TRUE(trained.Prepare().ok());
-  std::string path = testing::TempDir() + "/omnimatch_weights2.bin";
+  std::string path = testing_util::TestTempDir() + "/omnimatch_weights2.bin";
   ASSERT_TRUE(trained.SaveWeights(path).ok());
 
   OmniMatchConfig bigger = TinyModel();
@@ -118,7 +119,7 @@ TEST(SerializationTest, LoadTruncatedFileFails) {
   data::ColdStartSplit split = data::MakeColdStartSplit(cross, &rng);
   OmniMatchTrainer trainer(TinyModel(), &cross, split);
   ASSERT_TRUE(trainer.Prepare().ok());
-  std::string path = testing::TempDir() + "/omnimatch_trunc.bin";
+  std::string path = testing_util::TestTempDir() + "/omnimatch_trunc.bin";
   ASSERT_TRUE(trainer.SaveWeights(path).ok());
   const std::vector<std::vector<float>> weights = ParameterValues(trainer);
   // Truncate the file to half.
@@ -153,7 +154,7 @@ TEST(SerializationTest, LoadCorruptedPayloadFailsAndPreservesWeights) {
   data::ColdStartSplit split = data::MakeColdStartSplit(cross, &rng);
   OmniMatchTrainer trainer(TinyModel(), &cross, split);
   ASSERT_TRUE(trainer.Prepare().ok());
-  std::string path = testing::TempDir() + "/omnimatch_corrupt.bin";
+  std::string path = testing_util::TestTempDir() + "/omnimatch_corrupt.bin";
   ASSERT_TRUE(trainer.SaveWeights(path).ok());
 
   Result<std::string> raw = ReadFileToString(path);
@@ -199,7 +200,7 @@ TEST(SerializationTest, LoadRejectsTrailingGarbage) {
   data::ColdStartSplit split = data::MakeColdStartSplit(cross, &rng);
   OmniMatchTrainer trainer(TinyModel(), &cross, split);
   ASSERT_TRUE(trainer.Prepare().ok());
-  std::string path = testing::TempDir() + "/omnimatch_trailing.bin";
+  std::string path = testing_util::TestTempDir() + "/omnimatch_trailing.bin";
   ASSERT_TRUE(trainer.SaveWeights(path).ok());
 
   std::ofstream(path, std::ios::binary | std::ios::app) << "garbage";
@@ -216,7 +217,7 @@ TEST(SerializationTest, LoadRejectsForeignMagic) {
   data::ColdStartSplit split = data::MakeColdStartSplit(cross, &rng);
   OmniMatchTrainer trainer(TinyModel(), &cross, split);
   ASSERT_TRUE(trainer.Prepare().ok());
-  std::string path = testing::TempDir() + "/omnimatch_notweights.bin";
+  std::string path = testing_util::TestTempDir() + "/omnimatch_notweights.bin";
   std::ofstream(path, std::ios::binary)
       << "this is not a weight file, but it is long enough to have a header";
   Status status = trainer.LoadWeights(path);
@@ -236,7 +237,7 @@ TEST(SerializationTest, SaveOverwritesAtomically) {
   data::ColdStartSplit split = data::MakeColdStartSplit(cross, &rng);
   OmniMatchTrainer trainer(TinyModel(), &cross, split);
   ASSERT_TRUE(trainer.Prepare().ok());
-  std::string path = testing::TempDir() + "/omnimatch_overwrite.bin";
+  std::string path = testing_util::TestTempDir() + "/omnimatch_overwrite.bin";
   ASSERT_TRUE(trainer.SaveWeights(path).ok());
   ASSERT_TRUE(trainer.SaveWeights(path).ok());  // overwrite in place
   ASSERT_TRUE(trainer.LoadWeights(path).ok());

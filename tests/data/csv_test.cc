@@ -7,13 +7,14 @@
 
 #include "data/synthetic.h"
 #include "data/test_domain.h"
+#include "test_util/temp_dir.h"
 
 namespace omnimatch {
 namespace data {
 namespace {
 
 std::string TempPath(const std::string& name) {
-  return testing::TempDir() + "/" + name;
+  return testing_util::TestTempDir() + "/" + name;
 }
 
 TEST(CsvTest, RoundTripPreservesRecords) {

@@ -11,13 +11,14 @@
 #include "data/csv.h"
 #include "data/synthetic.h"
 #include "gtest/gtest.h"
+#include "test_util/temp_dir.h"
 
 namespace omnimatch {
 namespace data {
 namespace {
 
 std::string TempPath(const std::string& name) {
-  return testing::TempDir() + "/" + name;
+  return testing_util::TestTempDir() + "/" + name;
 }
 
 /// Datasets built from the same records must agree record for record AND

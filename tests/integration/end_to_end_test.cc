@@ -12,6 +12,7 @@
 #include "data/splits.h"
 #include "data/synthetic.h"
 #include "eval/runner.h"
+#include "test_util/temp_dir.h"
 
 namespace omnimatch {
 namespace {
@@ -96,8 +97,8 @@ TEST(EndToEndTest, CsvRoundTripTrainsIdentically) {
   data::SyntheticWorld world(SmallWorld());
   data::CrossDomainDataset cross = world.MakePair("Books", "Movies");
 
-  std::string src_path = testing::TempDir() + "/e2e_source.tsv";
-  std::string tgt_path = testing::TempDir() + "/e2e_target.tsv";
+  std::string src_path = testing_util::TestTempDir() + "/e2e_source.tsv";
+  std::string tgt_path = testing_util::TestTempDir() + "/e2e_target.tsv";
   ASSERT_TRUE(data::SaveDomainTsv(cross.source(), src_path).ok());
   ASSERT_TRUE(data::SaveDomainTsv(cross.target(), tgt_path).ok());
   auto src = data::LoadDomainTsv(src_path, "Books");

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "obs/metrics.h"
+#include "test_util/temp_dir.h"
 
 namespace omnimatch {
 namespace obs {
@@ -179,7 +180,7 @@ TEST_F(TraceTest, WriteChromeTraceRoundTripsThroughFile) {
   {
     OM_TRACE_SPAN("trace_test.file");
   }
-  std::string path = ::testing::TempDir() + "/trace_test_out.json";
+  std::string path = testing_util::TestTempDir() + "/trace_test_out.json";
   ASSERT_TRUE(WriteChromeTrace(path));
   std::ifstream in(path);
   ASSERT_TRUE(in.good());

@@ -17,6 +17,7 @@
 #include "data/synthetic.h"
 #include "serve/scorer.h"
 #include "serve/snapshot.h"
+#include "test_util/temp_dir.h"
 
 namespace omnimatch {
 namespace serve {
@@ -66,7 +67,8 @@ QuantWorld* BuildWorld() {
                                                         w->split);
   EXPECT_TRUE(w->trainer->Prepare().ok());
   w->trainer->Train();
-  const std::string path = testing::TempDir() + "/quant_serve_test.omck";
+  const std::string path =
+      testing_util::TestTempDir() + "/quant_serve_test.omck";
   EXPECT_TRUE(w->trainer->SaveCheckpoint(path).ok());
 
   Result<std::shared_ptr<const ModelSnapshot>> plain =

@@ -30,6 +30,7 @@
 #include "serve/server.h"
 #include "serve/snapshot.h"
 #include "serve/snapshot_manager.h"
+#include "test_util/temp_dir.h"
 
 namespace omnimatch {
 namespace serve {
@@ -91,7 +92,7 @@ FaultWorld* BuildWorld() {
                                                           w->split);
   EXPECT_TRUE(w->trainer_a->Prepare().ok());
   w->trainer_a->Train();
-  w->checkpoint_a = testing::TempDir() + "/serve_fault_a.omck";
+  w->checkpoint_a = testing_util::TestTempDir() + "/serve_fault_a.omck";
   EXPECT_TRUE(w->trainer_a->SaveCheckpoint(w->checkpoint_a).ok());
 
   core::OmniMatchConfig config_b = w->config;
@@ -101,7 +102,7 @@ FaultWorld* BuildWorld() {
   EXPECT_TRUE(w->trainer_b->Prepare().ok());
   EXPECT_TRUE(w->trainer_b->LoadCheckpoint(w->checkpoint_a).ok());
   w->trainer_b->Train();  // one more epoch
-  w->checkpoint_b = testing::TempDir() + "/serve_fault_b.omck";
+  w->checkpoint_b = testing_util::TestTempDir() + "/serve_fault_b.omck";
   EXPECT_TRUE(w->trainer_b->SaveCheckpoint(w->checkpoint_b).ok());
 
   auto load = [&](const std::string& path) {
@@ -484,7 +485,7 @@ TEST(SnapshotSwapTest, CorruptCandidateRollsBack) {
     bytes[i] = static_cast<char>(~bytes[i]);
   }
   const std::string corrupt_path =
-      testing::TempDir() + "/serve_fault_corrupt.omck";
+      testing_util::TestTempDir() + "/serve_fault_corrupt.omck";
   std::ofstream(corrupt_path, std::ios::binary).write(bytes.data(),
                                                       bytes.size());
 
@@ -634,7 +635,8 @@ TEST(SnapshotSwapTest, FingerprintMismatchRollsBackOnSharedCorpus) {
   other.seed = w.config.seed + 1;
   core::OmniMatchTrainer trainer(other, &w.cross, w.split);
   ASSERT_TRUE(trainer.Prepare().ok());
-  const std::string path = testing::TempDir() + "/serve_fault_other.omck";
+  const std::string path =
+      testing_util::TestTempDir() + "/serve_fault_other.omck";
   ASSERT_TRUE(trainer.SaveCheckpoint(path).ok());
 
   InferenceServer server(w.snapshot_a, InferenceServer::Options());

@@ -16,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include "common/threadpool.h"
+#include "core/string_documents.h"
 #include "core/trainer.h"
 #include "data/splits.h"
 #include "data/synthetic.h"
@@ -25,6 +26,7 @@
 #include "serve/scorer.h"
 #include "serve/server.h"
 #include "serve/snapshot.h"
+#include "test_util/temp_dir.h"
 
 namespace omnimatch {
 namespace serve {
@@ -82,7 +84,7 @@ ServeWorld* BuildWorld() {
                                                         w->split);
   EXPECT_TRUE(w->trainer->Prepare().ok());
   w->trainer->Train();
-  w->checkpoint_path = testing::TempDir() + "/serve_test.omck";
+  w->checkpoint_path = testing_util::TestTempDir() + "/serve_test.omck";
   EXPECT_TRUE(w->trainer->SaveCheckpoint(w->checkpoint_path).ok());
 
   Result<std::shared_ptr<const ModelSnapshot>> loaded = ModelSnapshot::Load(
@@ -141,7 +143,8 @@ TEST(ModelSnapshotTest, LoadRejectsFingerprintMismatch) {
 TEST(ModelSnapshotTest, LoadRejectsMissingFile) {
   ServeWorld& w = World();
   Result<std::shared_ptr<const ModelSnapshot>> loaded = ModelSnapshot::Load(
-      w.config, &w.cross, w.split, testing::TempDir() + "/nonexistent.omck");
+      w.config, &w.cross, w.split,
+      testing_util::TestTempDir() + "/nonexistent.omck");
   ASSERT_FALSE(loaded.ok());
 }
 
@@ -162,8 +165,8 @@ TEST(ModelSnapshotTest, LoadLeavesProcessGlobalStateAlone) {
 
   core::OmniMatchConfig config = w.config;
   config.num_threads = 0;
-  config.trace_out = testing::TempDir() + "/unused_trace.json";
-  config.metrics_out = testing::TempDir() + "/unused_metrics.jsonl";
+  config.trace_out = testing_util::TestTempDir() + "/unused_trace.json";
+  config.metrics_out = testing_util::TestTempDir() + "/unused_metrics.jsonl";
   Result<std::shared_ptr<const ModelSnapshot>> loaded =
       ModelSnapshot::Load(config, &w.cross, w.split, w.checkpoint_path);
   const int threads_after = GetNumThreads();
@@ -241,6 +244,33 @@ TEST(ScorerTest, ColdAdmissionIsDeterministic) {
   // The docs themselves are reproducible too.
   EXPECT_EQ(w.snapshot->BuildColdUserDocs(user),
             w.snapshot->BuildColdUserDocs(user));
+}
+
+TEST(ModelSnapshotTest, ColdUserDocsMatchStringPath) {
+  // Online admission assembles documents from the corpus's token table. The
+  // string path it replaced — tokenize every borrowed review again — must
+  // give the same vocabulary and, draw for draw, the same documents for
+  // every source-only user.
+  ServeWorld& w = World();
+  const ModelSnapshot& snap = *w.snapshot;
+  const text::Vocabulary vocab = core::string_documents::Vocabulary(
+      w.cross, w.split.train_users, w.config.text_field,
+      w.config.min_vocab_count);
+  ASSERT_EQ(snap.vocabulary().size(), vocab.size());
+  for (int id = 0; id < vocab.size(); ++id) {
+    ASSERT_EQ(snap.vocabulary().TokenOf(id), vocab.TokenOf(id)) << id;
+  }
+  int checked = 0;
+  for (int u : w.cross.source().users()) {
+    if (w.cross.target().HasUser(u)) continue;
+    Rng rng(core::AuxReviewGenerator::PerUserSeed(snap.version(), u));
+    ASSERT_EQ(snap.BuildColdUserDocs(u),
+              core::string_documents::ColdStartDocs(
+                  snap.aux_generator(), snap.config(), vocab, u, &rng))
+        << "source-only user " << u;
+    ++checked;
+  }
+  EXPECT_GT(checked, 0);
 }
 
 TEST(UserEmbeddingCacheTest, LruEvictionAndHitAccounting) {
@@ -422,7 +452,7 @@ TEST(ScorerTest, HybridInferenceMatchesTrainer) {
   core::OmniMatchTrainer trainer(config, &cross, split);
   ASSERT_TRUE(trainer.Prepare().ok());
   trainer.Train();
-  const std::string path = testing::TempDir() + "/serve_hybrid.omck";
+  const std::string path = testing_util::TestTempDir() + "/serve_hybrid.omck";
   ASSERT_TRUE(trainer.SaveCheckpoint(path).ok());
 
   Result<std::shared_ptr<const ModelSnapshot>> loaded =

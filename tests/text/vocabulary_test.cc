@@ -1,8 +1,12 @@
 #include "text/vocabulary.h"
 
 #include <cstdio>
+#include <string_view>
 
 #include <gtest/gtest.h>
+
+#include "test_util/temp_dir.h"
+#include "text/token_table.h"
 
 namespace omnimatch {
 namespace text {
@@ -32,18 +36,28 @@ TEST(VocabularyTest, UnknownMapsToUnk) {
   EXPECT_FALSE(v.Contains("unknown"));
 }
 
-TEST(VocabularyTest, BuildFromDocumentsWithMinCount) {
+/// A one-column TokenizeColumns input over `docs`, every record counted.
+TextColumn CountedColumn(const std::vector<std::string>& docs) {
+  TextColumn column;
+  column.num_records = docs.size();
+  column.text = [&docs](size_t r) { return std::string_view(docs[r]); };
+  column.counted = [](size_t) { return true; };
+  return column;
+}
+
+TEST(VocabularyTest, TokenizeColumnsWithMinCount) {
   Vocabulary v;
-  v.BuildFromDocuments({{"rare", "common"}, {"common"}}, /*min_count=*/2);
+  const std::vector<std::string> docs = {"rare common", "common"};
+  TokenizeColumns({CountedColumn(docs)}, /*min_count=*/2, &v);
   EXPECT_TRUE(v.Contains("common"));
   EXPECT_FALSE(v.Contains("rare"));
 }
 
-TEST(VocabularyTest, BuildIsDeterministic) {
+TEST(VocabularyTest, TokenizeColumnsIsDeterministic) {
   Vocabulary a, b;
-  std::vector<std::vector<std::string>> docs = {{"x", "y"}, {"z", "x"}};
-  a.BuildFromDocuments(docs);
-  b.BuildFromDocuments(docs);
+  const std::vector<std::string> docs = {"x y", "z x"};
+  TokenizeColumns({CountedColumn(docs)}, 1, &a);
+  TokenizeColumns({CountedColumn(docs)}, 1, &b);
   EXPECT_EQ(a.IdOf("x"), b.IdOf("x"));
   EXPECT_EQ(a.IdOf("z"), b.IdOf("z"));
 }
@@ -61,7 +75,7 @@ TEST(VocabularyTest, SaveLoadRoundTrip) {
   Vocabulary v;
   v.AddToken("alpha");
   v.AddToken("beta");
-  std::string path = testing::TempDir() + "/vocab_roundtrip.txt";
+  std::string path = testing_util::TestTempDir() + "/vocab_roundtrip.txt";
   ASSERT_TRUE(v.Save(path).ok());
   auto loaded = Vocabulary::Load(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
@@ -71,7 +85,7 @@ TEST(VocabularyTest, SaveLoadRoundTrip) {
 }
 
 TEST(VocabularyTest, LoadRejectsGarbage) {
-  std::string path = testing::TempDir() + "/vocab_garbage.txt";
+  std::string path = testing_util::TestTempDir() + "/vocab_garbage.txt";
   FILE* f = fopen(path.c_str(), "w");
   fputs("not-a-vocab\nfile\n", f);
   fclose(f);
