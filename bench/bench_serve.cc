@@ -29,14 +29,7 @@
 //                 [--linger_us=200] [--cache_capacity=4096]
 //                 [--executors=4] [--max_queue=256] [--deadline_ms=50]
 //                 [--overload_requests=3000] [--overload_burst=300]
-//                 [--degraded_p99_budget_ms=1000] [--quant]
-//
-// --quant serves from the int8 quantized rating head (calibrated at
-// snapshot load, runtime-dispatched kernels — see DESIGN.md "Quantized
-// inference & CPU dispatch") instead of the float32 head. All identity
-// checks still hold: the quantized path is bit-deterministic across
-// batch composition, executor count, and thread count, so the reference
-// scorer (built from the same snapshot) sees identical scores.
+//                 [--degraded_p99_budget_ms=1000]
 //
 // --check turns the run into a self-gating smoke test: the process fails
 // unless every request resolved (zero drops), every score was finite and
@@ -175,7 +168,6 @@ int main(int argc, char** argv) {
   const int clients = flags.GetInt("clients", smoke ? 2 : 4);
   const int requests = flags.GetInt("requests", smoke ? 300 : 4000);
   const double target_qps = flags.GetDouble("qps", smoke ? 500.0 : 2000.0);
-  const bool quant = flags.GetBool("quant", false);
   const int overload_requests =
       flags.GetInt("overload_requests", smoke ? 900 : 3000);
   const int overload_burst = flags.GetInt("overload_burst", 300);
@@ -262,7 +254,6 @@ int main(int argc, char** argv) {
   }
 
   serve::ModelSnapshot::Options snap_options;
-  snap_options.quantize = quant;
   auto load_snapshot = [&](const std::string& path)
       -> std::shared_ptr<const serve::ModelSnapshot> {
     Result<std::shared_ptr<const serve::ModelSnapshot>> loaded =

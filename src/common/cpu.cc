@@ -34,10 +34,7 @@ IsaLevel ProbeHardware() {
   // __builtin_cpu_supports executes cpuid once and caches (GCC and Clang);
   // it checks the OS-enabled state too (XGETBV), not just the CPU bit, so a
   // "yes" means the instructions are actually executable.
-  if (__builtin_cpu_supports("avx512f") &&
-      __builtin_cpu_supports("avx512bw")) {
-    return IsaLevel::kAvx512;
-  }
+  if (__builtin_cpu_supports("avx512f")) return IsaLevel::kAvx512;
   if (__builtin_cpu_supports("avx2")) return IsaLevel::kAvx2;
   return IsaLevel::kScalar;
 #else

@@ -5,26 +5,26 @@
 
 namespace omnimatch {
 
-/// Runtime CPU-feature detection backing the per-ISA kernel dispatch
-/// (src/nn/gemm/int8_*). The build compiles every kernel flavor the
-/// *compiler* supports into dedicated translation units with scoped arch
-/// flags; which flavor actually runs is decided here, once, at startup —
-/// so one portable binary runs everywhere and still uses the widest vector
-/// unit the host has. This replaces the old global `-march=native` story,
+/// Runtime CPU-feature detection backing the per-ISA kernel dispatch of
+/// the float GEMM and the text-CNN kernel (src/nn/gemm/). The build
+/// compiles every kernel flavor the *compiler* supports into dedicated
+/// translation units with scoped arch flags; which flavor actually runs is
+/// decided here, once, at startup — so one portable binary runs everywhere
+/// and still uses the widest vector unit the host has. This replaces the old global `-march=native` story,
 /// where a binary built on a new machine would SIGILL on an older one.
 ///
 /// Levels are ordered: a CPU reporting a level supports every lower level
 /// too (kNeon is the aarch64 baseline and never coexists with the x86
 /// levels). Dispatch therefore clamps, never jumps.
 enum class IsaLevel {
-  kScalar = 0,  // plain C++, every target
+  kScalar = 0,  // the portable flavors, every target
   kNeon = 1,    // aarch64 baseline SIMD
-  kAvx2 = 2,    // x86-64 AVX2 (+FMA not required: int8 path is integer-only)
-  kAvx512 = 3,  // x86-64 AVX-512F+BW
+  kAvx2 = 2,    // x86-64 AVX2 (FMA not required: no kernel fuses mul-add)
+  kAvx512 = 3,  // x86-64 AVX-512F
 };
 
 /// Lower-case stable name ("scalar", "neon", "avx2", "avx512") — used in
-/// logs, metrics, BENCH_quant.json, and the OMNIMATCH_ISA override.
+/// logs, test messages and the OMNIMATCH_ISA override.
 const char* IsaName(IsaLevel level);
 
 /// Parses IsaName() output. Returns false on an unknown name.
@@ -36,7 +36,7 @@ bool ParseIsaName(const std::string& name, IsaLevel* out);
 IsaLevel DetectedIsa();
 
 /// The level dispatch should use: DetectedIsa() unless the OMNIMATCH_ISA
-/// environment variable names a *lower* level (forcing, e.g., the scalar
+/// environment variable names a *lower* level (forcing, e.g., the portable
 /// kernels in the portable CI lane). Asking for a level the hardware does
 /// not support clamps to DetectedIsa() with a warning — running it would
 /// SIGILL, which is exactly the bug this layer exists to prevent. An

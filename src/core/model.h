@@ -80,14 +80,6 @@ class OmniMatchModel : public nn::Module {
   const OmniMatchConfig& config() const { return config_; }
   int vocab_size() const { return vocab_size_; }
 
-  /// Frozen-weight access for the quantized serving head
-  /// (serve/quant_head.h): the rating-path modules RatingLogits() drives.
-  /// interaction_proj() is null when use_interaction_features is off.
-  const nn::Linear* interaction_proj() const {
-    return interaction_proj_.get();
-  }
-  const nn::Mlp& rating_classifier() const { return *rating_classifier_; }
-
   /// The model's private dropout stream. Exposed so checkpoints can capture
   /// and restore it — training consumes it every batch, and resuming
   /// bit-for-bit requires the exact stream position.

@@ -138,19 +138,9 @@ std::vector<std::vector<float>> ExtractItemRows(
   return out;
 }
 
-void FloatLogits::RatingLogits(const float* user, const float* item, int rows,
-                               std::vector<float>* logits) const {
-  const int f = model_->config().feature_dim;
-  const size_t n = static_cast<size_t>(rows);
-  Tensor users = Tensor::FromData(
-      {rows, 2 * f}, std::vector<float>(user, user + n * 2 * f));
-  Tensor items =
-      Tensor::FromData({rows, f}, std::vector<float>(item, item + n * f));
-  *logits = model_->RatingLogits(users, items).data();
-}
-
-std::vector<float> ExpectedRatings(const LogitsBackend& logits,
+std::vector<float> ExpectedRatings(OmniMatchModel* model,
                                    const std::vector<ScorePair>& pairs) {
+  const int f = model->config().feature_dim;
   // One rating-head row per (pair, pass, readout), in accumulation order,
   // gathered and scored kHeadChunkRows at a time, so the working set is one
   // chunk however many pairs there are.
@@ -161,7 +151,9 @@ std::vector<float> ExpectedRatings(const LogitsBackend& logits,
   auto flush = [&]() {
     if (row_pair.empty()) return;
     const int rows = static_cast<int>(row_pair.size());
-    logits.RatingLogits(user_data.data(), item_data.data(), rows, &out);
+    const Tensor users = Tensor::FromData({rows, 2 * f}, user_data);
+    const Tensor items = Tensor::FromData({rows, f}, item_data);
+    out = model->RatingLogits(users, items).data();
     const int classes = static_cast<int>(out.size()) / rows;
     for (int r = 0; r < rows; ++r) {
       const float* row = out.data() + static_cast<size_t>(r) * classes;

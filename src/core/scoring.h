@@ -10,10 +10,10 @@ namespace omnimatch {
 namespace core {
 
 /// The one implementation of OmniMatch's cold-start scoring math, shared by
-/// trainer evaluation, the serving Scorer and int8 calibration:
-/// ExtractUserRows turns documents into per-pass representation rows, and
-/// ExpectedRatings turns (user rows, item row) pairs into ensemble-averaged
-/// expected ratings through a LogitsBackend. Every forward here is
+/// trainer evaluation and the serving Scorer: ExtractUserRows turns
+/// documents into per-pass representation rows, and ExpectedRatings turns
+/// (user rows, item row) pairs into ensemble-averaged expected ratings
+/// through the model's rating head. Every forward here is
 /// row-independent (fixed-order GEMM accumulation, per-row conv/pooling,
 /// eval-mode dropout), so batching and chunking never change an output
 /// bit: a pair's score depends only on its own user's documents and item.
@@ -56,39 +56,19 @@ std::vector<UserRows> ExtractUserRows(OmniMatchModel* model,
 std::vector<std::vector<float>> ExtractItemRows(
     OmniMatchModel* model, const std::vector<const std::vector<int>*>& docs);
 
-/// Rating logits for row-aligned user and item representation rows.
-class LogitsBackend {
- public:
-  virtual ~LogitsBackend() = default;
-  /// Logits [rows, num_classes] for user rows [rows, user_width] and item
-  /// rows [rows, item_width]; `logits` is resized and overwritten.
-  virtual void RatingLogits(const float* user, const float* item, int rows,
-                            std::vector<float>* logits) const = 0;
-};
-
-/// The float backend: OmniMatchModel::RatingLogits (Eq. 18) in eval mode.
-class FloatLogits final : public LogitsBackend {
- public:
-  explicit FloatLogits(OmniMatchModel* model) : model_(model) {}
-  void RatingLogits(const float* user, const float* item, int rows,
-                    std::vector<float>* logits) const override;
-
- private:
-  OmniMatchModel* model_;
-};
-
 /// One (user, item) pair to score.
 struct ScorePair {
   const UserRows* user = nullptr;
   const std::vector<float>* item = nullptr;
 };
 
-/// Expected rating sum_c c·softmax(logits)_c per pair (max-subtracted exp
+/// Expected rating sum_c c·softmax(logits)_c per pair, with the logits from
+/// OmniMatchModel::RatingLogits (Eq. 18) in eval mode (max-subtracted exp
 /// in double, final product in float), averaged over the pair's own user
 /// ensemble: each readout is weighted 1/(passes · readouts) and accumulated
 /// in the order pass 0 plain, pass 0 hybrid, pass 1 plain, ... Every user
 /// must have at least one pass.
-std::vector<float> ExpectedRatings(const LogitsBackend& logits,
+std::vector<float> ExpectedRatings(OmniMatchModel* model,
                                    const std::vector<ScorePair>& pairs);
 
 }  // namespace core

@@ -741,7 +741,7 @@ std::vector<float> OmniMatchTrainer::PredictBatch(
     pairs.push_back(
         {&user_rows[user_slot[s.user]], &item_rows[item_slot[s.item]]});
   }
-  return ExpectedRatings(FloatLogits(model_.get()), pairs);
+  return ExpectedRatings(model_.get(), pairs);
 }
 
 eval::Metrics OmniMatchTrainer::Evaluate(const std::vector<int>& users) {

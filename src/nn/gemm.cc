@@ -2,12 +2,13 @@
 
 #include <algorithm>
 #include <cstddef>
-#include <cstring>
 #include <string>
 #include <vector>
 
+#include "common/cpu.h"
 #include "common/threadpool.h"
 #include "nn/elemwise.h"
+#include "nn/gemm/gemm_kernel.h"
 #include "obs/metrics.h"
 
 namespace omnimatch {
@@ -32,118 +33,48 @@ void CountGemm(obs::Counter* calls, int m_dim, int k_dim, int n_dim) {
   GemmFlops()->Add(2LL * m_dim * k_dim * n_dim);
 }
 
-// Micro-tile: kMR x kNR accumulators live in registers across the K loop.
-// 8 rows x 32 columns = 16 zmm accumulators under AVX-512 (half the
-// register file), or spills gracefully to narrower ISAs — correctness never
-// depends on the vector width.
-constexpr int kMR = 8;
-constexpr int kNR = 32;
 // Cache blocking: a kMC x kKC packed A block (~128 KiB) targets L2, a
 // kKC x kNC packed B block streams through the micro-kernel panel by panel.
 constexpr int kMC = 128;
 constexpr int kKC = 256;
 constexpr int kNC = 512;
 
-// Computes a kMR x kNR tile of C from packed panels.
-// ap: kc x kMR (column i is row i0+i of A), bp: kc x kNR, both zero-padded.
-// The full-tile path reads and writes C directly; edge tiles go through a
-// local buffer so the zero padding never leaks out of bounds.
-void MicroKernel(const float* ap, const float* bp, int kc, float* c, int ldc,
-                 int mr, int nr) {
-  float acc[kMR * kNR];
-  if (mr == kMR && nr == kNR) {
-    for (int i = 0; i < kMR; ++i) {
-      for (int j = 0; j < kNR; ++j) acc[i * kNR + j] = c[i * ldc + j];
-    }
-    for (int k = 0; k < kc; ++k) {
-      const float* arow = ap + static_cast<size_t>(k) * kMR;
-      const float* brow = bp + static_cast<size_t>(k) * kNR;
-      for (int i = 0; i < kMR; ++i) {
-        float av = arow[i];
-        for (int j = 0; j < kNR; ++j) acc[i * kNR + j] += av * brow[j];
-      }
-    }
-    for (int i = 0; i < kMR; ++i) {
-      for (int j = 0; j < kNR; ++j) c[i * ldc + j] = acc[i * kNR + j];
-    }
-  } else {
-    std::memset(acc, 0, sizeof(acc));
-    for (int k = 0; k < kc; ++k) {
-      const float* arow = ap + static_cast<size_t>(k) * kMR;
-      const float* brow = bp + static_cast<size_t>(k) * kNR;
-      for (int i = 0; i < kMR; ++i) {
-        float av = arow[i];
-        for (int j = 0; j < kNR; ++j) acc[i * kNR + j] += av * brow[j];
-      }
-    }
-    for (int i = 0; i < mr; ++i) {
-      for (int j = 0; j < nr; ++j) c[i * ldc + j] += acc[i * kNR + j];
-    }
-  }
+/// SelectKernel(ActiveIsa()), resolved once.
+const gemm::Kernel& ActiveKernel() {
+  static const gemm::Kernel& kernel = gemm::SelectKernel(ActiveIsa());
+  return kernel;
 }
 
-/// Packs rows [0, mc) x cols [0, kc) of an A view into kMR-tall strips
-/// (ap[strip][k][i]), zero-padding the last strip to kMR rows.
-/// trans == false: element (i, k) = a[i * lda + k]. trans == true: element
-/// (i, k) = a[k * lda + i], i.e. A is stored [K, M].
-void PackA(const float* a, int lda, bool trans, int mc, int kc, float* ap) {
-  for (int i0 = 0; i0 < mc; i0 += kMR) {
-    int mr = std::min(kMR, mc - i0);
-    if (!trans) {
-      for (int k = 0; k < kc; ++k) {
-        float* dst = ap + static_cast<size_t>(k) * kMR;
-        for (int i = 0; i < mr; ++i) {
-          dst[i] = a[static_cast<size_t>(i0 + i) * lda + k];
-        }
-        for (int i = mr; i < kMR; ++i) dst[i] = 0.0f;
-      }
-    } else {
-      for (int k = 0; k < kc; ++k) {
-        const float* src = a + static_cast<size_t>(k) * lda + i0;
-        float* dst = ap + static_cast<size_t>(k) * kMR;
-        for (int i = 0; i < mr; ++i) dst[i] = src[i];
-        for (int i = mr; i < kMR; ++i) dst[i] = 0.0f;
-      }
-    }
-    ap += static_cast<size_t>(kc) * kMR;
+}  // namespace
+
+namespace gemm {
+
+// Compiled with the default portable flags: this file only takes the
+// addresses of the per-ISA entry points, so no wide instruction can run
+// before cpuid approves it.
+const Kernel& SelectKernel(IsaLevel level) {
+#if defined(OMNIMATCH_HAVE_AVX512)
+  if (level == IsaLevel::kAvx512) return isa_avx512::kKernel;
+#endif
+#if defined(OMNIMATCH_HAVE_AVX2)
+  if (level == IsaLevel::kAvx2 || level == IsaLevel::kAvx512) {
+    return isa_avx2::kKernel;
   }
+#endif
+  (void)level;
+  return isa_portable::kKernel;
 }
 
-/// Packs rows [0, kc) x cols [0, nc) of a B view into kNR-wide panels
-/// (bp[panel][k][j]), zero-padding the last panel to kNR columns.
-/// trans == false: element (k, j) = b[k * ldb + j]. trans == true: element
-/// (k, j) = b[j * ldb + k], i.e. B is stored [N, K].
-void PackB(const float* b, int ldb, bool trans, int kc, int nc, float* bp) {
-  for (int j0 = 0; j0 < nc; j0 += kNR) {
-    int nr = std::min(kNR, nc - j0);
-    if (!trans) {
-      for (int k = 0; k < kc; ++k) {
-        const float* src = b + static_cast<size_t>(k) * ldb + j0;
-        float* dst = bp + static_cast<size_t>(k) * kNR;
-        for (int j = 0; j < nr; ++j) dst[j] = src[j];
-        for (int j = nr; j < kNR; ++j) dst[j] = 0.0f;
-      }
-    } else {
-      for (int k = 0; k < kc; ++k) {
-        float* dst = bp + static_cast<size_t>(k) * kNR;
-        for (int j = 0; j < nr; ++j) {
-          dst[j] = b[static_cast<size_t>(j0 + j) * ldb + k];
-        }
-        for (int j = nr; j < kNR; ++j) dst[j] = 0.0f;
-      }
-    }
-    bp += static_cast<size_t>(kc) * kNR;
-  }
-}
+namespace {
 
 /// C[M,N] += opA(A) * opB(B). The outer loops follow the BLIS scheme
 /// (jc -> pc -> ic); rows of C are sharded over the thread pool inside each
 /// (jc, pc) block, every task packing its own A strips into a thread-local
 /// buffer. Per C element the K dimension is accumulated in ascending order
 /// regardless of sharding, so results are thread-count invariant.
-void BlockedGemm(const float* a, int lda, bool trans_a, const float* b,
-                 int ldb, bool trans_b, float* c, int m_dim, int k_dim,
-                 int n_dim) {
+void BlockedGemm(const Kernel& kernel, const float* a, int lda, bool trans_a,
+                 const float* b, int ldb, bool trans_b, float* c, int m_dim,
+                 int k_dim, int n_dim) {
   if (m_dim <= 0 || k_dim <= 0 || n_dim <= 0) return;
   static thread_local std::vector<float> bpack;
   for (int jc = 0; jc < n_dim; jc += kNC) {
@@ -155,7 +86,7 @@ void BlockedGemm(const float* a, int lda, bool trans_a, const float* b,
       const float* bblock = trans_b
                                 ? b + static_cast<size_t>(jc) * ldb + pc
                                 : b + static_cast<size_t>(pc) * ldb + jc;
-      PackB(bblock, ldb, trans_b, kc, nc, bpack.data());
+      kernel.pack_b(bblock, ldb, trans_b, kc, nc, bpack.data());
       const float* bp = bpack.data();
 
       int mstrips = (m_dim + kMR - 1) / kMR;
@@ -172,19 +103,8 @@ void BlockedGemm(const float* a, int lda, bool trans_a, const float* b,
           const float* ablock = trans_a
                                     ? a + static_cast<size_t>(pc) * lda + ic
                                     : a + static_cast<size_t>(ic) * lda + pc;
-          PackA(ablock, lda, trans_a, mc, kc, apack.data());
-          for (int i0 = 0; i0 < mc; i0 += kMR) {
-            const float* ap =
-                apack.data() + static_cast<size_t>(i0 / kMR) * kc * kMR;
-            int mr = std::min(kMR, mc - i0);
-            for (int j0 = 0; j0 < nc; j0 += kNR) {
-              int nr = std::min(kNR, nc - j0);
-              MicroKernel(ap, bp + static_cast<size_t>(j0 / kNR) * kc * kNR,
-                          kc,
-                          c + static_cast<size_t>(ic + i0) * n_dim + jc + j0,
-                          n_dim, mr, nr);
-            }
-          }
+          kernel.block(ablock, lda, trans_a, mc, kc, nc, bp, apack.data(),
+                       c + static_cast<size_t>(ic) * n_dim + jc, n_dim);
         }
       });
     }
@@ -193,36 +113,30 @@ void BlockedGemm(const float* a, int lda, bool trans_a, const float* b,
 
 }  // namespace
 
-void GemmNN(const float* a, const float* b, float* c, int m_dim, int k_dim,
-            int n_dim) {
-  static obs::Counter* const calls = GemmCallCounter("nn");
-  CountGemm(calls, m_dim, k_dim, n_dim);
-  BlockedGemm(a, k_dim, /*trans_a=*/false, b, n_dim, /*trans_b=*/false, c,
-              m_dim, k_dim, n_dim);
+void GemmWith(const Kernel& kernel, Layout layout, const float* a,
+              const float* b, float* c, int m_dim, int k_dim, int n_dim) {
+  switch (layout) {
+    case Layout::kNN:
+      BlockedGemm(kernel, a, k_dim, /*trans_a=*/false, b, n_dim,
+                  /*trans_b=*/false, c, m_dim, k_dim, n_dim);
+      return;
+    case Layout::kNT:
+      BlockedGemm(kernel, a, k_dim, /*trans_a=*/false, b, k_dim,
+                  /*trans_b=*/true, c, m_dim, k_dim, n_dim);
+      return;
+    case Layout::kTN:
+      BlockedGemm(kernel, a, m_dim, /*trans_a=*/true, b, n_dim,
+                  /*trans_b=*/false, c, m_dim, k_dim, n_dim);
+      return;
+  }
 }
 
-void GemmNT(const float* a, const float* b, float* c, int m_dim, int k_dim,
-            int n_dim) {
-  static obs::Counter* const calls = GemmCallCounter("nt");
-  CountGemm(calls, m_dim, k_dim, n_dim);
-  BlockedGemm(a, k_dim, /*trans_a=*/false, b, k_dim, /*trans_b=*/true, c,
-              m_dim, k_dim, n_dim);
-}
-
-void GemmTN(const float* a, const float* b, float* c, int m_dim, int k_dim,
-            int n_dim) {
-  static obs::Counter* const calls = GemmCallCounter("tn");
-  CountGemm(calls, m_dim, k_dim, n_dim);
-  BlockedGemm(a, m_dim, /*trans_a=*/true, b, n_dim, /*trans_b=*/false, c,
-              m_dim, k_dim, n_dim);
-}
-
-void FusedLinearForward(const float* a, const float* b, const float* bias,
-                        float* c, int m_dim, int k_dim, int n_dim,
-                        bool relu) {
+void FusedLinearForwardWith(const Kernel& kernel, const float* a,
+                            const float* b, const float* bias, float* c,
+                            int m_dim, int k_dim, int n_dim, bool relu) {
   size_t total = static_cast<size_t>(m_dim) * n_dim;
   std::fill(c, c + total, 0.0f);
-  GemmNN(a, b, c, m_dim, k_dim, n_dim);
+  GemmWith(kernel, Layout::kNN, a, b, c, m_dim, k_dim, n_dim);
   // Row sharding and the ReLU expression match the eager AddRowBroadcast /
   // Relu kernels exactly (including `v > 0 ? v : 0`, which maps -0.0f to
   // +0.0f the same way), keeping fused output bit-identical to unfused.
@@ -236,6 +150,41 @@ void FusedLinearForward(const float* a, const float* b, const float* bias,
                   }
                 }
               });
+}
+
+}  // namespace gemm
+
+void GemmNN(const float* a, const float* b, float* c, int m_dim, int k_dim,
+            int n_dim) {
+  static obs::Counter* const calls = GemmCallCounter("nn");
+  CountGemm(calls, m_dim, k_dim, n_dim);
+  gemm::GemmWith(ActiveKernel(), gemm::Layout::kNN, a, b, c, m_dim, k_dim,
+                 n_dim);
+}
+
+void GemmNT(const float* a, const float* b, float* c, int m_dim, int k_dim,
+            int n_dim) {
+  static obs::Counter* const calls = GemmCallCounter("nt");
+  CountGemm(calls, m_dim, k_dim, n_dim);
+  gemm::GemmWith(ActiveKernel(), gemm::Layout::kNT, a, b, c, m_dim, k_dim,
+                 n_dim);
+}
+
+void GemmTN(const float* a, const float* b, float* c, int m_dim, int k_dim,
+            int n_dim) {
+  static obs::Counter* const calls = GemmCallCounter("tn");
+  CountGemm(calls, m_dim, k_dim, n_dim);
+  gemm::GemmWith(ActiveKernel(), gemm::Layout::kTN, a, b, c, m_dim, k_dim,
+                 n_dim);
+}
+
+void FusedLinearForward(const float* a, const float* b, const float* bias,
+                        float* c, int m_dim, int k_dim, int n_dim,
+                        bool relu) {
+  static obs::Counter* const calls = GemmCallCounter("nn");
+  CountGemm(calls, m_dim, k_dim, n_dim);
+  gemm::FusedLinearForwardWith(ActiveKernel(), a, b, bias, c, m_dim, k_dim,
+                               n_dim, relu);
 }
 
 namespace reference {

@@ -12,11 +12,11 @@ namespace nn {
 /// All variants *accumulate* (C += ...) over row-major contiguous C[M, N].
 /// The BLIS-style structure: B is packed once per (N-block, K-block) into
 /// kNR-wide panels, A is packed per M-block into kMR-tall strips, and an
-/// 8x32 register-tiled micro-kernel (auto-vectorized; 16 zmm accumulators
-/// with AVX-512) does the FLOPs. Work is sharded over rows of C on the
-/// shared ThreadPool; each output element is produced by exactly one task
-/// and K is always walked in ascending order, so results are bit-identical
-/// for every thread count.
+/// 8x32 register tile does the FLOPs in the widest flavor the CPU runs
+/// (portable, AVX2 or AVX-512F; nn/gemm/gemm_kernel.h). Work is sharded
+/// over rows of C on the shared ThreadPool; each output element is produced
+/// by exactly one task in an order fixed by the tile alone, so results are
+/// bit-identical for every thread count and every flavor.
 
 /// C[M,N] += A[M,K] * B[K,N].
 void GemmNN(const float* a, const float* b, float* c, int m_dim, int k_dim,

@@ -59,7 +59,7 @@ void ForwardDocs(const TapBank& bank, const float* x, int length,
                  int doc_begin, int doc_end, float* p, int* arg, float* out,
                  int* argmax);
 }
-#if defined(OMNIMATCH_INT8_HAVE_AVX2)
+#if defined(OMNIMATCH_HAVE_AVX2)
 namespace isa_avx2 {
 void ForwardDocs(const TapBank& bank, const float* x, int length,
                  int doc_begin, int doc_end, float* p, int* arg, float* out,

@@ -51,12 +51,6 @@ class Mlp : public Module {
   Rng::State rng_state() const { return rng_.GetState(); }
   void set_rng_state(const Rng::State& state) { rng_.SetState(state); }
 
-  /// Read access to the stacked affine layers — the quantized inference
-  /// path (nn/quant.h) mirrors this Mlp layer by layer from the frozen
-  /// weights.
-  size_t num_layers() const { return layers_.size(); }
-  const Linear& layer(size_t i) const { return *layers_[i]; }
-
  private:
   std::vector<std::unique_ptr<Linear>> layers_;
   float dropout_;

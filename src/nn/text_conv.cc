@@ -18,7 +18,7 @@ namespace textconv {
 // addresses of the per-ISA entry points, so no wide instruction can run
 // before cpuid approves it.
 ForwardDocsFn SelectKernel(IsaLevel level) {
-#if defined(OMNIMATCH_INT8_HAVE_AVX2)
+#if defined(OMNIMATCH_HAVE_AVX2)
   if (level == IsaLevel::kAvx2 || level == IsaLevel::kAvx512) {
     return &isa_avx2::ForwardDocs;
   }

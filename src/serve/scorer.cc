@@ -52,6 +52,16 @@ obs::Histogram* AdmitHist() {
       "serve.admit_ns", obs::Histogram::LatencyBoundsNs());
   return h;
 }
+obs::Histogram* ItemRowsHist() {
+  static obs::Histogram* h = obs::MetricsRegistry::Global().GetHistogram(
+      "serve.item_rows_ns", obs::Histogram::LatencyBoundsNs());
+  return h;
+}
+obs::Histogram* HeadHist() {
+  static obs::Histogram* h = obs::MetricsRegistry::Global().GetHistogram(
+      "serve.head_ns", obs::Histogram::LatencyBoundsNs());
+  return h;
+}
 
 }  // namespace
 
@@ -210,8 +220,11 @@ std::vector<ScoredValue> Scorer::ScoreBatchWith(
       item_docs.push_back(core::FindDoc(snap->item_docs(), requests[i].item));
     }
   }
-  std::vector<std::vector<float>> item_rows =
-      core::ExtractItemRows(model, item_docs);
+  std::vector<std::vector<float>> item_rows;
+  {
+    OM_TRACE_SPAN_TIMED("serve.item_rows", ItemRowsHist());
+    item_rows = core::ExtractItemRows(model, item_docs);
+  }
 
   std::vector<size_t> scored;
   std::vector<core::ScorePair> pairs;
@@ -225,14 +238,11 @@ std::vector<ScoredValue> Scorer::ScoreBatchWith(
     pairs.push_back({entry, &item_rows[item_slot[requests[i].item]]});
   }
   if (pairs.empty()) return out;
-  // The --quant serving mode swaps only the logits backend for the int8
-  // head; rows, weighting and the softmax readout are shared.
-  const core::FloatLogits float_logits(model);
-  const core::LogitsBackend& logits =
-      snap->quant_head() != nullptr
-          ? static_cast<const core::LogitsBackend&>(*snap->quant_head())
-          : float_logits;
-  std::vector<float> scores = core::ExpectedRatings(logits, pairs);
+  std::vector<float> scores;
+  {
+    OM_TRACE_SPAN_TIMED("serve.head", HeadHist());
+    scores = core::ExpectedRatings(model, pairs);
+  }
   for (size_t k = 0; k < scored.size(); ++k) out[scored[k]].score = scores[k];
   return out;
 }

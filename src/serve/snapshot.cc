@@ -1,6 +1,5 @@
 #include "serve/snapshot.h"
 
-#include <algorithm>
 #include <utility>
 
 #include "common/check.h"
@@ -8,7 +7,6 @@
 #include "common/string_util.h"
 #include "common/threadpool.h"
 #include "core/checkpoint.h"
-#include "core/scoring.h"
 #include "core/trainer.h"
 #include "nn/tensor.h"
 #include "obs/trace.h"
@@ -28,59 +26,6 @@ uint64_t SnapshotVersion(uint64_t fingerprint, int32_t epochs, int64_t steps,
   v = SplitMix64(v ^ static_cast<uint64_t>(steps));
   v = SplitMix64(v ^ (used_best_params ? 0x5eedULL : 0));
   return v;
-}
-
-/// Representative (user representation, item representation) pairs for
-/// quantization calibration, computed by the shared scoring routine over
-/// the frozen primary documents in sorted-id order (deterministic: the
-/// sample — and therefore every calibrated scale — is a pure function of
-/// the snapshot). When hybrid inference is on, each pair also contributes
-/// its hybrid row (source-invariant ⊕ target-specific): the quantized head
-/// serves those rows too, so calibration must see their distribution.
-QuantizedRatingHead::CalibrationSample BuildCalibrationSample(
-    const ModelSnapshot& snap, int max_rows) {
-  QuantizedRatingHead::CalibrationSample sample;
-  if (max_rows <= 0) return sample;
-
-  std::vector<int> user_ids, item_ids;
-  user_ids.reserve(snap.user_target_docs().size());
-  for (const auto& kv : snap.user_target_docs()) user_ids.push_back(kv.first);
-  item_ids.reserve(snap.item_docs().size());
-  for (const auto& kv : snap.item_docs()) item_ids.push_back(kv.first);
-  if (user_ids.empty() || item_ids.empty()) return sample;
-  std::sort(user_ids.begin(), user_ids.end());
-  std::sort(item_ids.begin(), item_ids.end());
-
-  // Pair r is (user r mod U, item r mod I).
-  const int pairs = std::min<int>(
-      max_rows,
-      static_cast<int>(std::max(user_ids.size(), item_ids.size())));
-  std::vector<core::UserDocs> user_docs(static_cast<size_t>(pairs));
-  std::vector<const std::vector<int>*> item_docs;
-  for (size_t r = 0; r < user_docs.size(); ++r) {
-    const int user = user_ids[r % user_ids.size()];
-    user_docs[r].target = {core::FindDoc(snap.user_target_docs(), user)};
-    user_docs[r].source = core::FindDoc(snap.user_source_docs(), user);
-    item_docs.push_back(
-        core::FindDoc(snap.item_docs(), item_ids[r % item_ids.size()]));
-  }
-  const std::vector<core::UserRows> users =
-      core::ExtractUserRows(snap.model(), user_docs);
-  const std::vector<std::vector<float>> items =
-      core::ExtractItemRows(snap.model(), item_docs);
-
-  const int readouts = snap.config().use_hybrid_inference ? 2 : 1;
-  for (int readout = 0; readout < readouts; ++readout) {
-    for (size_t r = 0; r < users.size(); ++r) {
-      const std::vector<float>& row =
-          readout == 0 ? users[r].rep_rows[0] : users[r].hybrid_rows[0];
-      sample.user_rows.insert(sample.user_rows.end(), row.begin(), row.end());
-      sample.item_rows.insert(sample.item_rows.end(), items[r].begin(),
-                              items[r].end());
-    }
-  }
-  sample.rows = readouts * pairs;
-  return sample;
 }
 
 }  // namespace
@@ -201,17 +146,6 @@ Result<std::shared_ptr<const ModelSnapshot>> ModelSnapshot::Load(
   snapshot->version_ = SnapshotVersion(state.config_fingerprint,
                                        state.epochs_completed, state.steps,
                                        use_best);
-
-  if (options.quantize) {
-    // Calibrate and quantize the rating head against the float model just
-    // installed. Runs the float eval path, so it must come after the
-    // parameters and eval mode are in place. Null (float serving) when the
-    // frozen world is empty — nothing to calibrate against.
-    QuantizedRatingHead::CalibrationSample sample = BuildCalibrationSample(
-        *snapshot, options.quant.calibration_rows);
-    snapshot->quant_head_ =
-        QuantizedRatingHead::Build(*snapshot->model_, options.quant, sample);
-  }
   return std::shared_ptr<const ModelSnapshot>(std::move(snapshot));
 }
 

@@ -12,8 +12,6 @@
 #include "core/model.h"
 #include "data/dataset.h"
 #include "data/splits.h"
-#include "nn/quant.h"
-#include "serve/quant_head.h"
 #include "text/vocabulary.h"
 
 namespace omnimatch {
@@ -103,8 +101,7 @@ class ServingCorpus {
 };
 
 /// Read-only inference state for one checkpoint: the model parameters (the
-/// best-epoch snapshot when present), the optional int8 head and the
-/// version digest, on top of a shared ServingCorpus holding the frozen
+/// best-epoch snapshot when present) and the version digest, on top of a shared ServingCorpus holding the frozen
 /// documents — nothing trainable, no optimizer accumulators, no RNG streams
 /// (eval never draws).
 ///
@@ -131,16 +128,6 @@ class ModelSnapshot {
     /// (select_best_epoch runs); fall back to the live parameters
     /// otherwise.
     bool prefer_best_params = true;
-    /// Build the int8 quantized rating head at load (--quant serving mode):
-    /// a float calibration pass over sampled frozen representations fixes
-    /// the activation scales, then the per-request two-GEMM rating head
-    /// runs on the runtime-dispatched int8 kernels. Admission, extractors
-    /// and the cache stay float32. OFF by default — the default serving
-    /// path runs the float backend of the scoring routine trainer
-    /// evaluation uses (core/scoring.h), so it is bit-identical to it.
-    bool quantize = false;
-    /// Calibration / planning knobs for the quantized head.
-    nn::quant::QuantOptions quant;
   };
 
   /// Loads a snapshot for serving the given scenario on a freshly built
@@ -161,8 +148,7 @@ class ModelSnapshot {
       const std::string& checkpoint_path);
   /// Loads a checkpoint onto an existing corpus, which must have been built
   /// for `config` (same fingerprint; checked). Reads the checkpoint,
-  /// installs its parameters and builds the int8 head when asked — the
-  /// whole cost of a hot swap between checkpoints of one scenario. The
+  /// installs its parameters — the whole cost of a hot swap between checkpoints of one scenario. The
   /// overloads above build a corpus and come here.
   static Result<std::shared_ptr<const ModelSnapshot>> Load(
       const core::OmniMatchConfig& config,
@@ -229,11 +215,6 @@ class ModelSnapshot {
   /// driven from any number of scoring threads concurrently.
   core::OmniMatchModel* model() const { return model_.get(); }
 
-  /// The int8 rating head, or null when Options::quantize was off (or the
-  /// frozen world offered no calibration rows). Immutable after Load, like
-  /// everything else here — safe to drive from every executor thread.
-  const QuantizedRatingHead* quant_head() const { return quant_head_.get(); }
-
  private:
   ModelSnapshot() = default;
 
@@ -241,7 +222,6 @@ class ModelSnapshot {
   uint64_t version_ = 0;
   std::shared_ptr<const ServingCorpus> corpus_;
   std::unique_ptr<core::OmniMatchModel> model_;
-  std::unique_ptr<QuantizedRatingHead> quant_head_;
 };
 
 }  // namespace serve

@@ -30,8 +30,8 @@ namespace serve {
 /// config fingerprint, same dataset object, same split —
 /// ServingCorpus::Matches), it is loaded onto the incumbent's frozen
 /// ServingCorpus instead of a rebuilt one. A swap between checkpoints of
-/// one run therefore costs a checkpoint read, the parameter install, the
-/// int8 head build when quantizing, and the golden probes. Any other
+/// one run therefore costs a checkpoint read, the parameter install and
+/// the golden probes. Any other
 /// scenario gets a fresh corpus, exactly as ModelSnapshot::Load builds it.
 ///
 /// Rollback is therefore trivial and implicit: on ANY failure — unreadable

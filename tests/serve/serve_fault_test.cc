@@ -551,41 +551,36 @@ TEST(SnapshotSwapTest, ProbeValidationRejectsNonFiniteParameters) {
 
 // A swap between checkpoints of the serving scenario loads the candidate
 // onto the incumbent's frozen corpus; its answers must equal a fresh load of
-// the same checkpoint bit for bit, in float and in int8 mode.
+// the same checkpoint bit for bit.
 TEST(SnapshotSwapTest, SameScenarioSwapSharesCorpusBitIdentically) {
   FaultGuard guard;
   FaultWorld& w = World();
   const std::vector<ScoreRequest> pairs = CorpusPairs();
-  for (const bool quantize : {false, true}) {
-    SCOPED_TRACE(quantize ? "int8" : "float");
-    SnapshotManager::Options options;
-    options.snapshot_options.quantize = quantize;
-    Result<std::shared_ptr<const ModelSnapshot>> incumbent =
-        ModelSnapshot::Load(w.config, &w.cross, w.split, w.checkpoint_a,
-                            options.snapshot_options);
-    ASSERT_TRUE(incumbent.ok()) << incumbent.status().ToString();
-    InferenceServer server(incumbent.value(), InferenceServer::Options());
-    SnapshotManager manager(&server, options);
+  SnapshotManager::Options options;
+  Result<std::shared_ptr<const ModelSnapshot>> incumbent =
+      ModelSnapshot::Load(w.config, &w.cross, w.split, w.checkpoint_a,
+                          options.snapshot_options);
+  ASSERT_TRUE(incumbent.ok()) << incumbent.status().ToString();
+  InferenceServer server(incumbent.value(), InferenceServer::Options());
+  SnapshotManager manager(&server, options);
 
-    const Status swapped = manager.SwapFromCheckpoint(
-        w.config, &w.cross, w.split, w.checkpoint_b);
-    ASSERT_TRUE(swapped.ok()) << swapped.ToString();
-    const std::shared_ptr<const ModelSnapshot> candidate =
-        server.scorer().CurrentSnapshot();
-    EXPECT_EQ(&incumbent.value()->item_docs(), &candidate->item_docs());
-    EXPECT_EQ(quantize, candidate->quant_head() != nullptr);
+  const Status swapped = manager.SwapFromCheckpoint(w.config, &w.cross,
+                                                    w.split, w.checkpoint_b);
+  ASSERT_TRUE(swapped.ok()) << swapped.ToString();
+  const std::shared_ptr<const ModelSnapshot> candidate =
+      server.scorer().CurrentSnapshot();
+  EXPECT_EQ(&incumbent.value()->item_docs(), &candidate->item_docs());
 
-    Result<std::shared_ptr<const ModelSnapshot>> fresh = ModelSnapshot::Load(
-        w.config, &w.cross, w.split, w.checkpoint_b, options.snapshot_options);
-    ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
-    EXPECT_NE(&fresh.value()->item_docs(), &candidate->item_docs());
-    EXPECT_EQ(fresh.value()->version(), candidate->version());
-    const std::vector<float> want = ScoreAll(fresh.value(), pairs);
-    EXPECT_EQ(want, ScoreAll(candidate, pairs));
-    for (size_t i = 0; i < pairs.size(); ++i) {
-      EXPECT_EQ(want[i], server.Score(pairs[i].user, pairs[i].item))
-          << "pair " << i;
-    }
+  Result<std::shared_ptr<const ModelSnapshot>> fresh = ModelSnapshot::Load(
+      w.config, &w.cross, w.split, w.checkpoint_b, options.snapshot_options);
+  ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
+  EXPECT_NE(&fresh.value()->item_docs(), &candidate->item_docs());
+  EXPECT_EQ(fresh.value()->version(), candidate->version());
+  const std::vector<float> want = ScoreAll(fresh.value(), pairs);
+  EXPECT_EQ(want, ScoreAll(candidate, pairs));
+  for (size_t i = 0; i < pairs.size(); ++i) {
+    EXPECT_EQ(want[i], server.Score(pairs[i].user, pairs[i].item))
+        << "pair " << i;
   }
 }
 
