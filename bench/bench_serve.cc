@@ -8,7 +8,7 @@
 //     the latency the coalescing adds under saturation.
 //   * open loop — one dispatcher paces ScoreAsync calls at a target
 //     arrival rate; queue wait is charged to the request, so coordinated
-//     omission does not hide linger/batching delays.
+//     omission does not hide queueing delays.
 //   * overload — bursts far beyond the queue bound, with every serve
 //     fault-injection point armed (queue_admit, executor_score,
 //     serve_slow, snapshot_load) and three mid-traffic snapshot swap
@@ -26,8 +26,8 @@
 //   ./bench_serve [--out=BENCH_serve.json] [--smoke] [--check]
 //                 [--users=200] [--epochs=2] [--clients=4]
 //                 [--requests=4000] [--qps=2000] [--max_batch=32]
-//                 [--linger_us=200] [--cache_capacity=4096]
-//                 [--executors=4] [--max_queue=256] [--deadline_ms=50]
+//                 [--cache_capacity=4096] [--executors=4]
+//                 [--max_queue=256] [--deadline_ms=50]
 //                 [--overload_requests=3000] [--overload_burst=300]
 //                 [--degraded_p99_budget_ms=1000]
 //
@@ -175,7 +175,6 @@ int main(int argc, char** argv) {
       flags.GetDouble("degraded_p99_budget_ms", 1000.0);
   serve::InferenceServer::Options options;
   options.max_batch = flags.GetInt("max_batch", 32);
-  options.linger_us = flags.GetInt("linger_us", 200);
   options.cache_capacity =
       static_cast<size_t>(flags.GetInt("cache_capacity", 4096));
   options.executors = flags.GetInt("executors", 4);
@@ -588,12 +587,10 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(version_a),
       static_cast<unsigned long long>(version_b));
   json += StrFormat(
-      "  \"options\": {\"max_batch\": %d, \"linger_us\": %lld, "
-      "\"cache_capacity\": %lld, \"executors\": %d, \"max_queue\": %lld, "
-      "\"deadline_ms\": %lld},\n",
-      options.max_batch, static_cast<long long>(options.linger_us),
-      static_cast<long long>(options.cache_capacity), options.executors,
-      static_cast<long long>(options.max_queue),
+      "  \"options\": {\"max_batch\": %d, \"cache_capacity\": %lld, "
+      "\"executors\": %d, \"max_queue\": %lld, \"deadline_ms\": %lld},\n",
+      options.max_batch, static_cast<long long>(options.cache_capacity),
+      options.executors, static_cast<long long>(options.max_queue),
       static_cast<long long>(options.deadline_ms));
   json += "  \"phases\": [\n";
   for (size_t i = 0; i < phases.size(); ++i) {

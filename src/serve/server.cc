@@ -14,11 +14,9 @@ namespace serve {
 
 namespace {
 
-int64_t NowNs() {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
+/// Request timestamps share the trace clock, so a serve.queue_wait span
+/// lines up with every other span of an exported trace.
+int64_t NowNs() { return obs::internal::TraceNowNs(); }
 
 obs::Counter* RequestCounter() {
   static obs::Counter* c =
@@ -99,7 +97,6 @@ InferenceServer::InferenceServer(
       scorer_(std::make_unique<Scorer>(std::move(snapshot),
                                        options.cache_capacity)) {
   OM_CHECK_GE(options_.max_batch, 1);
-  OM_CHECK_GE(options_.linger_us, 0);
   OM_CHECK_GE(options_.executors, 1);
   OM_CHECK_GE(options_.deadline_ms, 0);
   OM_CHECK_GT(options_.degrade_cached_fill, 0.0);
@@ -198,29 +195,18 @@ void InferenceServer::ExecutorLoop() {
   std::vector<Pending> expired;
   while (true) {
     ScoreMode mode = ScoreMode::kFull;
+    int64_t dispatch_ns = 0;
     {
       std::unique_lock<std::mutex> lock(mu_);
       cv_.wait(lock, [this] { return stopping_ || !queue_.empty(); });
       if (queue_.empty() && stopping_) return;
-      if (static_cast<int>(queue_.size()) < options_.max_batch &&
-          !stopping_ && options_.linger_us > 0) {
-        // Linger is measured from the OLDEST request's arrival, not from
-        // when the executor noticed it: a request never waits more than
-        // linger_us for co-batchees regardless of executor scheduling.
-        const int64_t remaining_ns = options_.linger_us * 1000 -
-                                     (NowNs() - queue_.front().enqueue_ns);
-        if (remaining_ns > 0) {
-          cv_.wait_for(lock, std::chrono::nanoseconds(remaining_ns), [this] {
-            return stopping_ ||
-                   static_cast<int>(queue_.size()) >= options_.max_batch;
-          });
-        }
-      }
+      // Work-conserving: take what is queued now, up to max_batch, and never
+      // wait for more. Batches still form while every executor is busy,
+      // because arrivals pile up in the queue meanwhile.
       // Tier from the PRE-POP fill level: the pressure that queued these
-      // requests is what degradation should react to. (Another executor may
-      // have raced us to the front — a now-empty queue just loops around.)
+      // requests is what degradation should react to.
       mode = PickMode(queue_.size());
-      const int64_t now_ns = NowNs();
+      dispatch_ns = NowNs();
       batch.clear();
       expired.clear();
       while (static_cast<int>(batch.size()) < options_.max_batch &&
@@ -229,7 +215,7 @@ void InferenceServer::ExecutorLoop() {
         queue_.pop_front();
         // A request already past its deadline is answered here, unscored:
         // the caller has given up, model time on it is pure waste.
-        if (p.deadline_ns > 0 && now_ns > p.deadline_ns) {
+        if (p.deadline_ns > 0 && dispatch_ns > p.deadline_ns) {
           ++stats_.deadline_exceeded;
           expired.push_back(std::move(p));
           continue;
@@ -261,21 +247,27 @@ void InferenceServer::ExecutorLoop() {
     // Pin the snapshot for the whole batch: a swap landing mid-batch takes
     // effect from the NEXT dispatch, and every response reports the version
     // that actually produced it.
-    RunBatch(scorer_->CurrentSnapshot(), &batch, mode);
+    RunBatch(scorer_->CurrentSnapshot(), &batch, mode, dispatch_ns);
   }
 }
 
 void InferenceServer::RunBatch(
     const std::shared_ptr<const ModelSnapshot>& snap,
-    std::vector<Pending>* batch, ScoreMode mode) {
-  const int64_t start_ns = NowNs();
+    std::vector<Pending>* batch, ScoreMode mode, int64_t dispatch_ns) {
   const bool metrics = obs::MetricsEnabled();
   if (metrics) {
     BatchCounter()->Increment();
     BatchSizeHist()->Observe(static_cast<double>(batch->size()));
     for (const Pending& p : *batch) {
-      QueueWaitHist()->Observe(static_cast<double>(start_ns - p.enqueue_ns));
+      QueueWaitHist()->Observe(
+          static_cast<double>(dispatch_ns - p.enqueue_ns));
     }
+  }
+  if (obs::TracingEnabled()) {
+    // The batch's queue wait: from its oldest request's arrival (the queue
+    // is FIFO, so the front) to dispatch.
+    obs::internal::RecordSpan("serve.queue_wait", batch->front().enqueue_ns,
+                              dispatch_ns);
   }
 
   std::vector<ScoreRequest> requests(batch->size());

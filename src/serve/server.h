@@ -22,11 +22,11 @@ namespace serve {
 /// GEMM-friendly micro-batches and drives the Scorer.
 ///
 /// Batching semantics (see DESIGN.md "Serving"): an arriving request is
-/// appended to the queue. An executor dispatches a batch as soon as
-/// max_batch requests are waiting, or when the OLDEST waiting request has
-/// lingered linger_us microseconds — whichever comes first. An idle
-/// executor picks up a lone request after at most one linger, so the
-/// worst-case added latency is bounded while bursts still coalesce.
+/// appended to the queue, and dispatch is work-conserving. An executor
+/// that finds the queue non-empty takes up to max_batch requests at once
+/// and never waits for more, so a request reaching an idle server is
+/// scored at once; requests arriving while every executor is busy pile up
+/// and leave together as one batch.
 ///
 /// Results are bit-identical to unbatched single-threaded scoring: every
 /// kernel on the scoring path is row-independent and the eval forward
@@ -68,9 +68,6 @@ class InferenceServer {
   struct Options {
     /// Max requests per dispatched batch.
     int max_batch = 32;
-    /// Max time the oldest queued request waits before dispatch, in
-    /// microseconds. 0 = dispatch whatever is queued immediately.
-    int64_t linger_us = 200;
     /// User-embedding cache capacity (entries).
     size_t cache_capacity = 4096;
     /// Executor threads draining the queue concurrently. Results are
@@ -154,10 +151,11 @@ class InferenceServer {
   };
 
   void ExecutorLoop();
-  /// Scores one dispatched batch at the given tier against `snap` and
-  /// fulfills its promises.
+  /// Scores one batch, popped from the queue at `dispatch_ns`, at the given
+  /// tier against `snap` and fulfills its promises.
   void RunBatch(const std::shared_ptr<const ModelSnapshot>& snap,
-                std::vector<Pending>* batch, ScoreMode mode);
+                std::vector<Pending>* batch, ScoreMode mode,
+                int64_t dispatch_ns);
   /// Tier for a batch dispatched while the queue held `queued` requests.
   ScoreMode PickMode(size_t queued) const;
 

@@ -205,7 +205,6 @@ TEST(AdmissionTest, FullQueueRejectsOverloaded) {
   InferenceServer::Options options;
   options.executors = 1;
   options.max_batch = 1;
-  options.linger_us = 0;
   options.max_queue = 4;
   options.degrade_fallback_fill = 1.1;  // keep the tier ladder out of this
   options.degrade_cached_fill = 1.1;
@@ -249,7 +248,6 @@ TEST(AdmissionTest, ExpiredRequestsAnsweredDeadlineExceeded) {
   InferenceServer::Options options;
   options.executors = 1;
   options.max_batch = 1;
-  options.linger_us = 0;
   options.deadline_ms = 5;
   InferenceServer server(w.snapshot_a, options);
 
@@ -300,7 +298,6 @@ TEST(AdmissionTest, StatsLedgerBalances) {
   InferenceServer::Options options;
   options.executors = 1;
   options.max_batch = 4;
-  options.linger_us = 0;
   options.max_queue = 64;
   options.deadline_ms = 10;
   InferenceServer server(w.snapshot_a, options);
@@ -352,24 +349,32 @@ TEST(DegradationTest, QueuePressureDegradesToGlobalMean) {
   FaultGuard guard;
   FaultWorld& w = World();
   const std::vector<ScoreRequest> pairs = SomePairs(4, 2);
-  ASSERT_GE(pairs.size(), 4u);
+  // A lone request fills 1/8 of the queue, below degrade_cached_fill.
+  ASSERT_GE(pairs.size(), 8u);
+  // The first batch, a lone request scored at full tier, stalls in an
+  // injected serve_slow sleep; the fired() spin makes the stall certain
+  // before the queue is filled, so the executor provably sees the queue at
+  // 100% fill when it picks the next batch's tier.
+  ASSERT_TRUE(
+      FaultInjector::Global().ArmFromString("serve_slow@0:mag=200").ok());
   InferenceServer::Options options;
   options.executors = 1;
-  // Dispatch triggers on the COUNT condition, never the clock: the batch
-  // size equals the submission count, and the linger is far beyond any
-  // plausible scheduling delay, so the executor provably sees the queue at
-  // 100% fill when it picks the tier.
   options.max_batch = static_cast<int>(pairs.size());
-  options.linger_us = 10000000;
   options.max_queue = pairs.size();
   options.degrade_cached_fill = 0.2;
   options.degrade_fallback_fill = 0.5;
   InferenceServer server(w.snapshot_a, options);
 
+  std::future<ScoreResult> stalled =
+      server.ScoreAsync(pairs[0].user, pairs[0].item);
+  while (FaultInjector::Global().fired() < 1) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
   std::vector<std::future<ScoreResult>> futures;
   for (const ScoreRequest& p : pairs) {
     futures.push_back(server.ScoreAsync(p.user, p.item));
   }
+  EXPECT_EQ(RequestStatus::kOk, stalled.get().status);
   for (auto& f : futures) {
     const ScoreResult r = f.get();
     // The queue was at 100% fill at dispatch: the whole batch sheds to the
@@ -379,7 +384,7 @@ TEST(DegradationTest, QueuePressureDegradesToGlobalMean) {
   }
   EXPECT_EQ(static_cast<int64_t>(pairs.size()),
             server.stats().served_degraded_fallback);
-  EXPECT_EQ(0, server.stats().served_full);
+  EXPECT_EQ(1, server.stats().served_full);  // the stalled request only
 }
 
 TEST(DegradationTest, ForcedCachedTierServesHitsExactAndMissesMean) {
@@ -387,7 +392,6 @@ TEST(DegradationTest, ForcedCachedTierServesHitsExactAndMissesMean) {
   FaultWorld& w = World();
   InferenceServer::Options options;
   options.executors = 1;
-  options.linger_us = 0;
   InferenceServer server(w.snapshot_a, options);
 
   const std::vector<ScoreRequest> pairs = SomePairs(2, 1);
@@ -421,7 +425,6 @@ TEST(DegradationTest, ForcedFallbackTierBypassesModel) {
   FaultWorld& w = World();
   InferenceServer::Options options;
   options.executors = 1;
-  options.linger_us = 0;
   InferenceServer server(w.snapshot_a, options);
   ASSERT_TRUE(FaultInjector::Global()
                   .ArmFromString("executor_score@0:mag=2,count=1000")
@@ -438,7 +441,6 @@ TEST(SnapshotSwapTest, SwapServesNewVersionAndEvictsStaleEntries) {
   FaultWorld& w = World();
   InferenceServer::Options options;
   options.executors = 2;
-  options.linger_us = 0;
   InferenceServer server(w.snapshot_a, options);
   SnapshotManager manager(&server);
 
@@ -671,7 +673,6 @@ TEST(SnapshotSwapTest, ConcurrentTrafficAcrossSwapIsVersionConsistent) {
   InferenceServer::Options options;
   options.executors = 4;
   options.max_batch = 8;
-  options.linger_us = 200;
   options.cache_capacity = 8;  // churn: evictions while swapping
   options.max_queue = 0;       // unbounded: every request scores at full tier
   Result<std::shared_ptr<const ModelSnapshot>> first =
@@ -761,7 +762,6 @@ TEST(ServeFaultEnvTest, SurvivesEnvArmedFaultsUnderTraffic) {
   InferenceServer::Options options;
   options.executors = 4;
   options.max_batch = 8;
-  options.linger_us = 100;
   options.max_queue = 64;
   options.deadline_ms = 200;
   InferenceServer server(w.snapshot_a, options);

@@ -4,6 +4,7 @@
 // suite runs in the TSan lane — see scripts/check.sh).
 
 #include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <future>
 #include <iterator>
@@ -16,6 +17,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/fault.h"
 #include "common/threadpool.h"
 #include "core/string_documents.h"
 #include "core/trainer.h"
@@ -110,6 +112,30 @@ ServeWorld& World() {
   static ServeWorld* world = BuildWorld();
   return *world;
 }
+
+/// Stalls the server's (single) executor: arms an injected serve_slow
+/// sleep of `stall_ms` on the first dispatched batch, submits `first` as
+/// that batch, and returns once the executor is inside the sleep. Requests
+/// submitted before the sleep ends queue behind it, so a test can build a
+/// backlog without racing the executor. The caller disarms the registry.
+std::future<ScoreResult> StallExecutor(InferenceServer* server,
+                                       const ScoreRequest& first,
+                                       int stall_ms) {
+  EXPECT_TRUE(FaultInjector::Global()
+                  .ArmFromString("serve_slow@0:mag=" + std::to_string(stall_ms))
+                  .ok());
+  std::future<ScoreResult> stalled = server->ScoreAsync(first.user, first.item);
+  while (FaultInjector::Global().fired() < 1) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return stalled;
+}
+
+/// Disarms the global fault registry on entry and exit.
+struct FaultGuard {
+  FaultGuard() { FaultInjector::Global().Disarm(); }
+  ~FaultGuard() { FaultInjector::Global().Disarm(); }
+};
 
 /// A spread of (user, item) pairs: cold test users, train users, several
 /// items per user (the second item per user exercises the cache-hit path).
@@ -388,17 +414,23 @@ TEST(ScorerTest, EvictionForcesBitIdenticalRecompute) {
 }
 
 TEST(InferenceServerTest, CoalescesBurstIntoFewBatches) {
+  FaultGuard guard;
   ServeWorld& w = World();
   InferenceServer::Options options;
-  options.max_batch = 32;
-  options.linger_us = 100000;  // 100ms: far above the enqueue loop's cost
+  options.executors = 1;
+  options.max_batch = 8;
   InferenceServer server(w.snapshot, options);
 
   std::vector<ScoreRequest> pairs = ReferencePairs();
+  ASSERT_GT(pairs.size(), static_cast<size_t>(options.max_batch));
+  // The burst queues behind a stalled batch of one (300 ms: far above the
+  // enqueue loop's cost), so the executor finds all of it waiting.
+  std::future<ScoreResult> stalled = StallExecutor(&server, pairs[0], 300);
   std::vector<std::future<ScoreResult>> futures;
   for (const ScoreRequest& p : pairs) {
     futures.push_back(server.ScoreAsync(p.user, p.item));
   }
+  EXPECT_EQ(RequestStatus::kOk, stalled.get().status);
   std::vector<float> got;
   for (auto& f : futures) {
     const ScoreResult r = f.get();
@@ -408,17 +440,74 @@ TEST(InferenceServerTest, CoalescesBurstIntoFewBatches) {
   }
   server.Shutdown();
 
-  EXPECT_EQ(static_cast<int64_t>(pairs.size()), server.requests_served());
-  // The whole burst was enqueued within one linger window, so it must have
-  // coalesced into at most a couple of dispatches (exactly one when the
-  // executor saw the full queue; two if it woke mid-enqueue).
-  EXPECT_LE(server.batches_dispatched(), 2);
+  EXPECT_EQ(static_cast<int64_t>(pairs.size() + 1), server.requests_served());
+  // The stalled batch, then the backlog in full batches of max_batch.
+  const int64_t full_batches =
+      (static_cast<int64_t>(pairs.size()) + options.max_batch - 1) /
+      options.max_batch;
+  EXPECT_EQ(1 + full_batches, server.batches_dispatched());
 
   Scorer reference(w.snapshot, 256);
   for (size_t i = 0; i < pairs.size(); ++i) {
     EXPECT_EQ(reference.Score(pairs[i].user, pairs[i].item), got[i])
         << "pair " << i;
   }
+}
+
+TEST(InferenceServerTest, TracedBatchRecordsQueueWaitSpan) {
+  FaultGuard guard;
+  ServeWorld& w = World();
+  const bool tracing = obs::TracingEnabled();
+  const bool metrics = obs::MetricsEnabled();
+  obs::EnableTracing(true);
+  obs::EnableMetrics(true);
+  obs::ClearTrace();
+  obs::Histogram* waits = obs::MetricsRegistry::Global().GetHistogram(
+      "serve.queue_wait_ns", obs::Histogram::LatencyBoundsNs());
+  const int64_t waits_before = waits->Count();
+  InferenceServer::Options options;
+  options.executors = 1;
+  options.max_batch = 8;
+  InferenceServer server(w.snapshot, options);
+
+  // A batch of one, then a backlog of three queued behind its 50 ms stall.
+  const std::vector<ScoreRequest> pairs = ReferencePairs();
+  ASSERT_GE(pairs.size(), 4u);
+  std::future<ScoreResult> stalled = StallExecutor(&server, pairs[0], 50);
+  const int64_t enqueue_from = obs::internal::TraceNowNs();
+  std::vector<std::future<ScoreResult>> backlog;
+  for (size_t i = 1; i < 4; ++i) {
+    backlog.push_back(server.ScoreAsync(pairs[i].user, pairs[i].item));
+  }
+  const int64_t enqueue_to = obs::internal::TraceNowNs();
+  EXPECT_EQ(RequestStatus::kOk, stalled.get().status);
+  for (auto& f : backlog) EXPECT_EQ(RequestStatus::kOk, f.get().status);
+  const int64_t resolved = obs::internal::TraceNowNs();
+  server.Shutdown();
+  std::vector<obs::ExportedSpan> spans = obs::ExportSpans();
+  obs::EnableTracing(tracing);
+  obs::EnableMetrics(metrics);
+
+  spans.erase(std::remove_if(spans.begin(), spans.end(),
+                             [](const obs::ExportedSpan& span) {
+                               return std::string("serve.queue_wait") !=
+                                      span.name;
+                             }),
+              spans.end());
+  // One span per dispatched batch, one histogram sample per request.
+  ASSERT_EQ(2u, spans.size());
+  EXPECT_EQ(2, server.batches_dispatched());
+  EXPECT_EQ(waits_before + 4, waits->Count());
+  // Each span ends when its batch leaves the queue: the stalled batch's
+  // before its 50 ms sleep, the backlog's after it. The backlog's span
+  // starts at its oldest request's enqueue, on the trace clock.
+  const obs::ExportedSpan& lone = spans[0];
+  const obs::ExportedSpan& queued = spans[1];
+  EXPECT_LT(lone.end_ns - lone.start_ns, 50'000'000);
+  EXPECT_GE(queued.start_ns, enqueue_from);
+  EXPECT_LE(queued.start_ns, enqueue_to);
+  EXPECT_GE(queued.end_ns, lone.end_ns + 50'000'000);
+  EXPECT_LE(queued.end_ns, resolved);
 }
 
 TEST(InferenceServerTest, ConcurrentSubmittersGetBitIdenticalScores) {
@@ -437,7 +526,6 @@ TEST(InferenceServerTest, ConcurrentSubmittersGetBitIdenticalScores) {
 
   InferenceServer::Options options;
   options.max_batch = 8;
-  options.linger_us = 500;
   options.cache_capacity = 8;  // small: forces evictions under load
   InferenceServer server(w.snapshot, options);
 
@@ -476,14 +564,19 @@ TEST(InferenceServerTest, ConcurrentSubmittersGetBitIdenticalScores) {
 }
 
 TEST(InferenceServerTest, ShutdownDrainsQueuedRequests) {
+  FaultGuard guard;
   ServeWorld& w = World();
   InferenceServer::Options options;
+  options.executors = 1;
   options.max_batch = 4;
-  options.linger_us = 1000000;  // 1s: requests would linger without drain
   auto server = std::make_unique<InferenceServer>(w.snapshot, options);
-  std::vector<std::future<ScoreResult>> futures;
   const std::vector<ScoreRequest> pairs = ReferencePairs();
-  for (size_t i = 0; i < 6 && i < pairs.size(); ++i) {
+  ASSERT_GE(pairs.size(), 6u);
+  // Shutdown begins while the six requests still wait behind a stalled
+  // batch (200 ms), so it has to drain them.
+  std::vector<std::future<ScoreResult>> futures;
+  futures.push_back(StallExecutor(server.get(), pairs[0], 200));
+  for (size_t i = 0; i < 6; ++i) {
     futures.push_back(server->ScoreAsync(pairs[i].user, pairs[i].item));
   }
   server->Shutdown();  // must score everything still queued
