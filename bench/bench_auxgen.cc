@@ -4,9 +4,10 @@
 // CSR like-minded index with its pre-filtered eligible view. The sweep holds
 // the item catalog fixed while the user count grows, so like-minded buckets
 // grow linearly with the world — the regime ISSUE 8 targets. Also hosts the
-// million-user out-of-core smoke: a deferred SyntheticWorld streamed to OMDS
-// files, mapped back, run through split + parallel auxiliary generation +
-// checkpoint + serve scoring, with a peak-RSS ceiling asserted at the end.
+// million-user out-of-core smoke: a SyntheticWorld whose domains are never
+// built in RAM, streamed to OMDS files, mapped back, run through split +
+// parallel auxiliary generation + checkpoint + serve scoring, with a
+// peak-RSS ceiling asserted at the end.
 //
 //   ./bench_auxgen [--out=BENCH_auxgen.json] [--reps=3] [--max_users=100000]
 //                  [--check] [--check_speedup_min=10]
@@ -269,11 +270,11 @@ int RunMillionSmoke(int users, double max_rss_mb, const std::string& workdir,
   config.seed = 90001;
 
   const std::vector<std::string> domains = {"Books", "Movies"};
-  // Deferred world: latents only; reviews are streamed straight into the
-  // OMDS writers and never held in memory.
+  // domain() is never called, so the world holds latents only; reviews are
+  // streamed straight into the OMDS writers and never held in memory.
   {
     Stopwatch watch;
-    data::SyntheticWorld world(config, domains, /*materialize=*/false);
+    data::SyntheticWorld world(config, domains);
     for (const std::string& name : domains) {
       data::OmdsWriter writer;
       Status st = writer.Open(workdir + "/" + name + ".omds");

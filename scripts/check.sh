@@ -96,7 +96,9 @@ run_portable() {
 # and the swap-under-traffic version-consistency test are the interesting
 # ones — the latter swaps A->B->A->B through the SnapshotManager, so a
 # frozen corpus shared by several snapshots outlives the one that built it
-# while executors still read it); ASan and UBSan additionally run the
+# while executors still read it), and the synthetic world's domains, built
+# on first read, through data_test (threads racing to that first read);
+# ASan and UBSan additionally run the
 # trainer-level suites —
 # including the fault-injection tests and the graph-vs-eager trainer
 # equivalence tests, so every guard rollback/retry path and the compiled
@@ -127,13 +129,13 @@ run_sanitizer() {
 case "${MODE}" in
   release)  run_release ;;
   portable) run_portable ;;
-  tsan)    run_sanitizer thread common_test nn_test obs_test serve_test serve_fault_test ;;
+  tsan)    run_sanitizer thread common_test nn_test data_test obs_test serve_test serve_fault_test ;;
   asan)    run_sanitizer address common_test nn_test core_test data_test text_test obs_test serve_test serve_fault_test ;;
   ubsan)   run_sanitizer undefined common_test nn_test core_test data_test text_test obs_test serve_test serve_fault_test ;;
   all)
     run_release
     run_portable
-    run_sanitizer thread common_test nn_test obs_test serve_test serve_fault_test
+    run_sanitizer thread common_test nn_test data_test obs_test serve_test serve_fault_test
     run_sanitizer address common_test nn_test core_test data_test text_test obs_test serve_test serve_fault_test
     run_sanitizer undefined common_test nn_test core_test data_test text_test obs_test serve_test serve_fault_test
     ;;

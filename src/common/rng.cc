@@ -1,5 +1,6 @@
 #include "common/rng.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/check.h"
@@ -80,6 +81,15 @@ int Rng::SampleDiscrete(const std::vector<double>& weights) {
     if (u < acc) return static_cast<int>(i);
   }
   return static_cast<int>(weights.size()) - 1;
+}
+
+int Rng::SampleCumulative(const std::vector<double>& prefix) {
+  OM_CHECK(!prefix.empty() && prefix.back() > 0.0)
+      << "SampleCumulative needs a positive total";
+  const double u = UniformDouble() * prefix.back();
+  const size_t i = static_cast<size_t>(
+      std::upper_bound(prefix.begin(), prefix.end(), u) - prefix.begin());
+  return static_cast<int>(std::min(i, prefix.size() - 1));
 }
 
 Rng::State Rng::GetState() const {

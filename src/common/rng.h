@@ -61,6 +61,12 @@ class Rng {
   /// Requires at least one strictly positive weight.
   int SampleDiscrete(const std::vector<double>& weights);
 
+  /// The draw SampleDiscrete(weights) makes, from `prefix`, the running
+  /// sums of `weights` in index order (prefix[i] = prefix[i-1] + weights[i],
+  /// starting from 0.0): one uniform, then a binary search for the first
+  /// index whose sum exceeds it. Requires a positive last sum.
+  int SampleCumulative(const std::vector<double>& prefix);
+
   /// Fisher-Yates shuffles `items` in place.
   template <typename T>
   void Shuffle(std::vector<T>& items) {

@@ -6,6 +6,7 @@
 #include "common/check.h"
 #include "common/threadpool.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 #include "text/document.h"
 
 namespace omnimatch {
@@ -65,6 +66,7 @@ AuxReviewGenerator::AuxReviewGenerator(const data::CrossDomainDataset* cross,
 std::vector<int> AuxReviewGenerator::GenerateRecords(
     int user_id, Rng* rng, AuxReviewTrace* trace) const {
   OM_CHECK(rng != nullptr);
+  OM_TRACE_SPAN("aux.generate");
   const bool tracing = trace != nullptr;
   if (tracing) {
     trace->user_id = user_id;

@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "common/check.h"
+#include "obs/trace.h"
 #include "text/vocabulary.h"
 
 namespace omnimatch {
@@ -155,6 +156,7 @@ std::vector<float> ExpectedRatings(OmniMatchModel* model,
     const Tensor items = Tensor::FromData({rows, f}, item_data);
     out = model->RatingLogits(users, items).data();
     const int classes = static_cast<int>(out.size()) / rows;
+    OM_TRACE_SPAN("scoring.softmax");
     for (int r = 0; r < rows; ++r) {
       const float* row = out.data() + static_cast<size_t>(r) * classes;
       const float max_v = *std::max_element(row, row + classes);

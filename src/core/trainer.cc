@@ -57,8 +57,93 @@ OmniMatchTrainer::OmniMatchTrainer(const OmniMatchConfig& config,
 }
 
 const text::Vocabulary& OmniMatchTrainer::vocabulary() const {
-  OM_CHECK(tokens_ != nullptr) << "call Prepare() first";
-  return tokens_->vocab;
+  OM_CHECK(docs_.tokens != nullptr) << "call Prepare() first";
+  return docs_.tokens->vocab;
+}
+
+Result<ScenarioDocuments> BuildScenarioDocuments(
+    const OmniMatchConfig& config, const data::CrossDomainDataset* cross,
+    const data::ColdStartSplit& split, Rng* rng) {
+  OM_CHECK(cross != nullptr);
+  if (split.train_users.empty()) {
+    return Status::FailedPrecondition("split has no training users");
+  }
+  const data::DomainDataset& source = cross->source();
+  const data::DomainDataset& target = cross->target();
+  if (std::none_of(split.train_users.begin(), split.train_users.end(),
+                   [&](int u) { return target.HasUser(u); })) {
+    return Status::FailedPrecondition(
+        "training users have no target-domain records");
+  }
+  ScenarioDocuments docs;
+  docs.aux_generator = std::make_unique<AuxReviewGenerator>(
+      cross, split.train_users, config.text_field);
+  {
+    // Training-visible text: every source-domain review (cold users' source
+    // history is known) plus target-domain reviews of training users only.
+    OM_TRACE_SPAN("build_vocabulary");
+    docs.tokens = TokenizeReviews(*cross, split.train_users,
+                                  config.text_field, config.min_vocab_count);
+  }
+  OM_TRACE_SPAN("build_documents");
+  const ReviewTokens& tokens = *docs.tokens;
+
+  // Source documents for every overlapping user (R^u of Eq. 1).
+  for (int u : cross->overlapping_users()) {
+    docs.user_source_docs[u] = text::BuildDocument(
+        tokens.source, source.RecordsOfUser(u), config.doc_len);
+  }
+
+  // Target documents: training users use their real target reviews; cold
+  // users get Algorithm 1 auxiliary documents (or their source reviews as a
+  // degraded fallback in the w/o-AuxReviews ablation).
+  for (int u : split.train_users) {
+    docs.user_target_docs[u] = text::BuildDocument(
+        tokens.target, target.RecordsOfUser(u), config.doc_len);
+  }
+  if (config.aux_augmentation_prob > 0.0f) {
+    // Cold-start self-simulation: the generator already excludes the user
+    // themselves from the like-minded pool. A separate loop (rather than
+    // inline above) so the Algorithm 1 cost traces as its own "auxgen"
+    // span; the rng draw order is identical either way because the doc
+    // building above consumes no randomness.
+    OM_TRACE_SPAN_TIMED("auxgen", PhaseHist("trainer.auxgen_ns"));
+    for (int u : split.train_users) {
+      docs.train_aux_records[u] = docs.aux_generator->GenerateRecords(u, rng);
+    }
+  }
+  std::vector<int> cold_users = split.validation_users;
+  cold_users.insert(cold_users.end(), split.test_users.begin(),
+                    split.test_users.end());
+  {
+    OM_TRACE_SPAN_TIMED("auxgen", PhaseHist("trainer.auxgen_ns"));
+    for (int u : cold_users) {
+      std::vector<std::vector<int>> variants =
+          ColdStartDocs(*docs.aux_generator, config, tokens, u, rng);
+      docs.user_target_docs[u] = std::move(variants[0]);
+      variants.erase(variants.begin());
+      if (!variants.empty()) {
+        docs.cold_aux_doc_variants[u] = std::move(variants);
+      }
+    }
+  }
+
+  // Item documents from training users' target reviews only (test users'
+  // reviews are hidden).
+  const std::unordered_set<int> train_set(split.train_users.begin(),
+                                          split.train_users.end());
+  for (int item : target.items()) {
+    std::vector<int>& records = docs.item_records[item];
+    for (int idx : target.RecordsOfItem(item)) {
+      if (train_set.count(target.ReviewUser(static_cast<size_t>(idx))) > 0) {
+        records.push_back(idx);
+      }
+    }
+    // All pads when no training user reviewed the item.
+    docs.item_docs[item] =
+        text::BuildDocument(tokens.target, records, config.item_doc_len);
+  }
+  return docs;
 }
 
 Status OmniMatchTrainer::Prepare() {
@@ -68,26 +153,11 @@ Status OmniMatchTrainer::Prepare() {
   if (!config_.trace_out.empty()) obs::EnableTracing(true);
   if (!config_.metrics_out.empty()) obs::EnableMetrics(true);
   OM_TRACE_SPAN("prepare");
-  if (split_.train_users.empty()) {
-    return Status::FailedPrecondition("split has no training users");
-  }
-  aux_generator_ = std::make_unique<AuxReviewGenerator>(
-      cross_, split_.train_users, config_.text_field);
-  {
-    // Training-visible text: every source-domain review (cold users' source
-    // history is known) plus target-domain reviews of training users only.
-    OM_TRACE_SPAN("build_vocabulary");
-    tokens_ = TokenizeReviews(*cross_, split_.train_users, config_.text_field,
-                              config_.min_vocab_count);
-  }
-  {
-    OM_TRACE_SPAN("build_documents");
-    BuildDocuments();
-  }
-  if (train_samples_.empty()) {
-    return Status::FailedPrecondition(
-        "training users have no target-domain records");
-  }
+  Result<ScenarioDocuments> docs =
+      BuildScenarioDocuments(config_, cross_, split_, &rng_);
+  if (!docs.ok()) return docs.status();
+  docs_ = std::move(docs).value();
+  BuildTrainSamples();
   model_ = std::make_unique<OmniMatchModel>(config_, vocabulary().size(),
                                             &rng_);
   graph_exec_ = config_.graph_exec
@@ -123,73 +193,8 @@ Status OmniMatchTrainer::Prepare() {
   return Status::OK();
 }
 
-void OmniMatchTrainer::BuildDocuments() {
-  user_source_docs_.clear();
-  user_target_docs_.clear();
-  item_docs_.clear();
-  item_records_.clear();
-  train_aux_records_.clear();
-  cold_aux_doc_variants_.clear();
+void OmniMatchTrainer::BuildTrainSamples() {
   train_samples_.clear();
-
-  const data::DomainDataset& source = cross_->source();
-  const data::DomainDataset& target = cross_->target();
-  std::unordered_set<int> train_set(split_.train_users.begin(),
-                                    split_.train_users.end());
-
-  // Source documents for every overlapping user (R^u of Eq. 1).
-  for (int u : cross_->overlapping_users()) {
-    user_source_docs_[u] = text::BuildDocument(
-        tokens_->source, source.RecordsOfUser(u), config_.doc_len);
-  }
-
-  // Target documents: training users use their real target reviews; cold
-  // users get Algorithm 1 auxiliary documents (or their source reviews as a
-  // degraded fallback in the w/o-AuxReviews ablation).
-  for (int u : split_.train_users) {
-    user_target_docs_[u] = text::BuildDocument(
-        tokens_->target, target.RecordsOfUser(u), config_.doc_len);
-  }
-  if (config_.aux_augmentation_prob > 0.0f) {
-    // Cold-start self-simulation: the generator already excludes the user
-    // themselves from the like-minded pool. A separate loop (rather than
-    // inline above) so the Algorithm 1 cost traces as its own "auxgen"
-    // span; the rng_ draw order is identical either way because the doc
-    // building above consumes no randomness.
-    OM_TRACE_SPAN_TIMED("auxgen", PhaseHist("trainer.auxgen_ns"));
-    for (int u : split_.train_users) {
-      train_aux_records_[u] = aux_generator_->GenerateRecords(u, &rng_);
-    }
-  }
-  std::vector<int> cold_users = split_.validation_users;
-  cold_users.insert(cold_users.end(), split_.test_users.begin(),
-                    split_.test_users.end());
-  {
-    OM_TRACE_SPAN_TIMED("auxgen", PhaseHist("trainer.auxgen_ns"));
-    for (int u : cold_users) {
-      std::vector<std::vector<int>> docs =
-          ColdStartDocs(*aux_generator_, config_, *tokens_, u, &rng_);
-      user_target_docs_[u] = std::move(docs[0]);
-      docs.erase(docs.begin());
-      if (!docs.empty()) cold_aux_doc_variants_[u] = std::move(docs);
-    }
-  }
-
-  // Item documents from training users' target reviews only (test users'
-  // reviews are hidden).
-  for (int item : target.items()) {
-    std::vector<int>& records = item_records_[item];
-    for (int idx : target.RecordsOfItem(item)) {
-      if (train_set.count(target.ReviewUser(static_cast<size_t>(idx))) > 0) {
-        records.push_back(idx);
-      }
-    }
-    // All pads when no training user reviewed the item.
-    item_docs_[item] =
-        text::BuildDocument(tokens_->target, records, config_.item_doc_len);
-  }
-
-  // Training samples: target-domain records of training users.
   for (int u : split_.train_users) {
     for (int idx : cross_->target().RecordsOfUser(u)) {
       size_t i = static_cast<size_t>(idx);
@@ -294,15 +299,17 @@ std::vector<int> OmniMatchTrainer::GatherTargetTrainingDocs(
                   IdSpan records;
                   if (config_.aux_augmentation_prob > 0.0f &&
                       rng.Bernoulli(config_.aux_augmentation_prob)) {
-                    auto aux = train_aux_records_.find(u);
-                    if (aux != train_aux_records_.end()) records = aux->second;
+                    auto aux = docs_.train_aux_records.find(u);
+                    if (aux != docs_.train_aux_records.end()) {
+                      records = aux->second;
+                    }
                   }
                   // Real reviews unless a non-empty aux document was drawn.
                   if (records.empty()) {
                     records = cross_->target().RecordsOfUser(u);
                   }
                   AssembleTrainingDoc(
-                      tokens_->target, records, doc_len, &rng,
+                      docs_.tokens->target, records, doc_len, &rng,
                       flat.data() + static_cast<size_t>(k) * doc_len);
                 }
               });
@@ -355,18 +362,18 @@ OmniMatchTrainer::StepOutcome OmniMatchTrainer::TrainBatch(
   {
     OM_TRACE_SPAN_TIMED("doc_assembly", PhaseHist("trainer.doc_assembly_ns"));
     src_doc_ids = GatherTrainingDocs(
-        tokens_->source,
+        docs_.tokens->source,
         [this](int u) { return cross_->source().RecordsOfUser(u); },
-        user_source_docs_, users, config_.doc_len);
+        docs_.user_source_docs, users, config_.doc_len);
     tgt_doc_ids = GatherTargetTrainingDocs(users);
     item_doc_ids = GatherTrainingDocs(
-        tokens_->target,
+        docs_.tokens->target,
         [this](int item) -> IdSpan {
-          auto it = item_records_.find(item);
-          if (it == item_records_.end()) return {};
+          auto it = docs_.item_records.find(item);
+          if (it == docs_.item_records.end()) return {};
           return it->second;
         },
-        item_docs_, items, config_.item_doc_len);
+        docs_.item_docs, items, config_.item_doc_len);
   }
 
   // --- Feature Extraction Module (Fig. 2 B) ---
@@ -724,12 +731,12 @@ std::vector<float> OmniMatchTrainer::PredictBatch(
   std::vector<const std::vector<int>*> item_docs;
   for (const TrainSample& s : batch) {
     if (user_slot.emplace(s.user, user_docs.size()).second) {
-      user_docs.push_back(FrozenUserDocs(s.user, user_target_docs_,
-                                         cold_aux_doc_variants_,
-                                         user_source_docs_));
+      user_docs.push_back(FrozenUserDocs(s.user, docs_.user_target_docs,
+                                         docs_.cold_aux_doc_variants,
+                                         docs_.user_source_docs));
     }
     if (item_slot.emplace(s.item, item_docs.size()).second) {
-      item_docs.push_back(FindDoc(item_docs_, s.item));
+      item_docs.push_back(FindDoc(docs_.item_docs, s.item));
     }
   }
   std::vector<UserRows> user_rows = ExtractUserRows(model_.get(), user_docs);
@@ -961,16 +968,16 @@ void OmniMatchTrainer::UseOracleTargetDocs(const std::vector<int>& users) {
   for (int u : users) {
     data::IdSpan records = cross_->target().RecordsOfUser(u);
     if (records.empty()) continue;
-    user_target_docs_[u] =
-        text::BuildDocument(tokens_->target, records, config_.doc_len);
+    docs_.user_target_docs[u] =
+        text::BuildDocument(docs_.tokens->target, records, config_.doc_len);
     // The oracle document replaces the whole ensemble, not just pass 0.
-    cold_aux_doc_variants_.erase(u);
+    docs_.cold_aux_doc_variants.erase(u);
   }
 }
 
 float OmniMatchTrainer::PredictRating(int user_id, int item_id) {
   OM_CHECK(prepared_) << "call Prepare() first";
-  if (user_target_docs_.find(user_id) == user_target_docs_.end()) {
+  if (docs_.user_target_docs.find(user_id) == docs_.user_target_docs.end()) {
     return cross_->target().GlobalMeanRating();
   }
   TrainSample s;

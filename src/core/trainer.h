@@ -45,6 +45,40 @@ struct TrainStats {
   bool guard_gave_up = false;
 };
 
+/// Every document one scenario is trained, evaluated and served from, with
+/// the token tables and the Algorithm 1 generator they are built from.
+struct ScenarioDocuments {
+  /// The vocabulary and every review as token ids.
+  std::shared_ptr<const ReviewTokens> tokens;
+  std::unique_ptr<AuxReviewGenerator> aux_generator;
+  /// Fixed evaluation documents: per overlapping user from their source
+  /// reviews; per training user from their target reviews and per cold
+  /// user from Algorithm 1; per target item from training users' reviews.
+  std::unordered_map<int, std::vector<int>> user_source_docs;
+  std::unordered_map<int, std::vector<int>> user_target_docs;
+  std::unordered_map<int, std::vector<int>> item_docs;
+  /// Extra auxiliary-document samples per cold user (aux_eval_samples - 1
+  /// of them; the first sample is in user_target_docs).
+  std::unordered_map<int, std::vector<std::vector<int>>> cold_aux_doc_variants;
+  /// Record indices the per-step training documents are re-assembled from:
+  /// each item's training-user target records, and the target records
+  /// Algorithm 1 borrowed for each training user (cold-start
+  /// self-simulation, with the user excluded from the like-minded pool).
+  std::unordered_map<int, std::vector<int>> item_records;
+  std::unordered_map<int, std::vector<int>> train_aux_records;
+};
+
+/// Tokenizes `cross` (TokenizeReviews) and builds every document of the
+/// scenario, drawing the Algorithm 1 samples from `rng`: first the training
+/// users' borrowed records, then each cold user's ensemble, all in split
+/// order. OmniMatchTrainer::Prepare calls it with the trainer's stream, and
+/// ServingCorpus::Build with a fresh Rng(config.seed), which is the same
+/// stream, so both get the same documents. FailedPrecondition when the
+/// split has no training user or its training users no target record.
+Result<ScenarioDocuments> BuildScenarioDocuments(
+    const OmniMatchConfig& config, const data::CrossDomainDataset* cross,
+    const data::ColdStartSplit& split, Rng* rng);
+
 /// End-to-end OmniMatch training and cold-start evaluation for one
 /// cross-domain scenario (§5.2 protocol).
 ///
@@ -126,32 +160,31 @@ class OmniMatchTrainer {
   int epochs_completed() const { return epochs_completed_; }
 
   const text::Vocabulary& vocabulary() const;
-  /// The vocabulary and every review as token ids, built once by Prepare()
-  /// and shared (immutable) with any serving corpus built from this run.
+  /// The vocabulary and every review as token ids, built once by Prepare().
   const std::shared_ptr<const ReviewTokens>& review_tokens() const {
-    return tokens_;
+    return docs_.tokens;
   }
   const AuxReviewGenerator* aux_generator() const {
-    return aux_generator_.get();
+    return docs_.aux_generator.get();
   }
   OmniMatchModel* model() { return model_.get(); }
   const data::ColdStartSplit& split() const { return split_; }
-  /// Fixed evaluation-time documents, exposed read-only so an inference
-  /// snapshot (src/serve) can be exported without re-deriving them.
+  /// Fixed evaluation-time documents, exposed read-only for inspection and
+  /// tests.
   const std::unordered_map<int, std::vector<int>>& user_source_docs() const {
-    return user_source_docs_;
+    return docs_.user_source_docs;
   }
   const std::unordered_map<int, std::vector<int>>& user_target_docs() const {
-    return user_target_docs_;
+    return docs_.user_target_docs;
   }
   const std::unordered_map<int, std::vector<int>>& item_docs() const {
-    return item_docs_;
+    return docs_.item_docs;
   }
   /// Extra auxiliary-document samples per cold user (aux_eval_samples - 1
   /// of them; the first sample lives in user_target_docs()).
   const std::unordered_map<int, std::vector<std::vector<int>>>&
   cold_aux_doc_variants() const {
-    return cold_aux_doc_variants_;
+    return docs_.cold_aux_doc_variants;
   }
   /// Null unless the trainer was Prepared with config.graph_exec.
   const nn::graph::GraphExecutor* graph_executor() const {
@@ -189,7 +222,8 @@ class OmniMatchTrainer {
   /// Record indices a training document is assembled from, by key.
   using RecordsOf = std::function<IdSpan(int key)>;
 
-  void BuildDocuments();
+  /// Training samples: the target-domain records of training users.
+  void BuildTrainSamples();
   /// Runs one training batch: forward, backward, hardened gradient clip,
   /// and — only when the gradients are finite — the optimizer step.
   /// Consults the "grad", "param" and "loss" fault-injection points.
@@ -231,28 +265,13 @@ class OmniMatchTrainer {
   data::ColdStartSplit split_;
   Rng rng_;
 
-  std::shared_ptr<const ReviewTokens> tokens_;
-  std::unique_ptr<AuxReviewGenerator> aux_generator_;
+  /// Token tables, generator and documents (BuildScenarioDocuments).
+  ScenarioDocuments docs_;
   std::unique_ptr<OmniMatchModel> model_;
   std::unique_ptr<nn::Optimizer> optimizer_;
   /// Recorded-graph step executor; null unless config_.graph_exec.
   std::unique_ptr<nn::graph::GraphExecutor> graph_exec_;
 
-  /// Fixed documents used at evaluation time (deterministic).
-  std::unordered_map<int, std::vector<int>> user_source_docs_;
-  std::unordered_map<int, std::vector<int>> user_target_docs_;
-  std::unordered_map<int, std::vector<int>> item_docs_;
-  /// Record indices the per-step training documents are re-assembled from
-  /// (shuffle_reviews_in_training / word_dropout); users' own records come
-  /// straight from the dataset's user index. Item records: the training
-  /// users' target records of each item.
-  std::unordered_map<int, std::vector<int>> item_records_;
-  /// Borrowed target records for TRAIN users (cold-start self-simulation),
-  /// generated with the user excluded from the eligible like-minded pool.
-  std::unordered_map<int, std::vector<int>> train_aux_records_;
-  /// Extra independently sampled auxiliary documents per cold user
-  /// (aux_eval_samples - 1 of them; the first sample is user_target_docs_).
-  std::unordered_map<int, std::vector<std::vector<int>>> cold_aux_doc_variants_;
   std::vector<TrainSample> train_samples_;
   bool prepared_ = false;
 

@@ -212,8 +212,12 @@ Status OmdsWriter::Add(int user_id, int item_id, float rating,
   m.text_off = text_bytes_;
   OM_RETURN_IF_ERROR(Write(summary.data(), summary.size()));
   OM_RETURN_IF_ERROR(Write(full_text.data(), full_text.size()));
-  text_crc_ = Crc32(summary, text_crc_);
-  text_crc_ = Crc32(full_text, text_crc_);
+  if (file_ != nullptr) {
+    // The text leaves RAM as it is written; a buffer is checksummed once,
+    // in Finalize().
+    text_crc_ = Crc32(summary, text_crc_);
+    text_crc_ = Crc32(full_text, text_crc_);
+  }
   text_bytes_ += summary.size() + full_text.size();
   meta_.push_back(m);
   return Status::OK();
@@ -237,7 +241,9 @@ Status OmdsWriter::Finalize() {
   header.text_bytes = text_bytes_;
   header.meta_offset = meta_offset;
   header.meta_crc32 = Crc32(meta_.data(), meta_bytes);
-  header.text_crc32 = text_crc_;
+  header.text_crc32 =
+      file_ != nullptr ? text_crc_
+                       : Crc32(buffer_.data() + kTextOffset, text_bytes_);
   header.header_crc32 =
       Crc32(&header, offsetof(OmdsHeader, header_crc32));
   if (file_ == nullptr) {

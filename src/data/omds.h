@@ -126,7 +126,7 @@ class OmdsWriter {
   std::string buffer_;
   std::vector<OmdsRecordMeta> meta_;
   uint64_t text_bytes_ = 0;
-  uint32_t text_crc_ = 0;
+  uint32_t text_crc_ = 0;  // streaming CRC of the text; file destination only
   bool finalized_ = false;
 };
 

@@ -2,10 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <mutex>
 
 #include "common/check.h"
 #include "common/string_util.h"
 #include "data/omds.h"
+#include "obs/trace.h"
 
 namespace omnimatch {
 namespace data {
@@ -72,12 +74,14 @@ SyntheticConfig SyntheticConfig::DoubanLike() {
   return c;
 }
 
+struct SyntheticWorld::LazyDomain {
+  std::once_flag built;
+  DomainDataset dataset;
+};
+
 SyntheticWorld::SyntheticWorld(const SyntheticConfig& config,
-                               std::vector<std::string> domain_names,
-                               bool materialize)
-    : config_(config),
-      domain_names_(std::move(domain_names)),
-      materialized_(materialize) {
+                               std::vector<std::string> domain_names)
+    : config_(config), domain_names_(std::move(domain_names)) {
   OM_CHECK_GE(domain_names_.size(), 2u);
   OM_CHECK_GT(config_.num_users, 0);
   OM_CHECK_GT(config_.items_per_domain, 0);
@@ -122,29 +126,20 @@ SyntheticWorld::SyntheticWorld(const SyntheticConfig& config,
     }
   }
 
-  // Items and reviews per domain. The item latents are always drawn (they
-  // are the first draws of each domain's forked stream); the RNG state is
-  // then snapshotted so review emission can be replayed later, and the
-  // reviews themselves are only materialized when asked to.
-  domains_.clear();
+  // Item latents per domain: the first draws of each domain's forked
+  // stream. The RNG state after them is kept, so a domain's reviews can be
+  // generated later, and as often as asked, from the same point.
   item_attr_.resize(num_domains);
   item_bias_.resize(num_domains);
   for (int d = 0; d < num_domains; ++d) {
     Rng domain_rng = master.Fork();
     GenerateItemLatents(d, &domain_rng);
     review_rngs_.push_back(domain_rng);
-    if (materialized_) {
-      OmdsWriter writer;
-      Status written = WriteDomain(domain_names_[static_cast<size_t>(d)],
-                                   &writer);
-      OM_CHECK(written.ok()) << written.ToString();
-      Result<std::shared_ptr<const OmdsFile>> image = writer.TakeImage();
-      OM_CHECK(image.ok()) << image.status().ToString();
-      domains_.emplace_back(domain_names_[static_cast<size_t>(d)],
-                            std::move(image).value());
-    }
   }
+  domains_ = std::make_unique<LazyDomain[]>(static_cast<size_t>(num_domains));
 }
+
+SyntheticWorld::~SyntheticWorld() = default;
 
 void SyntheticWorld::GenerateVocabularyWords() {
   // Per-domain surface forms for shared topic concepts, e.g. the "vampire"
@@ -195,7 +190,24 @@ void SyntheticWorld::GenerateItemLatents(int d, Rng* rng) {
 
 void SyntheticWorld::EmitReviews(
     int d, Rng* rng, const std::function<void(Review&&)>& emit) const {
-  float inv_sqrt_k = 1.0f / std::sqrt(static_cast<float>(config_.latent_dim));
+  const float inv_sqrt_k =
+      1.0f / std::sqrt(static_cast<float>(config_.latent_dim));
+  const size_t num_items = static_cast<size_t>(config_.items_per_domain);
+  const size_t num_topics = topic_dirs_.size();
+  const std::vector<std::vector<float>>& items = item_attr_[d];
+  // Item-topic scores, once per domain; user-topic scores, once per user.
+  std::vector<float> item_topic(num_items * num_topics);
+  for (size_t i = 0; i < num_items; ++i) {
+    for (size_t t = 0; t < num_topics; ++t) {
+      item_topic[i * num_topics + t] = Dot(items[i], topic_dirs_[t]);
+    }
+  }
+  std::vector<float> user_topic(num_topics);
+  std::vector<float> affinity(num_items);
+  std::vector<double> weights(num_items), item_prefix(num_items);
+  std::vector<double> topic_prefix(num_topics);
+  std::vector<int> pool;
+  Review review;
   for (int u = 0; u < config_.num_users; ++u) {
     if (!participates_[d][u]) continue;
     int n_reviews = std::max<int>(
@@ -210,47 +222,67 @@ void SyntheticWorld::EmitReviews(
     for (int k = 0; k < config_.latent_dim; ++k) {
       pref[k] += user_offset_[d][u][k];
     }
+    for (size_t t = 0; t < num_topics; ++t) {
+      user_topic[t] = Dot(user_pref_[u], topic_dirs_[t]);
+    }
 
     // Preference-driven item selection without replacement: users gravitate
     // toward items matching their tastes, so their review history itself
-    // carries the preference signal.
-    std::vector<int> pool;
-    {
-      std::vector<double> weights(
-          static_cast<size_t>(config_.items_per_domain));
-      for (int i = 0; i < config_.items_per_domain; ++i) {
-        double affinity = Dot(pref, item_attr_[d][i]) * inv_sqrt_k;
-        weights[static_cast<size_t>(i)] =
-            std::exp(config_.selection_gain * affinity);
-      }
-      for (int j = 0; j < n_reviews; ++j) {
-        int pick = rng->SampleDiscrete(weights);
-        pool.push_back(pick);
-        weights[static_cast<size_t>(pick)] = 0.0;
+    // carries the preference signal. Each pick zeroes its weight, and the
+    // running sums are redone from that index on: they stay the sums
+    // Rng::SampleDiscrete would form over the zeroed weights.
+    double sum = 0.0;
+    for (size_t i = 0; i < num_items; ++i) {
+      affinity[i] = Dot(pref, items[i]) * inv_sqrt_k;
+      weights[i] =
+          std::exp(config_.selection_gain * static_cast<double>(affinity[i]));
+      sum += weights[i];
+      item_prefix[i] = sum;
+    }
+    pool.clear();
+    for (int j = 0; j < n_reviews; ++j) {
+      const int pick = rng->SampleCumulative(item_prefix);
+      pool.push_back(pick);
+      const size_t zeroed = static_cast<size_t>(pick);
+      weights[zeroed] = 0.0;
+      sum = zeroed == 0 ? 0.0 : item_prefix[zeroed - 1];
+      for (size_t i = zeroed; i < num_items; ++i) {
+        sum += weights[i];
+        item_prefix[i] = sum;
       }
     }
 
-    for (int j = 0; j < n_reviews; ++j) {
-      int item = pool[j];
-      float affinity = Dot(pref, item_attr_[d][item]) * inv_sqrt_k;
+    for (int item : pool) {
       double raw = config_.rating_intercept + user_bias_[u] +
                    item_bias_[d][item] +
-                   config_.affinity_scale * affinity +
+                   config_.affinity_scale * affinity[item] +
                    rng->Normal(0.0, config_.rating_noise);
       int rating = static_cast<int>(std::lround(raw));
       rating = std::clamp(rating, 1, 5);
 
-      Review review;
+      // Topic mixture driven by the *shared* user preference plus the
+      // item's attributes: this is what makes review text domain-invariant
+      // evidence. Summary and full text draw from the same mixture.
+      const float* it = &item_topic[static_cast<size_t>(item) * num_topics];
+      double topic_sum = 0.0;
+      for (size_t t = 0; t < num_topics; ++t) {
+        topic_sum += std::exp(config_.topic_user_gain * user_topic[t] +
+                              config_.topic_item_gain * it[t]);
+        topic_prefix[t] = topic_sum;
+      }
+
       review.user_id = u;
       review.item_id = GlobalItemId(d, item);
       review.rating = static_cast<float>(rating);
       int len = rng->UniformInt(config_.summary_len_min,
                                 config_.summary_len_max);
-      review.summary = SampleSummary(u, d, item_attr_[d][item], rating, len,
-                                     /*noise_boost=*/1.0, rng);
-      review.full_text = SampleSummary(
-          u, d, item_attr_[d][item], rating, len * config_.full_text_multiplier,
-          config_.full_text_noise_boost, rng);
+      // `emit` may have moved the previous review's strings out.
+      review.summary.clear();
+      review.full_text.clear();
+      AppendWords(d, topic_prefix, rating, len, /*noise_boost=*/1.0, rng,
+                  &review.summary);
+      AppendWords(d, topic_prefix, rating, len * config_.full_text_multiplier,
+                  config_.full_text_noise_boost, rng, &review.full_text);
       emit(std::move(review));
     }
   }
@@ -278,53 +310,37 @@ Status SyntheticWorld::WriteDomain(const std::string& name,
   return writer->Finalize();
 }
 
-std::string SyntheticWorld::SampleSummary(int user_id, int domain_idx,
-                                          const std::vector<float>& item_attr,
-                                          int rating, int length,
-                                          double noise_boost,
-                                          Rng* rng) const {
-  // Topic mixture driven by the *shared* user preference plus the item's
-  // attributes — this is what makes review text domain-invariant evidence.
-  std::vector<double> topic_weights(topic_dirs_.size());
-  for (size_t t = 0; t < topic_dirs_.size(); ++t) {
-    double score =
-        config_.topic_user_gain * Dot(user_pref_[user_id], topic_dirs_[t]) +
-        config_.topic_item_gain * Dot(item_attr, topic_dirs_[t]);
-    topic_weights[t] = std::exp(score);
-  }
-
+void SyntheticWorld::AppendWords(int domain_idx,
+                                 const std::vector<double>& topic_prefix,
+                                 int rating, int length, double noise_boost,
+                                 Rng* rng, std::string* out) const {
   double noise_frac = 1.0 - config_.topic_word_frac -
                       config_.sentiment_word_frac - config_.domain_word_frac;
   noise_frac *= noise_boost;
   double total = config_.topic_word_frac + config_.sentiment_word_frac +
                  config_.domain_word_frac + noise_frac;
 
-  std::vector<std::string> words;
-  words.reserve(static_cast<size_t>(length));
+  const size_t d = static_cast<size_t>(domain_idx);
+  auto pick = [rng](const std::vector<std::string>& list) -> const std::string& {
+    return list[rng->UniformU32(static_cast<uint32_t>(list.size()))];
+  };
   for (int i = 0; i < length; ++i) {
     double u = rng->UniformDouble() * total;
+    const std::string* word;
     if (u < config_.topic_word_frac) {
-      int t = rng->SampleDiscrete(topic_weights);
-      const auto& list =
-          topic_words_[static_cast<size_t>(domain_idx)][static_cast<size_t>(
-              t)];
-      words.push_back(list[rng->UniformU32(
-          static_cast<uint32_t>(list.size()))]);
+      int t = rng->SampleCumulative(topic_prefix);
+      word = &pick(topic_words_[d][static_cast<size_t>(t)]);
     } else if (u < config_.topic_word_frac + config_.sentiment_word_frac) {
-      const auto& list = sentiment_words_[static_cast<size_t>(rating - 1)];
-      words.push_back(list[rng->UniformU32(
-          static_cast<uint32_t>(list.size()))]);
+      word = &pick(sentiment_words_[static_cast<size_t>(rating - 1)]);
     } else if (u < config_.topic_word_frac + config_.sentiment_word_frac +
                        config_.domain_word_frac) {
-      const auto& list = domain_words_[static_cast<size_t>(domain_idx)];
-      words.push_back(list[rng->UniformU32(
-          static_cast<uint32_t>(list.size()))]);
+      word = &pick(domain_words_[d]);
     } else {
-      words.push_back(noise_words_[rng->UniformU32(
-          static_cast<uint32_t>(noise_words_.size()))]);
+      word = &pick(noise_words_);
     }
+    if (i > 0) out->push_back(' ');
+    out->append(*word);
   }
-  return Join(words, " ");
 }
 
 int SyntheticWorld::DomainIndex(const std::string& name) const {
@@ -336,9 +352,18 @@ int SyntheticWorld::DomainIndex(const std::string& name) const {
 }
 
 const DomainDataset& SyntheticWorld::domain(const std::string& name) const {
-  OM_CHECK(materialized_)
-      << "deferred world: use StreamDomain() to replay reviews";
-  return domains_[static_cast<size_t>(DomainIndex(name))];
+  const int d = DomainIndex(name);
+  LazyDomain& lazy = domains_[static_cast<size_t>(d)];
+  std::call_once(lazy.built, [&] {
+    OM_TRACE_SPAN("synthetic.write_domain");
+    OmdsWriter writer;
+    Status written = WriteDomain(name, &writer);
+    OM_CHECK(written.ok()) << written.ToString();
+    Result<std::shared_ptr<const OmdsFile>> image = writer.TakeImage();
+    OM_CHECK(image.ok()) << image.status().ToString();
+    lazy.dataset = DomainDataset(name, std::move(image).value());
+  });
+  return lazy.dataset;
 }
 
 const std::vector<float>& SyntheticWorld::UserPreference(int user_id) const {

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -87,28 +88,28 @@ struct SyntheticConfig {
 /// A generated multi-domain world (default domains: Books, Movies, Music)
 /// with consistent users across domains.
 ///
-/// Two modes share identical record streams:
-///   * materialized (default) — every domain is generated into an in-memory
-///     OMDS image up front; domain()/MakePair() serve from RAM, and pairs
-///     share those images.
-///   * deferred (materialize = false) — only the latents are generated; the
-///     per-domain review stream is replayed on demand via StreamDomain(),
-///     record for record identical to what the materialized mode stores.
-///     This is how million-user worlds are written straight to OMDS files
-///     without ever holding a domain's reviews in memory.
-/// The equivalence holds because the constructor always advances each
-/// domain's forked RNG through the item-latent draws and snapshots the
-/// state; StreamDomain replays emission from a copy of that snapshot.
+/// The constructor draws only the latents: users, topics and each domain's
+/// item latents. A domain's reviews are generated into an in-memory OMDS
+/// image the first time something reads it (domain(), MakePair()), exactly
+/// once, so a world whose domain() is never called holds no review at all,
+/// and a scenario pays only for the two domains it pairs. That first build
+/// is safe when several threads read at once: every reader waits for the
+/// one build and sees the same dataset object.
+///
+/// StreamDomain() and WriteDomain() replay a domain's review stream without
+/// keeping it; this is how million-user worlds are written straight to
+/// OMDS files. Both paths emit the same records: the constructor advances
+/// each domain's forked RNG through the item-latent draws and keeps that
+/// state, and every build or replay starts from a copy of it.
 class SyntheticWorld {
  public:
-  SyntheticWorld(const SyntheticConfig& config,
-                 std::vector<std::string> domain_names = {"Books", "Movies",
-                                                          "Music"},
-                 bool materialize = true);
+  explicit SyntheticWorld(const SyntheticConfig& config,
+                          std::vector<std::string> domain_names = {
+                              "Books", "Movies", "Music"});
+  ~SyntheticWorld();
 
   /// Builds the cross-domain dataset for one scenario, e.g.
   /// MakePair("Books", "Movies"). Both names must be known domains.
-  /// Materialized worlds only.
   CrossDomainDataset MakePair(const std::string& source,
                               const std::string& target) const;
 
@@ -116,20 +117,18 @@ class SyntheticWorld {
     return domain_names_;
   }
 
-  /// The generated dataset of one domain (for inspection and tests).
-  /// Materialized worlds only.
+  /// The generated dataset of one domain, built on first read (class
+  /// comment). The reference stays valid for the world's lifetime.
   const DomainDataset& domain(const std::string& name) const;
 
   /// Replays the review stream of one domain through `emit`, in the exact
-  /// order (and with the exact contents) the materialized dataset would
-  /// hold. Works in both modes; const — each call replays from the stored
-  /// post-latent RNG snapshot.
+  /// order and with the exact contents domain() holds. Each call replays
+  /// from the stored post-latent RNG state.
   void StreamDomain(const std::string& name,
                     const std::function<void(Review&&)>& emit) const;
 
-  /// Streams one domain (StreamDomain) into `writer` and finalizes it —
-  /// the path of both modes: the materialized world's buffer images and
-  /// the deferred world's OMDS files.
+  /// Streams one domain (StreamDomain) into `writer` and finalizes it: the
+  /// path of both domain()'s buffer images and OMDS files on disk.
   Status WriteDomain(const std::string& name, OmdsWriter* writer) const;
 
   /// Ground-truth shared preference vector of a user (tests only).
@@ -140,20 +139,25 @@ class SyntheticWorld {
  private:
   int DomainIndex(const std::string& name) const;
   void GenerateVocabularyWords();
-  /// Draws item_attr_[d] / item_bias_[d] from `rng` — the first draws of a
-  /// domain's forked stream, in both modes.
+  /// Draws item_attr_[d] / item_bias_[d] from `rng`: the first draws of a
+  /// domain's forked stream.
   void GenerateItemLatents(int domain_idx, Rng* rng);
   /// The review-emission phase: consumes `rng` from the post-latent state.
   void EmitReviews(int domain_idx, Rng* rng,
                    const std::function<void(Review&&)>& emit) const;
-  std::string SampleSummary(int user_id, int domain_idx,
-                            const std::vector<float>& item_attr, int rating,
-                            int length, double noise_boost, Rng* rng) const;
+  /// Appends `length` words to `out`, separated by single spaces. Topic
+  /// words are drawn from `topic_prefix`, the running sums of the review's
+  /// topic weights.
+  void AppendWords(int domain_idx, const std::vector<double>& topic_prefix,
+                   int rating, int length, double noise_boost, Rng* rng,
+                   std::string* out) const;
+
+  /// One domain's dataset, built at most once (domain()).
+  struct LazyDomain;
 
   SyntheticConfig config_;
   std::vector<std::string> domain_names_;
-  bool materialized_ = true;
-  std::vector<DomainDataset> domains_;
+  std::unique_ptr<LazyDomain[]> domains_;
   /// Per-domain RNG state right after the item-latent draws; EmitReviews on
   /// a copy of review_rngs_[d] reproduces the domain's review stream.
   std::vector<Rng> review_rngs_;

@@ -5,9 +5,7 @@
 #include "common/check.h"
 #include "common/rng.h"
 #include "common/string_util.h"
-#include "common/threadpool.h"
 #include "core/checkpoint.h"
-#include "core/trainer.h"
 #include "nn/tensor.h"
 #include "obs/trace.h"
 
@@ -34,26 +32,21 @@ Result<std::shared_ptr<const ServingCorpus>> ServingCorpus::Build(
     const core::OmniMatchConfig& config, const data::CrossDomainDataset* cross,
     data::ColdStartSplit split) {
   OM_CHECK(cross != nullptr);
-  // The pool size and the sinks are process-wide and shape no document;
-  // pin them to their current state so Prepare() leaves them as they are.
-  core::OmniMatchConfig build_config = config;
-  build_config.num_threads = GetNumThreads();
-  build_config.trace_out.clear();
-  build_config.metrics_out.clear();
-  core::OmniMatchTrainer trainer(build_config, cross, split);
-  OM_RETURN_IF_ERROR(trainer.Prepare());
+  OM_RETURN_IF_ERROR(config.Validate());
+  Rng rng(config.seed);
+  Result<core::ScenarioDocuments> docs =
+      core::BuildScenarioDocuments(config, cross, split, &rng);
+  if (!docs.ok()) return docs.status();
 
   auto corpus = std::shared_ptr<ServingCorpus>(new ServingCorpus());
   corpus->config_fingerprint_ = config.Fingerprint();
   corpus->cross_ = cross;
   corpus->global_mean_rating_ = cross->target().GlobalMeanRating();
-  corpus->tokens_ = trainer.review_tokens();
-  corpus->aux_generator_ = std::make_unique<core::AuxReviewGenerator>(
-      cross, split.train_users, config.text_field);
-  corpus->user_source_docs_ = trainer.user_source_docs();
-  corpus->user_target_docs_ = trainer.user_target_docs();
-  corpus->item_docs_ = trainer.item_docs();
-  corpus->cold_aux_doc_variants_ = trainer.cold_aux_doc_variants();
+  corpus->docs_ = std::move(docs).value();
+  // Drawn only to keep the RNG stream the trainer's; serving never reads
+  // them.
+  corpus->docs_.item_records.clear();
+  corpus->docs_.train_aux_records.clear();
   corpus->pad_user_doc_.assign(static_cast<size_t>(config.doc_len),
                                text::Vocabulary::kPadId);
   corpus->pad_item_doc_.assign(static_cast<size_t>(config.item_doc_len),

@@ -10,6 +10,7 @@
 #include "core/aux_review.h"
 #include "core/config.h"
 #include "core/model.h"
+#include "core/trainer.h"
 #include "data/dataset.h"
 #include "data/splits.h"
 #include "text/vocabulary.h"
@@ -18,8 +19,7 @@ namespace omnimatch {
 namespace serve {
 
 /// The frozen inputs a snapshot scores from: the vocabulary and every review
-/// as token ids (core::ReviewTokens, taken over from the trainer that built
-/// them), the Algorithm-1 generator, every frozen source/target/item
+/// as token ids (core::ReviewTokens), the Algorithm-1 generator, every frozen source/target/item
 /// document and cold-user document variant, the all-pad fallback documents
 /// and the target domain's global mean rating. They are a pure function of
 /// (config fingerprint, dataset, split) — never of a checkpoint's
@@ -35,11 +35,11 @@ namespace serve {
 class ServingCorpus {
  public:
   /// Rebuilds vocabulary and documents exactly as the training run did
-  /// (same config, same split, same seed => bit-identical documents) by
-  /// Prepare()-ing a throwaway trainer: the document pipeline consumes the
-  /// trainer's seeded RNG, so running the identical code path is the only
-  /// way to get bit-identical documents. Leaves process-global state alone:
-  /// the kernel pool keeps its size and no trace or metrics sink is
+  /// (same config, same split, same seed => bit-identical documents): it
+  /// runs core::BuildScenarioDocuments, the builder Prepare() runs, on a
+  /// fresh Rng(config.seed), the stream the trainer's documents are drawn
+  /// from. No model or optimizer is built, and process-global state is left
+  /// alone: the kernel pool keeps its size and no trace or metrics sink is
   /// switched on, whatever `config.num_threads` and the sink fields say.
   /// `cross` must outlive the corpus (its indices back online Algorithm 1
   /// admission).
@@ -56,26 +56,26 @@ class ServingCorpus {
 
   uint64_t config_fingerprint() const { return config_fingerprint_; }
   const data::CrossDomainDataset* cross() const { return cross_; }
-  const text::Vocabulary& vocabulary() const { return tokens_->vocab; }
+  const text::Vocabulary& vocabulary() const { return docs_.tokens->vocab; }
   /// Every review as token ids; online cold admission builds its documents
   /// from spans of it.
-  const core::ReviewTokens& review_tokens() const { return *tokens_; }
+  const core::ReviewTokens& review_tokens() const { return *docs_.tokens; }
   const core::AuxReviewGenerator& aux_generator() const {
-    return *aux_generator_;
+    return *docs_.aux_generator;
   }
   float global_mean_rating() const { return global_mean_rating_; }
   const std::unordered_map<int, std::vector<int>>& user_source_docs() const {
-    return user_source_docs_;
+    return docs_.user_source_docs;
   }
   const std::unordered_map<int, std::vector<int>>& user_target_docs() const {
-    return user_target_docs_;
+    return docs_.user_target_docs;
   }
   const std::unordered_map<int, std::vector<int>>& item_docs() const {
-    return item_docs_;
+    return docs_.item_docs;
   }
   const std::unordered_map<int, std::vector<std::vector<int>>>&
   cold_aux_doc_variants() const {
-    return cold_aux_doc_variants_;
+    return docs_.cold_aux_doc_variants;
   }
   const std::vector<int>& pad_user_doc() const { return pad_user_doc_; }
   const std::vector<int>& pad_item_doc() const { return pad_item_doc_; }
@@ -89,13 +89,7 @@ class ServingCorpus {
   data::ColdStartSplit split_;
 
   float global_mean_rating_ = 0.0f;
-  std::shared_ptr<const core::ReviewTokens> tokens_;
-  std::unique_ptr<core::AuxReviewGenerator> aux_generator_;
-  std::unordered_map<int, std::vector<int>> user_source_docs_;
-  std::unordered_map<int, std::vector<int>> user_target_docs_;
-  std::unordered_map<int, std::vector<int>> item_docs_;
-  std::unordered_map<int, std::vector<std::vector<int>>>
-      cold_aux_doc_variants_;
+  core::ScenarioDocuments docs_;
   std::vector<int> pad_user_doc_;
   std::vector<int> pad_item_doc_;
 };

@@ -58,6 +58,12 @@ class TokenTable {
 /// vocabulary of every token with at least `min_count` counted occurrences,
 /// its ids assigned in order of first counted occurrence over the columns
 /// in order, records in order; every other token maps to kUnkId.
+///
+/// One pass over the text (ForEachToken's byte table, text/tokenizer.h)
+/// interns each token into an open-addressing table whose token bytes sit
+/// in one arena: no std::string per token and no vector per record, only
+/// one std::string per vocabulary entry at the end. The ids are those of
+/// Tokenize() followed by first-occurrence interning.
 std::vector<TokenTable> TokenizeColumns(const std::vector<TextColumn>& columns,
                                         int min_count, Vocabulary* vocab);
 

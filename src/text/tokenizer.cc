@@ -1,24 +1,13 @@
 #include "text/tokenizer.h"
 
-#include <cctype>
-
 namespace omnimatch {
 namespace text {
 
 std::vector<std::string> Tokenize(std::string_view input) {
   std::vector<std::string> tokens;
-  std::string current;
-  for (char ch : input) {
-    unsigned char c = static_cast<unsigned char>(ch);
-    if (std::isalnum(c)) {
-      current.push_back(
-          static_cast<char>(std::tolower(c)));
-    } else if (!current.empty()) {
-      tokens.push_back(std::move(current));
-      current.clear();
-    }
-  }
-  if (!current.empty()) tokens.push_back(std::move(current));
+  std::string scratch;
+  ForEachToken(input, &scratch,
+               [&](std::string_view token) { tokens.emplace_back(token); });
   return tokens;
 }
 

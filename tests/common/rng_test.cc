@@ -110,6 +110,30 @@ TEST(RngTest, SampleDiscreteRespectsWeights) {
   EXPECT_NEAR(counts[2] / static_cast<double>(counts[0]), 3.0, 0.35);
 }
 
+TEST(RngTest, SampleCumulativeDrawsWhatSampleDiscreteDraws) {
+  // Running sums formed in index order, zeroed weights (leading, inner and
+  // trailing) included, and redone from a zeroed index on as the synthetic
+  // generator does: the same stream must yield the same index every time.
+  Rng weights_rng(5);
+  std::vector<double> w(64);
+  for (double& x : w) x = std::exp(weights_rng.Normal());
+  w[0] = w[17] = w[63] = 0.0;
+  std::vector<double> prefix(w.size());
+  double sum = 0.0;
+  for (size_t i = 0; i < w.size(); ++i) prefix[i] = sum += w[i];
+  Rng a(23), b(23);
+  for (int draw = 0; draw < 40; ++draw) {
+    const int expected = a.SampleDiscrete(w);
+    ASSERT_EQ(expected, b.SampleCumulative(prefix)) << "draw " << draw;
+    ASSERT_GT(w[static_cast<size_t>(expected)], 0.0);
+    w[static_cast<size_t>(expected)] = 0.0;
+    sum = expected == 0 ? 0.0 : prefix[static_cast<size_t>(expected) - 1];
+    for (size_t i = static_cast<size_t>(expected); i < w.size(); ++i) {
+      prefix[i] = sum += w[i];
+    }
+  }
+}
+
 TEST(RngTest, ShuffleIsPermutation) {
   Rng rng(31);
   std::vector<int> v(50);

@@ -93,7 +93,7 @@ TEST(OmdsTest, BufferImageByteIdenticalToStreamedFile) {
   config.num_users = 35;
   config.items_per_domain = 25;
   config.seed = 19;
-  SyntheticWorld world(config, {"Books", "Movies"}, /*materialize=*/false);
+  SyntheticWorld world(config, {"Books", "Movies"});
   OmdsWriter buffered;
   ASSERT_TRUE(world.WriteDomain("Books", &buffered).ok());
   OmdsWriter streamed;

@@ -1,10 +1,15 @@
 #include "data/synthetic.h"
 
 #include <cmath>
+#include <cstdint>
 #include <set>
+#include <string>
+#include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/crc32.h"
 #include "data/omds.h"
 #include "text/tokenizer.h"
 
@@ -179,8 +184,7 @@ TEST(SyntheticTest, ParticipationControlsDomainMembership) {
 TEST(SyntheticTest, StreamDomainMatchesMaterializedRecords) {
   SyntheticConfig c = TinyConfig(77);
   SyntheticWorld materialized(c);
-  SyntheticWorld deferred(c, {"Books", "Movies", "Music"},
-                          /*materialize=*/false);
+  SyntheticWorld deferred(c, {"Books", "Movies", "Music"});
   for (const auto& name : materialized.domain_names()) {
     const DomainDataset& mem = materialized.domain(name);
     size_t i = 0;
@@ -199,8 +203,7 @@ TEST(SyntheticTest, StreamDomainMatchesMaterializedRecords) {
 }
 
 TEST(SyntheticTest, StreamDomainIsRepeatable) {
-  SyntheticWorld world(TinyConfig(78), {"Books", "Movies"},
-                       /*materialize=*/false);
+  SyntheticWorld world(TinyConfig(78), {"Books", "Movies"});
   // Two replays written to two images must be byte-identical.
   OmdsWriter first, second;
   ASSERT_TRUE(world.WriteDomain("Movies", &first).ok());
@@ -210,6 +213,71 @@ TEST(SyntheticTest, StreamDomainIsRepeatable) {
   Result<std::shared_ptr<const OmdsFile>> b = second.TakeImage();
   ASSERT_TRUE(a.ok() && b.ok());
   EXPECT_EQ(a.value()->bytes(), b.value()->bytes());
+}
+
+TEST(SyntheticTest, DomainImagesMatchPinnedCrcs) {
+  // Whole-image CRC-32s of every domain, recorded before the generator's
+  // sampler and string building were rewritten; any change to one byte of
+  // any review, or to the image layout, changes them.
+  SyntheticConfig serve_world = SyntheticConfig::AmazonLike();
+  serve_world.num_users = 1300;
+  serve_world.participation = 0.6;
+  struct Pinned {
+    const char* world;
+    SyntheticConfig config;
+    uint32_t crc[3];  // Books, Movies, Music
+  };
+  const Pinned pinned[] = {
+      {"AmazonLike", SyntheticConfig::AmazonLike(),
+       {0xba5c2e15u, 0x91a655c8u, 0xcb4c2a8au}},
+      {"DoubanLike", SyntheticConfig::DoubanLike(),
+       {0x38c03214u, 0x210811b2u, 0x5d49fd4cu}},
+      {"1300 users, participation 0.6", serve_world,
+       {0xdd72e973u, 0x19af58bbu, 0x5da06693u}},
+  };
+  for (const Pinned& p : pinned) {
+    SyntheticWorld world(p.config);
+    for (size_t d = 0; d < 3; ++d) {
+      const std::string& name = world.domain_names()[d];
+      EXPECT_EQ(p.crc[d], Crc32(world.domain(name).image().bytes()))
+          << p.world << " " << name;
+    }
+  }
+}
+
+TEST(SyntheticTest, ConcurrentFirstReadsShareOneDomain) {
+  // Domains are built on first read; threads racing to that read must all
+  // get the one dataset, byte-identical to a world read by one thread.
+  const SyntheticConfig c = TinyConfig(91);
+  SyntheticWorld reference(c);
+  SyntheticWorld world(c);
+  constexpr int kThreads = 6;
+  std::vector<const DomainDataset*> books(kThreads), movies(kThreads);
+  std::vector<CrossDomainDataset> pairs(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      // Half the threads reach the domains through MakePair first.
+      if (t % 2 == 0) pairs[t] = world.MakePair("Books", "Movies");
+      books[t] = &world.domain("Books");
+      movies[t] = &world.domain("Movies");
+      if (t % 2 == 1) pairs[t] = world.MakePair("Books", "Movies");
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(books[0], books[t]);
+    EXPECT_EQ(movies[0], movies[t]);
+    // A pair shares its domains' images rather than copying them.
+    EXPECT_EQ(books[0]->image().bytes().data(),
+              pairs[t].source().image().bytes().data());
+    EXPECT_EQ(movies[0]->image().bytes().data(),
+              pairs[t].target().image().bytes().data());
+  }
+  EXPECT_EQ(reference.domain("Books").image().bytes(),
+            books[0]->image().bytes());
+  EXPECT_EQ(reference.domain("Movies").image().bytes(),
+            movies[0]->image().bytes());
 }
 
 }  // namespace

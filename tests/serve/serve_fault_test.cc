@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <future>
 #include <limits>
@@ -23,6 +24,7 @@
 #include <gtest/gtest.h>
 
 #include "common/fault.h"
+#include "common/io.h"
 #include "core/trainer.h"
 #include "data/splits.h"
 #include "data/synthetic.h"
@@ -646,6 +648,122 @@ TEST(SnapshotSwapTest, FingerprintMismatchRollsBackOnSharedCorpus) {
   EXPECT_EQ(1, manager.rollbacks());
   EXPECT_EQ(w.snapshot_a->version(), manager.active_version());
   std::remove(path.c_str());
+}
+
+// Corrupt OMCK files through the live server: one checkpoint swept with a
+// stride of truncations and single-bit flips, with every section boundary
+// (frame header, each section's tag, size and body) cut and flipped on
+// both sides, each variant swapped in while traffic flows. Every variant
+// must roll back with a Status, and the incumbent must keep answering kOk
+// with the bits of its single-threaded reference.
+TEST(SnapshotSwapTest, CorruptCheckpointSweepRollsBackUnderTraffic) {
+  FaultGuard guard;
+  FaultWorld& w = World();
+  const std::string bytes = ReadFileToString(w.checkpoint_b).value();
+  ASSERT_GT(bytes.size(), 64u);
+
+  // The frame header is 20 bytes; then sections of `u32 tag, u64 size,
+  // body` (core/checkpoint.cc) up to the end of the file.
+  constexpr size_t kFrameHeader = 20;
+  std::vector<size_t> boundaries = {0, kFrameHeader};
+  for (size_t at = kFrameHeader; at + 12 <= bytes.size();) {
+    uint64_t size = 0;
+    std::memcpy(&size, bytes.data() + at + 4, sizeof size);
+    ASSERT_LE(size, bytes.size() - at - 12) << "section at " << at;
+    boundaries.insert(boundaries.end(), {at + 4, at + 12});
+    at += 12 + size;
+    boundaries.push_back(at);
+  }
+  ASSERT_EQ(bytes.size(), boundaries.back());
+  ASSERT_GE(boundaries.size(), 2u + 3u * 6u) << "too few sections parsed";
+
+  // (cut length, or the byte to flip with its bit): SIZE_MAX marks a flip.
+  struct Variant {
+    size_t cut = SIZE_MAX;
+    size_t flip_at = 0;
+    int bit = 0;
+  };
+  std::vector<Variant> variants;
+  auto add_around = [&](size_t at) {
+    for (size_t p = at > 0 ? at - 1 : 0; p <= at + 1; ++p) {
+      if (p < bytes.size()) {
+        variants.push_back({p, 0, 0});
+        variants.push_back({SIZE_MAX, p, static_cast<int>(p % 8)});
+      }
+    }
+  };
+  for (size_t b : boundaries) add_around(b);
+  const size_t stride = std::max<size_t>(1, bytes.size() / 48);
+  for (size_t p = stride / 2; p < bytes.size(); p += stride) {
+    variants.push_back({p, 0, 0});
+    variants.push_back({SIZE_MAX, p, static_cast<int>((p / stride) % 8)});
+  }
+
+  const std::vector<ScoreRequest> pairs = CorpusPairs();
+  const std::vector<float> reference = ScoreAll(w.snapshot_a, pairs);
+  InferenceServer::Options options;
+  options.executors = 2;
+  options.max_batch = 4;
+  options.max_queue = 0;  // unbounded: every request scores at full tier
+  InferenceServer server(w.snapshot_a, options);
+  SnapshotManager manager(&server);
+
+  std::atomic<bool> stop{false};
+  std::atomic<int64_t> answered{0}, wrong{0};
+  std::vector<std::thread> submitters;
+  for (int t = 0; t < 2; ++t) {
+    submitters.emplace_back([&, t] {
+      for (size_t round = 0; !stop.load(); ++round) {
+        std::vector<std::future<ScoreResult>> futures;
+        for (size_t i = 0; i < pairs.size(); ++i) {
+          const size_t k = (i + round + static_cast<size_t>(t)) % pairs.size();
+          futures.push_back(server.ScoreAsync(pairs[k].user, pairs[k].item));
+        }
+        for (size_t i = 0; i < futures.size(); ++i) {
+          const size_t k = (i + round + static_cast<size_t>(t)) % pairs.size();
+          const ScoreResult r = futures[i].get();
+          if (r.status != RequestStatus::kOk ||
+              r.snapshot_version != w.snapshot_a->version() ||
+              r.score != reference[k]) {
+            wrong.fetch_add(1);
+          }
+          answered.fetch_add(1);
+        }
+      }
+    });
+  }
+
+  // The sweep starts once traffic is flowing.
+  while (answered.load() < static_cast<int64_t>(pairs.size())) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  const std::string path =
+      testing_util::TestTempDir() + "/serve_fault_sweep.omck";
+  for (const Variant& v : variants) {
+    std::string corrupt = bytes;
+    if (v.cut != SIZE_MAX) {
+      corrupt.resize(v.cut);
+    } else {
+      corrupt[v.flip_at] = static_cast<char>(corrupt[v.flip_at] ^ (1 << v.bit));
+    }
+    std::ofstream(path, std::ios::binary | std::ios::trunc)
+        .write(corrupt.data(), static_cast<std::streamsize>(corrupt.size()));
+    const Status swapped =
+        manager.SwapFromCheckpoint(w.config, &w.cross, w.split, path);
+    EXPECT_FALSE(swapped.ok())
+        << (v.cut != SIZE_MAX ? "cut at " + std::to_string(v.cut)
+                              : "flip at " + std::to_string(v.flip_at));
+  }
+  stop = true;
+  for (std::thread& th : submitters) th.join();
+  server.Shutdown();
+  std::remove(path.c_str());
+
+  EXPECT_EQ(static_cast<int64_t>(variants.size()), manager.rollbacks());
+  EXPECT_EQ(0, manager.swaps());
+  EXPECT_EQ(w.snapshot_a->version(), manager.active_version());
+  EXPECT_EQ(0, wrong.load()) << "of " << answered.load() << " answers";
+  EXPECT_GT(answered.load(), 0);
 }
 
 // Many submitters, several executors, and hot swaps A->B->A->B through the

@@ -269,7 +269,8 @@ TEST(ScorerTest, TracedBatchRecordsStageSpans) {
   obs::EnableTracing(true);
   obs::EnableMetrics(true);
   obs::ClearTrace();
-  const char* const stages[] = {"serve.item_rows", "serve.head"};
+  const char* const stages[] = {"serve.cold_docs", "serve.item_rows",
+                                "serve.head"};
   std::vector<int64_t> before;
   for (const char* stage : stages) {
     before.push_back(obs::MetricsRegistry::Global()
@@ -277,8 +278,11 @@ TEST(ScorerTest, TracedBatchRecordsStageSpans) {
                                        obs::Histogram::LatencyBoundsNs())
                          ->Count());
   }
+  // A source-only user is admitted online, so Algorithm 1 runs.
+  std::vector<ScoreRequest> pairs = ReferencePairs();
+  pairs.push_back({w.source_only_user, w.cross.target().items().front()});
   Scorer scorer(w.snapshot, 256);
-  scorer.ScoreBatch(ReferencePairs());
+  scorer.ScoreBatch(pairs);
   const std::vector<obs::ExportedSpan> spans = obs::ExportSpans();
   obs::EnableTracing(tracing);
   obs::EnableMetrics(metrics);
@@ -296,6 +300,25 @@ TEST(ScorerTest, TracedBatchRecordsStageSpans) {
                   ->Count(),
               before[s])
         << stage;
+  }
+  // Algorithm 1 and the softmax readout each trace inside their stage.
+  const std::pair<const char*, const char*> nested[] = {
+      {"aux.generate", "serve.cold_docs"}, {"scoring.softmax", "serve.head"}};
+  for (const auto& [inner, outer] : nested) {
+    int found = 0;
+    for (const obs::ExportedSpan& in : spans) {
+      if (std::string(inner) != in.name) continue;
+      ++found;
+      EXPECT_TRUE(std::any_of(spans.begin(), spans.end(),
+                              [&](const obs::ExportedSpan& out) {
+                                return std::string(outer) == out.name &&
+                                       out.tid == in.tid &&
+                                       out.start_ns <= in.start_ns &&
+                                       in.end_ns <= out.end_ns;
+                              }))
+          << inner << " outside " << outer;
+    }
+    EXPECT_GT(found, 0) << inner;
   }
 }
 
