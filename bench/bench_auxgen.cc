@@ -15,11 +15,11 @@
 //                  [--workdir=/tmp/omnimatch_million]
 //
 // --check turns the sweep into a self-gating smoke test: the process fails
-// unless (a) the CSR path's texts and consumed RNG stream are bit-identical
-// to the scan path's on the Table-2 (AmazonLike) configuration, and (b) the
-// generation speedup at the largest swept world reaches
-// --check_speedup_min. Every sweep row lands in the JSON with
-// seed_ns = scan-path time, so speedup_vs_seed is the scan-vs-CSR ratio.
+// unless the generation speedup at the largest swept world reaches
+// --check_speedup_min. The two paths' bit-identity is pinned by
+// AuxReviewTest.CsrPathBitIdenticalToReferenceScanOnTable2Config. Every
+// sweep row lands in the JSON with seed_ns = scan-path time, so
+// speedup_vs_seed is the scan-vs-CSR ratio.
 
 #include <sys/resource.h>
 
@@ -125,40 +125,6 @@ std::vector<std::string> ScanGenerate(const data::CrossDomainDataset& cross,
     aux.emplace_back(target.ReviewSummary(pick));
   }
   return aux;
-}
-
-// ---------------------------------------------------------------------------
-// Bit-identity pin: Table-2 (AmazonLike) configuration, every test user,
-// texts AND post-generation RNG state must match between the two paths.
-// ---------------------------------------------------------------------------
-
-bool CheckBitIdentity() {
-  data::SyntheticConfig config = data::SyntheticConfig::AmazonLike();
-  data::SyntheticWorld world(config, {"Books", "Movies"});
-  data::CrossDomainDataset cross = world.MakePair("Books", "Movies");
-  Rng split_rng(12);
-  data::ColdStartSplit split = data::MakeColdStartSplit(cross, &split_rng);
-
-  core::AuxReviewGenerator generator(&cross, split.train_users);
-  ScanIndex index = BuildScanIndex(cross.source());
-  std::unordered_set<int> eligible(split.train_users.begin(),
-                                   split.train_users.end());
-
-  for (int user : split.test_users) {
-    Rng rng_csr(core::AuxReviewGenerator::PerUserSeed(2024, user));
-    Rng rng_ref(core::AuxReviewGenerator::PerUserSeed(2024, user));
-    std::vector<std::string> csr = generator.GenerateForUser(user, &rng_csr);
-    std::vector<std::string> ref =
-        ScanGenerate(cross, index, eligible, user, &rng_ref);
-    if (csr != ref || rng_csr.NextU32() != rng_ref.NextU32()) {
-      std::fprintf(stderr,
-                   "bench_auxgen: CSR path diverged from scan path for "
-                   "user %d on the Table-2 config\n",
-                   user);
-      return false;
-    }
-  }
-  return true;
 }
 
 // ---------------------------------------------------------------------------
@@ -429,12 +395,6 @@ int main(int argc, char** argv) {
   bool check = flags.GetBool("check", false);
   double check_speedup_min = flags.GetDouble("check_speedup_min", 10.0);
   int max_users = flags.GetInt("max_users", 100000);
-
-  std::printf("bit-identity pin (Table-2 config)... ");
-  std::fflush(stdout);
-  bool identical = CheckBitIdentity();
-  std::printf("%s\n", identical ? "ok" : "FAILED");
-  if (check && !identical) return 1;
 
   std::vector<int> sweep = {2000, 20000};
   if (max_users > sweep.back()) sweep.push_back(max_users);

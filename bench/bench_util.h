@@ -14,15 +14,14 @@
 namespace omnimatch {
 namespace bench {
 
-/// One timed kernel measurement destined for BENCH_nn_ops.json.
+/// One timed measurement destined for BENCH_auxgen*.json.
 struct KernelSample {
-  std::string name;     // kernel + shape, e.g. "MatMul/256"
-  std::string variant;  // "reference" (naive serial) or "blocked"
+  std::string name;     // workload + size, e.g. "auxgen/users=20000"
+  std::string variant;  // the timed implementation, e.g. "csr"
   int threads = 1;      // pool size the sample ran with
   double ns = 0.0;      // best-of-reps time per call
-  /// Seed-commit measurement of the same kernel (google-benchmark,
-  /// Release), recorded before this substrate existed; 0 when the kernel
-  /// had no seed-era benchmark.
+  /// Time of the baseline the sample is compared against (the retired scan
+  /// path for the Algorithm-1 sweep); 0 when there is none.
   double seed_ns = 0.0;
 };
 

@@ -41,8 +41,8 @@ void FusedLinearForward(const float* a, const float* b, const float* bias,
 namespace reference {
 
 /// Naive triple-loop versions of the kernels above, kept as the ground
-/// truth for property tests and as the "before" side of the benchmark
-/// trajectory (bench_report). Serial, unblocked, branch-free.
+/// truth for the property tests (tests/nn/gemm_test.cc). Serial,
+/// unblocked, branch-free.
 void GemmNN(const float* a, const float* b, float* c, int m_dim, int k_dim,
             int n_dim);
 void GemmNT(const float* a, const float* b, float* c, int m_dim, int k_dim,

@@ -21,7 +21,7 @@ using Impl = std::shared_ptr<TensorImpl>;
 
 /// Tape nodes allocated by eager ops and losses. Replayed graph steps
 /// allocate none: the ratio of this counter to steps is the zero-alloc
-/// evidence surfaced in the metrics snapshot and BENCH_graph.json.
+/// evidence that GraphTrainerTest.ReplayedStepsAllocateNoTensorNodes pins.
 obs::Counter* NodeAllocCounter() {
   static obs::Counter* const counter =
       obs::MetricsRegistry::Global().GetCounter("nn.tensor_node_allocs");

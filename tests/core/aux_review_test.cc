@@ -1,6 +1,8 @@
 #include "core/aux_review.h"
 
 #include <set>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -311,18 +313,26 @@ void ExpectTracesEqual(const AuxReviewTrace& a, const AuxReviewTrace& b) {
   }
 }
 
-TEST(AuxReviewTest, CsrPathBitIdenticalToReferenceScanOnTable2Config) {
-  // The Table-2 pin: on the AmazonLike world, every cold user's trace —
-  // choices, picked users, borrowed texts — must match the reference scan
-  // implementation exactly, RNG draw for RNG draw.
-  data::SyntheticWorld world(data::SyntheticConfig::AmazonLike());
+/// Generates for every cold user of an AmazonLike world through the CSR
+/// path and the reference scan, and requires equal texts and traces, RNG
+/// draw for RNG draw. With `per_user_seeds` each user gets a fresh stream
+/// (as GenerateAll seeds it); otherwise one stream runs through all users.
+void ExpectCsrMatchesScanOnAmazonLike(std::vector<std::string> domains,
+                                      uint64_t split_seed,
+                                      bool per_user_seeds) {
+  data::SyntheticWorld world(data::SyntheticConfig::AmazonLike(),
+                             std::move(domains));
   data::CrossDomainDataset cross = world.MakePair("Books", "Movies");
-  Rng split_rng(1);
+  Rng split_rng(split_seed);
   data::ColdStartSplit split = data::MakeColdStartSplit(cross, &split_rng);
   AuxReviewGenerator generator(&cross, split.train_users);
 
   Rng rng_csr(2024), rng_ref(2024);
   for (int user : split.test_users) {
+    if (per_user_seeds) {
+      rng_csr = Rng(AuxReviewGenerator::PerUserSeed(2024, user));
+      rng_ref = rng_csr;
+    }
     AuxReviewTrace trace_csr, trace_ref;
     auto reviews_csr = generator.GenerateForUser(user, &rng_csr, &trace_csr);
     auto reviews_ref =
@@ -330,9 +340,27 @@ TEST(AuxReviewTest, CsrPathBitIdenticalToReferenceScanOnTable2Config) {
                               user, &rng_ref, &trace_ref);
     EXPECT_EQ(reviews_csr, reviews_ref) << "user " << user;
     ExpectTracesEqual(trace_csr, trace_ref);
+    if (per_user_seeds) {
+      EXPECT_EQ(rng_csr.NextU32(), rng_ref.NextU32()) << "user " << user;
+    }
   }
   // Both paths consumed the same number of draws: the streams stay aligned.
   EXPECT_EQ(rng_csr.NextU32(), rng_ref.NextU32());
+}
+
+TEST(AuxReviewTest, CsrPathBitIdenticalToReferenceScanOnTable2Config) {
+  // The Table-2 pin: on the AmazonLike world, every cold user's trace —
+  // choices, picked users, borrowed texts — must match the reference scan
+  // implementation exactly. The second input is a two-domain world (other
+  // user latents), another split and per-user streams.
+  {
+    SCOPED_TRACE("three domains, split seed 1, one stream");
+    ExpectCsrMatchesScanOnAmazonLike({"Books", "Movies", "Music"}, 1, false);
+  }
+  {
+    SCOPED_TRACE("two domains, split seed 12, per-user streams");
+    ExpectCsrMatchesScanOnAmazonLike({"Books", "Movies"}, 12, true);
+  }
 }
 
 TEST(AuxReviewTest, SelfExclusionBitIdenticalWhenColdUserIsEligible) {

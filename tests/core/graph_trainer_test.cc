@@ -14,6 +14,7 @@
 #include "core/trainer.h"
 #include "data/splits.h"
 #include "data/synthetic.h"
+#include "obs/metrics.h"
 #include "test_util/temp_dir.h"
 
 namespace omnimatch {
@@ -106,6 +107,50 @@ TEST(GraphTrainerTest, RecordedTrainingBitIdenticalToEagerAcrossThreads) {
     EXPECT_GT(graph.stats.replay_steps, 0) << threads << " threads";
     EXPECT_EQ(graph.stats.fallback_signatures, 0) << threads << " threads";
     EXPECT_GT(graph.stats.arena_bytes_max, 0);
+  }
+  SetNumThreads(0);
+}
+
+// Replayed steps allocate no tensor nodes. Every eager step allocates the
+// same number (the op stream does not depend on the batch's shape), and a
+// recording step runs eagerly, so a recorded run's nn.tensor_node_allocs
+// must equal its recording steps' eager share exactly.
+TEST(GraphTrainerTest, ReplayedStepsAllocateNoTensorNodes) {
+  data::SyntheticWorld world(SmallWorldConfig());
+  data::CrossDomainDataset cross = world.MakePair("Books", "Movies");
+  Rng rng(5);
+  data::ColdStartSplit split = data::MakeColdStartSplit(cross, &rng);
+  const obs::Counter* node_allocs =
+      obs::MetricsRegistry::Global().GetCounter("nn.tensor_node_allocs");
+
+  for (int threads : {1, 2, 4}) {
+    SCOPED_TRACE(std::to_string(threads) + " threads");
+    int64_t eager_allocs_per_step = 0;
+    for (bool graph_exec : {false, true}) {
+      OmniMatchConfig config = SmallTrainConfig(threads, graph_exec);
+      // Training steps only: the per-epoch validation forward runs eagerly
+      // in both modes.
+      config.select_best_epoch = false;
+      OmniMatchTrainer trainer(config, &cross, split);
+      ASSERT_TRUE(trainer.Prepare().ok());
+      const int64_t before = node_allocs->Value();
+      const TrainStats stats = trainer.Train();
+      const int64_t allocs = node_allocs->Value() - before;
+      ASSERT_GT(stats.steps, 0);
+      if (!graph_exec) {
+        EXPECT_EQ(0, allocs % stats.steps) << allocs << " allocs";
+        eager_allocs_per_step = allocs / stats.steps;
+        EXPECT_GT(eager_allocs_per_step, 0);
+        continue;
+      }
+      const nn::graph::GraphExecutor::Stats& gs =
+          trainer.graph_executor()->stats();
+      ASSERT_GT(gs.replay_steps, 0);
+      const int64_t replay_allocs =
+          allocs - eager_allocs_per_step * gs.record_steps;
+      EXPECT_EQ(0, replay_allocs)
+          << "over " << gs.replay_steps << " replayed steps";
+    }
   }
   SetNumThreads(0);
 }

@@ -89,21 +89,27 @@ TEST(GemmTest, TNMatchesReferenceOnAllShapes) {
 
 TEST(GemmTest, BitIdenticalAcrossThreadCounts) {
   // The substrate's core guarantee: the pool size never changes a single
-  // bit of the output.
+  // bit of the output. Off-tile on every axis, and square on-tile shapes.
   Rng rng(15);
-  int m = 173, k = 301, n = 129;  // off-tile on every axis
-  std::vector<float> a = RandomVec(static_cast<size_t>(m) * k, &rng);
-  std::vector<float> b = RandomVec(static_cast<size_t>(k) * n, &rng);
+  struct Shape {
+    int m, k, n;
+  };
   int before = GetNumThreads();
-  std::vector<float> golden;
-  for (int threads : {1, 2, 3, 4, 8}) {
-    SetNumThreads(threads);
-    std::vector<float> c(static_cast<size_t>(m) * n, 0.0f);
-    GemmNN(a.data(), b.data(), c.data(), m, k, n);
-    if (golden.empty()) {
-      golden = c;
-    } else {
-      ASSERT_EQ(golden, c) << "GemmNN differs at " << threads << " threads";
+  for (Shape s : {Shape{173, 301, 129}, Shape{64, 64, 64},
+                  Shape{128, 128, 128}, Shape{256, 256, 256}}) {
+    std::vector<float> a = RandomVec(static_cast<size_t>(s.m) * s.k, &rng);
+    std::vector<float> b = RandomVec(static_cast<size_t>(s.k) * s.n, &rng);
+    std::vector<float> golden;
+    for (int threads : {1, 2, 3, 4, 8}) {
+      SetNumThreads(threads);
+      std::vector<float> c(static_cast<size_t>(s.m) * s.n, 0.0f);
+      GemmNN(a.data(), b.data(), c.data(), s.m, s.k, s.n);
+      if (golden.empty()) {
+        golden = c;
+      } else {
+        ASSERT_EQ(golden, c) << "GemmNN " << s.m << "x" << s.k << "x" << s.n
+                             << " differs at " << threads << " threads";
+      }
     }
   }
   SetNumThreads(before);

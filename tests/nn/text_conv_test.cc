@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -216,18 +217,27 @@ Tensor RandomTensor(std::vector<int> shape, Rng* rng) {
   return t;
 }
 
-/// The op over a two-size bank, forward and backward, at one thread count.
-std::vector<std::vector<float>> RunBankOp(int threads) {
+struct BankOpShape {
+  int batch, length, embed, channels;
+  std::vector<int> kernels;
+};
+
+/// The op over a filter bank, forward and backward, at one thread count.
+std::vector<std::vector<float>> RunBankOp(const BankOpShape& s, int threads) {
   SetNumThreads(threads);
   Rng rng(21);
-  Tensor x = RandomTensor({5, 23, 7}, &rng);
-  std::vector<Tensor> w = {RandomTensor({13, 3 * 7}, &rng),
-                           RandomTensor({13, 5 * 7}, &rng)};
-  std::vector<Tensor> b = {RandomTensor({13}, &rng), RandomTensor({13}, &rng)};
+  Tensor x = RandomTensor({s.batch, s.length, s.embed}, &rng);
+  std::vector<Tensor> w, b;
+  for (int k : s.kernels) {
+    w.push_back(RandomTensor({s.channels, k * s.embed}, &rng));
+  }
+  for (size_t g = 0; g < s.kernels.size(); ++g) {
+    b.push_back(RandomTensor({s.channels}, &rng));
+  }
   Tensor y = TextConvMaxPool(x, w, b);
   SumAll(Mul(y, y)).Backward();
   std::vector<std::vector<float>> result = {y.data(), x.grad()};
-  for (int g = 0; g < 2; ++g) {
+  for (size_t g = 0; g < w.size(); ++g) {
     result.push_back(w[g].grad());
     result.push_back(b[g].grad());
   }
@@ -235,13 +245,19 @@ std::vector<std::vector<float>> RunBankOp(int threads) {
 }
 
 TEST(TextConvKernelTest, BitIdenticalAcrossThreadCounts) {
-  std::vector<std::vector<float>> one = RunBankOp(1);
-  for (int threads : {2, 4}) {
-    std::vector<std::vector<float>> many = RunBankOp(threads);
-    ASSERT_EQ(one.size(), many.size());
-    for (size_t i = 0; i < one.size(); ++i) {
-      ASSERT_EQ(one[i], many[i]) << "buffer " << i << " at " << threads
-                                 << " threads";
+  // A small two-size bank, and a 64-document batch through a three-size
+  // bank that spreads over every pool thread.
+  for (const BankOpShape& shape : {BankOpShape{5, 23, 7, 13, {3, 5}},
+                                   BankOpShape{64, 64, 32, 24, {3, 4, 5}}}) {
+    SCOPED_TRACE("batch " + std::to_string(shape.batch));
+    std::vector<std::vector<float>> one = RunBankOp(shape, 1);
+    for (int threads : {2, 4}) {
+      std::vector<std::vector<float>> many = RunBankOp(shape, threads);
+      ASSERT_EQ(one.size(), many.size());
+      for (size_t i = 0; i < one.size(); ++i) {
+        ASSERT_EQ(one[i], many[i]) << "buffer " << i << " at " << threads
+                                   << " threads";
+      }
     }
   }
   SetNumThreads(0);

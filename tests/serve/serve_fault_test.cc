@@ -1,13 +1,15 @@
 // Fault-tolerant serving tests: bounded admission (overload rejection,
 // deadlines, shutdown rejection), the graceful-degradation ladder, and
 // zero-downtime snapshot hot-swap with validation + rollback and corpus
-// reuse — including concurrent swap-under-traffic interleavings (this suite
-// runs in the TSan lane) and an OMNIMATCH_FAULTS-driven lane (see
-// scripts/check.sh).
+// reuse — including concurrent swap-under-traffic interleavings, overload
+// bursts with every serve probe point armed and three mid-traffic swap
+// attempts (this suite runs in the TSan, ASan and UBSan lanes), and an
+// OMNIMATCH_FAULTS-driven lane (see scripts/check.sh).
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -28,6 +30,7 @@
 #include "core/trainer.h"
 #include "data/splits.h"
 #include "data/synthetic.h"
+#include "obs/metrics.h"
 #include "serve/scorer.h"
 #include "serve/server.h"
 #include "serve/snapshot.h"
@@ -472,26 +475,27 @@ TEST(SnapshotSwapTest, SwapServesNewVersionAndEvictsStaleEntries) {
   }
 }
 
+/// Writes `src` to `dst` with 16 bytes flipped mid-file (past the header,
+/// inside the tensor payload), so the reader's integrity checking must
+/// catch it.
+void WriteCorruptCopy(const std::string& src, const std::string& dst) {
+  std::string bytes = ReadFileToString(src).value();
+  ASSERT_GT(bytes.size(), 256u);
+  for (size_t i = bytes.size() / 2; i < bytes.size() / 2 + 16; ++i) {
+    bytes[i] = static_cast<char>(~bytes[i]);
+  }
+  std::ofstream(dst, std::ios::binary)
+      .write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
 TEST(SnapshotSwapTest, CorruptCandidateRollsBack) {
   FaultGuard guard;
   FaultWorld& w = World();
   InferenceServer server(w.snapshot_a, InferenceServer::Options());
   SnapshotManager manager(&server);
-
-  // Corrupt a copy of checkpoint B mid-file (past the header, inside the
-  // tensor payload) so the reader's integrity checking must catch it.
-  std::ifstream in(w.checkpoint_b, std::ios::binary);
-  std::string bytes((std::istreambuf_iterator<char>(in)),
-                    std::istreambuf_iterator<char>());
-  in.close();
-  ASSERT_GT(bytes.size(), 256u);
-  for (size_t i = bytes.size() / 2; i < bytes.size() / 2 + 16; ++i) {
-    bytes[i] = static_cast<char>(~bytes[i]);
-  }
   const std::string corrupt_path =
       testing_util::TestTempDir() + "/serve_fault_corrupt.omck";
-  std::ofstream(corrupt_path, std::ios::binary).write(bytes.data(),
-                                                      bytes.size());
+  WriteCorruptCopy(w.checkpoint_b, corrupt_path);
 
   const ScoreRequest pair = SomePairs(1, 1)[0];
   const float before = server.Score(pair.user, pair.item);
@@ -864,9 +868,145 @@ TEST(SnapshotSwapTest, ConcurrentTrafficAcrossSwapIsVersionConsistent) {
   EXPECT_GT(served_b, 0);
 }
 
+/// Turns the clock-based serve histograms on for one scope.
+struct MetricsOn {
+  MetricsOn() { obs::EnableMetrics(true); }
+  ~MetricsOn() { obs::EnableMetrics(false); }
+};
+
+// Overload plus hot swap with every serve probe point armed: bursts past
+// max_queue, and three candidates swapped in while a burst is still queued —
+// a corrupt copy of B and B under an injected snapshot_load fault (both roll
+// back), then B itself (installs). Every request is answered exactly once;
+// every score is finite and either bit-identical to the single-threaded
+// reference of the version it reports or explicitly degraded; and the
+// fallback tier, which has to engage, keeps its p99 bounded.
+TEST(SnapshotSwapTest, OverloadWithMidTrafficSwapsAnswersEveryRequest) {
+  FaultGuard guard;
+  FaultWorld& w = World();
+  const std::string corrupt_path =
+      testing_util::TestTempDir() + "/serve_fault_overload_corrupt.omck";
+  WriteCorruptCopy(w.checkpoint_b, corrupt_path);
+
+  // Every split user against random target items.
+  std::vector<int> users = w.split.train_users;
+  for (const std::vector<int>* more :
+       {&w.split.validation_users, &w.split.test_users}) {
+    users.insert(users.end(), more->begin(), more->end());
+  }
+  const std::vector<int>& items = w.cross.target().items();
+  Rng mix_rng(99);
+  std::vector<ScoreRequest> pool(300);
+  for (ScoreRequest& p : pool) {
+    p.user = users[mix_rng.UniformU32(static_cast<uint32_t>(users.size()))];
+    p.item = items[mix_rng.UniformU32(static_cast<uint32_t>(items.size()))];
+  }
+  const std::vector<float> ref_a = ScoreAll(w.snapshot_a, pool);
+  const std::vector<float> ref_b = ScoreAll(w.snapshot_b, pool);
+
+  // Counter-based firings: three admissions rejected, three batches forced
+  // cached-only, three forced global-mean, two slowed.
+  ASSERT_TRUE(FaultInjector::Global()
+                  .ArmFromString("queue_admit@2:count=3;"
+                                 "executor_score@4:mag=1,count=3;"
+                                 "executor_score@10:mag=2,count=3;"
+                                 "serve_slow@6:mag=5,count=2")
+                  .ok());
+  MetricsOn metrics;
+  obs::Histogram* full_ns = obs::MetricsRegistry::Global().GetHistogram(
+      "serve.request_ns.full", obs::Histogram::LatencyBoundsNs());
+  obs::Histogram* fallback_ns = obs::MetricsRegistry::Global().GetHistogram(
+      "serve.request_ns.degraded_fallback", obs::Histogram::LatencyBoundsNs());
+  full_ns->Reset();
+  fallback_ns->Reset();
+
+  InferenceServer::Options options;
+  options.executors = 4;
+  options.max_batch = 32;
+  options.max_queue = 256;
+  options.deadline_ms = 50;
+  InferenceServer server(w.snapshot_a, options);
+  SnapshotManager manager(&server);
+
+  constexpr size_t kBursts = 3, kBurst = 300;
+  std::vector<std::future<ScoreResult>> futures;
+  for (size_t burst = 0; burst < kBursts; ++burst) {
+    const size_t first = futures.size();
+    for (size_t i = 0; i < kBurst; ++i) {
+      const ScoreRequest& p = pool[futures.size() % pool.size()];
+      futures.push_back(server.ScoreAsync(p.user, p.item));
+    }
+    if (burst == 0) {
+      EXPECT_FALSE(manager
+                       .SwapFromCheckpoint(w.config, &w.cross, w.split,
+                                           corrupt_path)
+                       .ok());
+    } else if (burst == 1) {
+      ASSERT_TRUE(FaultInjector::Global().ArmFromString("snapshot_load@0").ok());
+      EXPECT_FALSE(manager
+                       .SwapFromCheckpoint(w.config, &w.cross, w.split,
+                                           w.checkpoint_b)
+                       .ok());
+    } else {
+      const Status swapped = manager.SwapFromCheckpoint(
+          w.config, &w.cross, w.split, w.checkpoint_b);
+      EXPECT_TRUE(swapped.ok()) << swapped.ToString();
+    }
+    // The burst drains through every degradation band before the next.
+    for (size_t i = first; i < futures.size(); ++i) futures[i].wait();
+  }
+
+  for (size_t i = 0; i < futures.size(); ++i) {
+    const ScoreResult r = futures[i].get();
+    if (r.status == RequestStatus::kDeadlineExceeded ||
+        r.status == RequestStatus::kOverloaded) {
+      EXPECT_FALSE(r.has_score()) << "request " << i;
+      continue;
+    }
+    ASSERT_NE(RequestStatus::kShuttingDown, r.status) << "request " << i;
+    EXPECT_TRUE(std::isfinite(r.score)) << "request " << i;
+    const bool is_b = r.snapshot_version == w.snapshot_b->version();
+    ASSERT_TRUE(is_b || r.snapshot_version == w.snapshot_a->version())
+        << "request " << i;
+    const ModelSnapshot& snap = is_b ? *w.snapshot_b : *w.snapshot_a;
+    const float want = r.status == RequestStatus::kDegradedFallback
+                           ? snap.global_mean_rating()
+                           : (is_b ? ref_b : ref_a)[i % pool.size()];
+    EXPECT_EQ(want, r.score)
+        << "request " << i << " " << RequestStatusName(r.status);
+  }
+  std::remove(corrupt_path.c_str());
+
+  const InferenceServer::Stats s = server.stats();
+  ExpectLedgerBalances(s, futures.size());
+  EXPECT_GT(s.batches_dispatched, 0);
+  EXPECT_EQ(1, manager.swaps());
+  EXPECT_EQ(2, manager.rollbacks());
+  EXPECT_EQ(w.snapshot_b->version(), manager.active_version());
+  EXPECT_GT(server.scorer().cache().stale_evictions(), 0);
+
+  EXPECT_GT(s.served_degraded_fallback, 0);
+  EXPECT_EQ(s.served_degraded_fallback, fallback_ns->Count());
+  bool tail_overflow = false;
+  const double fallback_p99_ns =
+      obs::HistogramQuantileChecked(*fallback_ns, 0.99, &tail_overflow);
+  EXPECT_FALSE(tail_overflow)
+      << "fallback-tier p99 is past the last bucket, at least "
+      << fallback_p99_ns / 1e6 << " ms";
+  EXPECT_LE(fallback_p99_ns, 1000e6);
+  if (full_ns->Count() > 0) {
+    const double p50 = obs::HistogramQuantile(*full_ns, 0.5);
+    const double p99 = obs::HistogramQuantile(*full_ns, 0.99);
+    EXPECT_GT(p50, 0.0);
+    EXPECT_LE(p50, p99);
+    EXPECT_LE(p99, obs::HistogramQuantile(*full_ns, 0.999));
+  }
+}
+
 // Driven by scripts/check.sh with OMNIMATCH_FAULTS arming every serve probe
-// point; a plain `ctest` run (env unset) skips it. Asserts the contract the
-// bench also enforces: under injected admission faults, forced degraded
+// point; a plain `ctest` run (env unset) skips it. Asserts the contract of
+// OverloadWithMidTrafficSwapsAnswersEveryRequest under the faults the
+// environment arms: under injected admission faults, forced degraded
 // tiers, slow batches, and a failing swap, every submitted request is
 // answered with an explicit status and the server keeps serving.
 TEST(ServeFaultEnvTest, SurvivesEnvArmedFaultsUnderTraffic) {

@@ -573,8 +573,11 @@ TEST(InferenceServerTest, ConcurrentSubmittersGetBitIdenticalScores) {
   for (std::thread& th : submitters) th.join();
   server.Shutdown();
 
+  // Blocking submitters never fill the queue, so every request is served
+  // on the full tier.
   EXPECT_EQ(static_cast<int64_t>(kThreads * kRounds * pairs.size()),
             server.requests_served());
+  EXPECT_EQ(server.requests_served(), server.stats().served_full);
   for (int t = 0; t < kThreads; ++t) {
     for (int round = 0; round < kRounds; ++round) {
       for (size_t i = 0; i < pairs.size(); ++i) {
