@@ -56,7 +56,7 @@ namespace {
 
 int g_reps = 3;
 
-/// Best-of-reps nanoseconds per call (same protocol as bench_graph).
+/// Best-of-reps nanoseconds per call.
 double BenchNs(const std::function<void()>& fn) {
   Stopwatch warm;
   fn();

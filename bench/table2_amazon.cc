@@ -1,7 +1,7 @@
 // Reproduces Table 2 of the paper: cold-start RMSE/MAE of all seven methods
 // on the six cross-domain scenarios of the Amazon-like corpus.
 //
-//   ./build/bench/table2_amazon [--trials=1] [--seed=99] [--graph_exec]
+//   ./build/bench/table2_amazon [--trials=1] [--seed=99]
 
 #include <cstdio>
 
@@ -19,8 +19,6 @@ int main(int argc, char** argv) {
   eval::RunnerOptions options;
   options.trials = flags.GetInt("trials", 1);
   options.seed = static_cast<uint64_t>(flags.GetInt("seed", 99));
-  // Recorded-graph step execution (bit-identical to eager; see DESIGN.md).
-  options.omnimatch.graph_exec = flags.GetBool("graph_exec", false);
 
   std::printf(
       "Table 2 — Amazon-like corpus, %d trial(s) per scenario "

@@ -2,7 +2,7 @@
 // model vs. removing the Domain Adversarial (DA) module or the Supervised
 // Contrastive Learning (SCL) module, on two scenarios.
 //
-//   ./build/bench/table6_timing [--seed=99] [--graph_exec]
+//   ./build/bench/table6_timing [--seed=99]
 
 #include <cstdio>
 
@@ -58,9 +58,6 @@ int main(int argc, char** argv) {
     // Timing comparisons want identical epoch counts, not best-epoch extras.
     full.select_best_epoch = false;
     full.epochs = flags.GetInt("epochs", 8);
-    // Recorded-graph step execution: changes wall-clock only, never the
-    // trained weights (bit-identical to eager; see DESIGN.md).
-    full.graph_exec = flags.GetBool("graph_exec", false);
 
     core::OmniMatchConfig no_da = full;
     no_da.use_domain_adversarial = false;

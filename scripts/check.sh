@@ -27,14 +27,6 @@ run_release() {
   cmake -B build -S . -DCMAKE_BUILD_TYPE=Release > /dev/null
   cmake --build build -j "${JOBS}"
   ctest --test-dir build --output-on-failure -j "${JOBS}"
-  echo "=== Recorded-graph executor smoke benchmark ==="
-  # Self-checking: fails unless replayed steps are at least as fast as eager
-  # at every thread count (zero replay allocations are pinned by
-  # GraphTrainerTest.ReplayedStepsAllocateNoTensorNodes). The 1.0 floor (not
-  # the ~1.5-3x a quiet machine shows) keeps the gate meaningful on loaded
-  # CI runners.
-  ./build/bench/bench_graph --reps=3 --check_speedup_min=1.0 \
-    --out=build/BENCH_graph.json
   echo "=== Serve fault-injection lane (release) ==="
   OMNIMATCH_FAULTS="${SERVE_FAULTS}" ./build/tests/serve_fault_test \
     --gtest_filter='ServeFaultEnvTest.*'
@@ -82,8 +74,9 @@ run_portable() {
 
 # Sanitizer configs only build the test tree (benchmarks and examples add
 # nothing to coverage and double the build time). TSan exercises the thread
-# pool, the blocked GEMM, every parallel op, the recorded-graph executor
-# (record/replay/arena, in nn_test), the sharded metrics / trace-ring
+# pool and its serial-work rule, the blocked GEMM, every parallel op (the
+# miniature training step of nn_test's EagerStepTest dispatches some kernels
+# and runs others inline), the sharded metrics / trace-ring
 # concurrency tests through common_test/nn_test/obs_test, and the inference
 # server's request-thread/executor-pool/cache/hot-swap handoffs through
 # serve_test + serve_fault_test (the concurrent-submitter bit-identity test,
@@ -95,9 +88,9 @@ run_portable() {
 # on first read, through data_test (threads racing to that first read);
 # ASan and UBSan additionally run the
 # trainer-level suites —
-# including the fault-injection tests and the graph-vs-eager trainer
-# equivalence tests, so every guard rollback/retry path and the compiled
-# replay path are walked under instrumentation — plus data_test, so the
+# including the fault-injection tests and the checkpoint resume tests, so
+# every guard rollback/retry path and checkpoint validation are walked
+# under instrumentation — plus data_test, so the
 # OMDS validator meets its corrupted images (every flipped byte of a small
 # one included) under instrumentation, and text_test, so the token table's
 # offset arithmetic and the span document builder run instrumented. Each

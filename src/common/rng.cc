@@ -86,9 +86,12 @@ int Rng::SampleDiscrete(const std::vector<double>& weights) {
 int Rng::SampleCumulative(const std::vector<double>& prefix) {
   OM_CHECK(!prefix.empty() && prefix.back() > 0.0)
       << "SampleCumulative needs a positive total";
-  const double u = UniformDouble() * prefix.back();
+  return SearchCumulative(prefix, UniformDouble() * prefix.back());
+}
+
+int Rng::SearchCumulative(const std::vector<double>& prefix, double point) {
   const size_t i = static_cast<size_t>(
-      std::upper_bound(prefix.begin(), prefix.end(), u) - prefix.begin());
+      std::upper_bound(prefix.begin(), prefix.end(), point) - prefix.begin());
   return static_cast<int>(std::min(i, prefix.size() - 1));
 }
 

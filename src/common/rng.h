@@ -67,6 +67,13 @@ class Rng {
   /// index whose sum exceeds it. Requires a positive last sum.
   int SampleCumulative(const std::vector<double>& prefix);
 
+  /// SampleCumulative's search for the draw `point` in [0, prefix.back()):
+  /// the first index whose running sum exceeds it (so a zero-weight index,
+  /// whose sum ties its predecessor's, is never chosen), clamped to the
+  /// last index.
+  static int SearchCumulative(const std::vector<double>& prefix,
+                              double point);
+
   /// Fisher-Yates shuffles `items` in place.
   template <typename T>
   void Shuffle(std::vector<T>& items) {

@@ -56,9 +56,6 @@ int64_t PoolNowNs() {
 // run inline instead of deadlocking on the single shared job slot.
 thread_local bool t_inside_worker = false;
 
-// Depth of active SerialRegion scopes on this thread (see threadpool.h).
-thread_local int t_serial_depth = 0;
-
 // How many chunks to cut per participating thread. More than one gives
 // dynamic load balance when chunks have uneven cost (e.g. ragged documents)
 // at the price of slightly more atomic traffic.
@@ -156,12 +153,14 @@ void ThreadPool::RunChunks(Job* job) {
 }
 
 void ThreadPool::ParallelFor(int64_t begin, int64_t end, int64_t grain,
+                             int64_t item_work,
                              const std::function<void(int64_t, int64_t)>& fn) {
   int64_t range = end - begin;
   if (range <= 0) return;
   if (grain < 1) grain = 1;
-  if (num_threads_ <= 1 || range <= grain || t_inside_worker ||
-      t_serial_depth > 0) {
+  // range * item_work < kSerialWorkLimit, without the product's overflow.
+  const bool small_work = item_work <= (kSerialWorkLimit - 1) / range;
+  if (num_threads_ <= 1 || range <= grain || small_work || t_inside_worker) {
     PoolInlineRuns()->Increment();
     fn(begin, end);
     return;
@@ -216,13 +215,14 @@ void SetNumThreads(int num_threads) {
 
 int GetNumThreads() { return ThreadPool::Global().num_threads(); }
 
+void ParallelFor(int64_t begin, int64_t end, int64_t grain, int64_t item_work,
+                 const std::function<void(int64_t, int64_t)>& fn) {
+  ThreadPool::Global().ParallelFor(begin, end, grain, item_work, fn);
+}
+
 void ParallelFor(int64_t begin, int64_t end, int64_t grain,
                  const std::function<void(int64_t, int64_t)>& fn) {
   ThreadPool::Global().ParallelFor(begin, end, grain, fn);
 }
-
-SerialRegion::SerialRegion() { ++t_serial_depth; }
-
-SerialRegion::~SerialRegion() { --t_serial_depth; }
 
 }  // namespace omnimatch

@@ -12,6 +12,12 @@
 
 namespace omnimatch {
 
+/// Estimated scalar operations below which a ParallelFor call runs inline:
+/// a pool dispatch costs a few microseconds of wake-up and join, while a
+/// kernel retires roughly one scalar operation per nanosecond serially, so
+/// below this the dispatch costs more than the parallelism returns.
+constexpr int64_t kSerialWorkLimit = 1 << 16;
+
 /// Shared compute thread pool behind every parallel kernel in the library.
 ///
 /// Design goals, in priority order:
@@ -25,9 +31,10 @@ namespace omnimatch {
 ///     on which thread (decided dynamically, for load balance) cannot
 ///     matter.
 ///  2. **Zero overhead when parallelism cannot help.** Ranges smaller than
-///     `grain`, a single-thread pool, and calls issued from inside a worker
-///     (nested parallelism) all run inline on the calling thread without
-///     touching a lock.
+///     `grain`, calls whose estimated work is below kSerialWorkLimit, a
+///     single-thread pool, and calls issued from inside a worker (nested
+///     parallelism) all run inline on the calling thread without touching
+///     a lock. By (1) an inline run is bit-identical to a dispatched one.
 ///  3. **No work stealing, no task graph.** One flat job at a time; chunks
 ///     are claimed with a single atomic fetch-add. This keeps the pool
 ///     auditable and the determinism argument short.
@@ -52,12 +59,21 @@ class ThreadPool {
   int num_threads() const { return num_threads_; }
 
   /// Runs fn over disjoint contiguous sub-ranges covering [begin, end).
-  /// `grain` is the minimum chunk size (elements of work below which
-  /// splitting is not worth the scheduling overhead). The calling thread
-  /// participates. Runs inline when the range is small, the pool has one
-  /// thread, or the caller is itself a pool worker.
+  /// `grain` is the minimum chunk size. `item_work` estimates the scalar
+  /// operations one index costs. The calling thread participates. Runs
+  /// inline when the range fits in one grain, the whole call's work
+  /// ((end - begin) * item_work) is below kSerialWorkLimit, the pool has
+  /// one thread, or the caller is itself a pool worker.
   void ParallelFor(int64_t begin, int64_t end, int64_t grain,
+                   int64_t item_work,
                    const std::function<void(int64_t, int64_t)>& fn);
+
+  /// ParallelFor for loops whose per-index work is large or unknown: the
+  /// work rule never makes such a call inline.
+  void ParallelFor(int64_t begin, int64_t end, int64_t grain,
+                   const std::function<void(int64_t, int64_t)>& fn) {
+    ParallelFor(begin, end, grain, kSerialWorkLimit, fn);
+  }
 
  private:
   /// One ParallelFor invocation. Immutable bounds plus the two atomics that
@@ -98,23 +114,14 @@ void SetNumThreads(int num_threads);
 /// Current global pool size.
 int GetNumThreads();
 
-/// ParallelFor on the global pool.
-void ParallelFor(int64_t begin, int64_t end, int64_t grain,
+/// ParallelFor on the global pool: the kernels' form, with the work rule.
+void ParallelFor(int64_t begin, int64_t end, int64_t grain, int64_t item_work,
                  const std::function<void(int64_t, int64_t)>& fn);
 
-/// RAII scope forcing every ParallelFor issued by this thread (including
-/// from nested kernels) to run inline as one chunk. By the pool's
-/// determinism contract the result is bit-identical to a dispatched run, so
-/// this only trades parallelism for zero scheduling overhead. Used by the
-/// compiled-graph executor for ops whose recorded work is too small to
-/// amortize a dispatch. Nestable.
-class SerialRegion {
- public:
-  SerialRegion();
-  ~SerialRegion();
-  SerialRegion(const SerialRegion&) = delete;
-  SerialRegion& operator=(const SerialRegion&) = delete;
-};
+/// ParallelFor on the global pool, for loops whose per-index work is large
+/// or unknown.
+void ParallelFor(int64_t begin, int64_t end, int64_t grain,
+                 const std::function<void(int64_t, int64_t)>& fn);
 
 }  // namespace omnimatch
 

@@ -127,10 +127,9 @@ struct OmniMatchConfig {
   /// document assembly). 0 = all hardware threads. Results are
   /// bit-identical for every setting; see DESIGN.md "Threading".
   int num_threads = 0;
-  /// Record each distinct batch shape's training step once, compile it
-  /// (dead-node elimination, kernel fusion, liveness-planned arena), and
-  /// replay the compiled plan on later steps. Bit-identical to eager at
-  /// every thread count; see DESIGN.md "Recorded-graph execution".
+  /// Read by nothing: every training step runs eagerly. Kept only because
+  /// the end-to-end benchmark (perfbench/pipeline.cc) still assigns it;
+  /// it goes when that file stops doing so.
   bool graph_exec = false;
 
   // --- checkpointing (see DESIGN.md "Checkpoint format") ---
@@ -184,8 +183,7 @@ struct OmniMatchConfig {
   /// the backed-off learning rate travels inside the checkpoint), the
   /// observability sinks metrics_out / trace_out (instrumentation never
   /// touches an RNG stream, so traced runs are bit-identical too), and
-  /// `graph_exec` (the recorded executor is bit-identical to eager, so a
-  /// checkpoint from either mode resumes interchangeably under the other).
+  /// `graph_exec` (read by nothing, so it cannot change a run).
   uint64_t Fingerprint() const;
 };
 

@@ -71,8 +71,7 @@ Tensor OmniMatchModel::RunExtractor(
   OM_CHECK_EQ(doc_ids.size(), static_cast<size_t>(batch) * doc_len);
   Tensor pooled;
   if (cnn != nullptr) {
-    Tensor flat = embed_->Forward(doc_ids);  // [B*L, E]
-    Tensor docs = nn::Reshape(flat, {batch, doc_len, config_.embed_dim});
+    Tensor docs = embed_->Forward(doc_ids, {batch, doc_len});  // [B, L, E]
     pooled = cnn->Forward(docs);  // [B, cnn_out]
     if (config_.use_mean_embedding_feature) {
       pooled = nn::ConcatCols({pooled, nn::MeanAxis1(docs)});

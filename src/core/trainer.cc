@@ -160,9 +160,6 @@ Status OmniMatchTrainer::Prepare() {
   BuildTrainSamples();
   model_ = std::make_unique<OmniMatchModel>(config_, vocabulary().size(),
                                             &rng_);
-  graph_exec_ = config_.graph_exec
-                    ? std::make_unique<nn::graph::GraphExecutor>()
-                    : nullptr;
   if (config_.optimizer == OptimizerKind::kAdadelta) {
     optimizer_ = std::make_unique<nn::Adadelta>(
         model_->Parameters(), config_.learning_rate, config_.adadelta_rho);
@@ -385,77 +382,69 @@ OmniMatchTrainer::StepOutcome OmniMatchTrainer::TrainBatch(
   double scl_loss = 0.0;
   double domain_loss = 0.0;
   {
-    // Recorded-graph region around forward + losses + backward: with
-    // graph_exec on, the first step per batch size records and compiles the
-    // op stream, later steps replay the compiled plan (nn/graph.h). The
-    // batch size is the plan signature — it determines every shape in the
-    // step. A null executor makes the scope a no-op.
-    nn::graph::StepScope graph_scope(graph_exec_.get(), b);
-    {
-      OM_TRACE_SPAN_TIMED("forward", PhaseHist("trainer.forward_ns"));
-      src = model_->ExtractUser(DomainSide::kSource, src_doc_ids, b);
-      tgt = model_->ExtractUser(DomainSide::kTarget, tgt_doc_ids, b);
-      item_rep = model_->ExtractItem(item_doc_ids, b);
+    OM_TRACE_SPAN_TIMED("forward", PhaseHist("trainer.forward_ns"));
+    src = model_->ExtractUser(DomainSide::kSource, src_doc_ids, b);
+    tgt = model_->ExtractUser(DomainSide::kTarget, tgt_doc_ids, b);
+    item_rep = model_->ExtractItem(item_doc_ids, b);
 
-      r_source = OmniMatchModel::UserRepresentation(src);
-      r_target = OmniMatchModel::UserRepresentation(tgt);
+    r_source = OmniMatchModel::UserRepresentation(src);
+    r_target = OmniMatchModel::UserRepresentation(tgt);
 
-      // Rating classifier (Eq. 18-19).
-      rating_logits = model_->RatingLogits(r_target, item_rep);
+    // Rating classifier (Eq. 18-19).
+    rating_logits = model_->RatingLogits(r_target, item_rep);
+  }
+
+  {
+    OM_TRACE_SPAN_TIMED("losses", PhaseHist("trainer.losses_ns"));
+    loss = nn::SoftmaxCrossEntropy(rating_logits, labels);
+    if (config_.use_hybrid_inference) {
+      // Train the classifier on the hybrid representation used for
+      // cold-start inference: the user's source-domain invariant features
+      // (aligned by DA + SCL) concatenated with the target-side specific
+      // features.
+      Tensor hybrid = nn::ConcatCols({src.invariant, tgt.specific});
+      Tensor hybrid_loss = nn::SoftmaxCrossEntropy(
+          model_->RatingLogits(hybrid, item_rep), labels);
+      loss = nn::Scale(nn::Add(loss, hybrid_loss), 0.5f);
+    }
+    rating_loss = loss.ScalarValue();
+
+    // --- Contrastive Representation Learning Module (Fig. 2 D, Eq. 11-13):
+    // project source and target user-item pairs; positives share a rating.
+    if (config_.use_scl && config_.alpha > 0.0f) {
+      Tensor x_src = model_->Project(r_source, item_rep);
+      Tensor x_tgt = model_->Project(r_target, item_rep);
+      Tensor features = nn::ConcatRows({x_src, x_tgt});
+      std::vector<int> scl_labels = labels;
+      scl_labels.insert(scl_labels.end(), labels.begin(), labels.end());
+      Tensor scl = nn::SupConLoss(features, scl_labels, config_.temperature);
+      scl_loss = scl.ScalarValue();
+      loss = nn::Add(loss, nn::Scale(scl, config_.alpha));
     }
 
-    {
-      OM_TRACE_SPAN_TIMED("losses", PhaseHist("trainer.losses_ns"));
-      loss = nn::SoftmaxCrossEntropy(rating_logits, labels);
-      if (config_.use_hybrid_inference) {
-        // Train the classifier on the hybrid representation used for
-        // cold-start inference: the user's source-domain invariant features
-        // (aligned by DA + SCL) concatenated with the target-side specific
-        // features.
-        Tensor hybrid = nn::ConcatCols({src.invariant, tgt.specific});
-        Tensor hybrid_loss = nn::SoftmaxCrossEntropy(
-            model_->RatingLogits(hybrid, item_rep), labels);
-        loss = nn::Scale(nn::Add(loss, hybrid_loss), 0.5f);
+    // --- Domain Adversarial Training Module (Fig. 2 C, Eq. 14-17, 20):
+    // invariant features behind the GRL, specific features trained normally.
+    if (config_.use_domain_adversarial && config_.beta > 0.0f) {
+      std::vector<int> domain_labels(static_cast<size_t>(2 * b), 0);
+      for (int i = b; i < 2 * b; ++i) {
+        domain_labels[static_cast<size_t>(i)] = 1;
       }
-      rating_loss = loss.ScalarValue();
-
-      // --- Contrastive Representation Learning Module (Fig. 2 D, Eq. 11-13):
-      // project source and target user-item pairs; positives share a rating.
-      if (config_.use_scl && config_.alpha > 0.0f) {
-        Tensor x_src = model_->Project(r_source, item_rep);
-        Tensor x_tgt = model_->Project(r_target, item_rep);
-        Tensor features = nn::ConcatRows({x_src, x_tgt});
-        std::vector<int> scl_labels = labels;
-        scl_labels.insert(scl_labels.end(), labels.begin(), labels.end());
-        Tensor scl = nn::SupConLoss(features, scl_labels, config_.temperature);
-        scl_loss = scl.ScalarValue();
-        loss = nn::Add(loss, nn::Scale(scl, config_.alpha));
-      }
-
-      // --- Domain Adversarial Training Module (Fig. 2 C, Eq. 14-17, 20):
-      // invariant features behind the GRL, specific features trained normally.
-      if (config_.use_domain_adversarial && config_.beta > 0.0f) {
-        std::vector<int> domain_labels(static_cast<size_t>(2 * b), 0);
-        for (int i = b; i < 2 * b; ++i) {
-          domain_labels[static_cast<size_t>(i)] = 1;
-        }
-        Tensor inv = nn::ConcatRows({src.invariant, tgt.invariant});
-        Tensor spec = nn::ConcatRows({src.specific, tgt.specific});
-        Tensor inv_loss = nn::SoftmaxCrossEntropy(
-            model_->DomainLogitsInvariant(inv), domain_labels);
-        Tensor spec_loss = nn::SoftmaxCrossEntropy(
-            model_->DomainLogitsSpecific(spec), domain_labels);
-        Tensor domain = nn::Add(inv_loss, spec_loss);  // Eq. 20
-        domain_loss = domain.ScalarValue();
-        loss = nn::Add(loss, nn::Scale(domain, config_.beta));  // Eq. 21
-      }
+      Tensor inv = nn::ConcatRows({src.invariant, tgt.invariant});
+      Tensor spec = nn::ConcatRows({src.specific, tgt.specific});
+      Tensor inv_loss = nn::SoftmaxCrossEntropy(
+          model_->DomainLogitsInvariant(inv), domain_labels);
+      Tensor spec_loss = nn::SoftmaxCrossEntropy(
+          model_->DomainLogitsSpecific(spec), domain_labels);
+      Tensor domain = nn::Add(inv_loss, spec_loss);  // Eq. 20
+      domain_loss = domain.ScalarValue();
+      loss = nn::Add(loss, nn::Scale(domain, config_.beta));  // Eq. 21
     }
+  }
 
-    {
-      OM_TRACE_SPAN_TIMED("backward", PhaseHist("trainer.backward_ns"));
-      loss.Backward();
-    }
-  }  // graph_scope: replay verification / plan compilation happens here
+  {
+    OM_TRACE_SPAN_TIMED("backward", PhaseHist("trainer.backward_ns"));
+    loss.Backward();
+  }
 
   // Fault point "grad": flip one gradient value after backward, before the
   // clip — exactly the poison a real overflow would plant.
@@ -539,6 +528,16 @@ std::vector<std::vector<float>> SnapshotParams(
 void RestoreParams(std::vector<nn::Tensor>& params,
                    const std::vector<std::vector<float>>& snapshot) {
   for (size_t i = 0; i < params.size(); ++i) params[i].data() = snapshot[i];
+}
+
+/// True when every value of every buffer is finite.
+bool AllFinite(const std::vector<std::vector<float>>& buffers) {
+  for (const std::vector<float>& buffer : buffers) {
+    for (float v : buffer) {
+      if (!std::isfinite(v)) return false;
+    }
+  }
+  return true;
 }
 
 /// glibc keeps freed heap pages resident in its arenas, one per thread that
@@ -697,12 +696,9 @@ TrainStats OmniMatchTrainer::Train() {
     }
   }
   progress_.train_seconds += watch.ElapsedSeconds();
-  // Evaluation and serving never replay, so from here on the compiled
-  // plans' arenas would only hold memory; a later Train() re-records.
-  if (graph_exec_ != nullptr) graph_exec_->ReleasePlans();
-  // Hand the step working set (plan arenas, the recording steps' tapes,
-  // guard and validation buffers) back to the OS, so a process that serves
-  // after training does not carry training's high-water mark.
+  // Hand the step working set (the step tensors' buffers, guard and
+  // validation buffers) back to the OS, so a process that serves after
+  // training does not carry training's high-water mark.
   ReleaseFreeHeap();
   TrainStats stats = progress_;
   if (track_validation && !best_params_.empty()) {
@@ -917,14 +913,45 @@ Status OmniMatchTrainer::LoadCheckpoint(const std::string& path) {
         "%s: sample order covers %zu samples, trainer has %zu",
         path.c_str(), state.sample_order.size(), train_samples_.size()));
   }
+  std::vector<bool> seen(train_samples_.size(), false);
   for (int32_t idx : state.sample_order) {
     if (idx < 0 || static_cast<size_t>(idx) >= train_samples_.size()) {
       return Status::InvalidArgument(
           path + ": sample order index out of range");
     }
+    if (seen[static_cast<size_t>(idx)]) {
+      return Status::InvalidArgument(
+          StrFormat("%s: sample order repeats index %d, so it is not a "
+                    "permutation",
+                    path.c_str(), idx));
+    }
+    seen[static_cast<size_t>(idx)] = true;
   }
   if (state.epochs_completed < 0) {
     return Status::InvalidArgument(path + ": negative epoch counter");
+  }
+  if (state.steps < 0) {
+    return Status::InvalidArgument(path + ": negative step counter");
+  }
+  // best_epoch is the 0-based index of a completed epoch, or -1 for none.
+  if (state.best_epoch < -1 || state.best_epoch >= state.epochs_completed) {
+    return Status::InvalidArgument(
+        StrFormat("%s: best epoch %d is not one of the %d completed epochs",
+                  path.c_str(), state.best_epoch, state.epochs_completed));
+  }
+  if (!std::isfinite(state.current_lr) || state.current_lr <= 0.0f) {
+    return Status::InvalidArgument(
+        StrFormat("%s: learning rate %g is not finite and positive",
+                  path.c_str(), static_cast<double>(state.current_lr)));
+  }
+  if (!std::isfinite(state.guard_ema)) {
+    return Status::InvalidArgument(path + ": guard loss average not finite");
+  }
+  if (!AllFinite(state.params) || !AllFinite(state.best_params)) {
+    return Status::InvalidArgument(path + ": non-finite parameter value");
+  }
+  if (!AllFinite(state.optimizer.slots)) {
+    return Status::InvalidArgument(path + ": non-finite optimizer state");
   }
   if (state.model_rngs.size() != model_->RngStates().size()) {
     return Status::InvalidArgument(StrFormat(

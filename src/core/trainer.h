@@ -17,7 +17,6 @@
 #include "data/dataset.h"
 #include "data/splits.h"
 #include "eval/metrics.h"
-#include "nn/graph.h"
 #include "nn/optimizer.h"
 #include "text/vocabulary.h"
 
@@ -186,10 +185,6 @@ class OmniMatchTrainer {
   cold_aux_doc_variants() const {
     return docs_.cold_aux_doc_variants;
   }
-  /// Null unless the trainer was Prepared with config.graph_exec.
-  const nn::graph::GraphExecutor* graph_executor() const {
-    return graph_exec_.get();
-  }
 
  private:
   struct TrainSample {
@@ -269,8 +264,6 @@ class OmniMatchTrainer {
   ScenarioDocuments docs_;
   std::unique_ptr<OmniMatchModel> model_;
   std::unique_ptr<nn::Optimizer> optimizer_;
-  /// Recorded-graph step executor; null unless config_.graph_exec.
-  std::unique_ptr<nn::graph::GraphExecutor> graph_exec_;
 
   std::vector<TrainSample> train_samples_;
   bool prepared_ = false;

@@ -7,7 +7,6 @@
 
 #include "common/cpu.h"
 #include "common/threadpool.h"
-#include "nn/elemwise.h"
 #include "nn/gemm/gemm_kernel.h"
 #include "obs/metrics.h"
 
@@ -90,9 +89,13 @@ void BlockedGemm(const Kernel& kernel, const float* a, int lda, bool trans_a,
       const float* bp = bpack.data();
 
       int mstrips = (m_dim + kMR - 1) / kMR;
-      // A chunk packs and computes kMC rows at a time; smaller jobs run
-      // inline on the calling thread (grain), larger ones shard over rows.
-      ParallelFor(0, mstrips, kMC / kMR, [&](int64_t s0, int64_t s1) {
+      // A chunk packs and computes kMC rows at a time. A job of one chunk,
+      // or one whose strips (kMR x kc x nc multiply-adds each) add up to
+      // less than kSerialWorkLimit, runs inline on the calling thread;
+      // larger ones shard over rows.
+      const int64_t strip_work = 2LL * kMR * kc * nc;
+      ParallelFor(0, mstrips, kMC / kMR, strip_work,
+                  [&](int64_t s0, int64_t s1) {
         static thread_local std::vector<float> apack;
         for (int64_t sc = s0; sc < s1; sc += kMC / kMR) {
           int64_t se = std::min(s1, sc + kMC / kMR);
@@ -131,27 +134,6 @@ void GemmWith(const Kernel& kernel, Layout layout, const float* a,
   }
 }
 
-void FusedLinearForwardWith(const Kernel& kernel, const float* a,
-                            const float* b, const float* bias, float* c,
-                            int m_dim, int k_dim, int n_dim, bool relu) {
-  size_t total = static_cast<size_t>(m_dim) * n_dim;
-  std::fill(c, c + total, 0.0f);
-  GemmWith(kernel, Layout::kNN, a, b, c, m_dim, k_dim, n_dim);
-  // Row sharding and the ReLU expression match the eager AddRowBroadcast /
-  // Relu kernels exactly (including `v > 0 ? v : 0`, which maps -0.0f to
-  // +0.0f the same way), keeping fused output bit-identical to unfused.
-  ParallelFor(0, m_dim, std::max<int64_t>(1, kElemGrain / n_dim),
-              [&](int64_t r0, int64_t r1) {
-                for (int64_t r = r0; r < r1; ++r) {
-                  float* row = c + static_cast<size_t>(r) * n_dim;
-                  for (int n = 0; n < n_dim; ++n) {
-                    float v = row[n] + bias[n];
-                    row[n] = relu ? (v > 0.0f ? v : 0.0f) : v;
-                  }
-                }
-              });
-}
-
 }  // namespace gemm
 
 void GemmNN(const float* a, const float* b, float* c, int m_dim, int k_dim,
@@ -176,15 +158,6 @@ void GemmTN(const float* a, const float* b, float* c, int m_dim, int k_dim,
   CountGemm(calls, m_dim, k_dim, n_dim);
   gemm::GemmWith(ActiveKernel(), gemm::Layout::kTN, a, b, c, m_dim, k_dim,
                  n_dim);
-}
-
-void FusedLinearForward(const float* a, const float* b, const float* bias,
-                        float* c, int m_dim, int k_dim, int n_dim,
-                        bool relu) {
-  static obs::Counter* const calls = GemmCallCounter("nn");
-  CountGemm(calls, m_dim, k_dim, n_dim);
-  gemm::FusedLinearForwardWith(ActiveKernel(), a, b, bias, c, m_dim, k_dim,
-                               n_dim, relu);
 }
 
 namespace reference {

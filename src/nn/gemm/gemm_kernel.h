@@ -47,11 +47,6 @@ enum class Layout { kNN, kNT, kTN };
 void GemmWith(const Kernel& kernel, Layout layout, const float* a,
               const float* b, float* c, int m_dim, int k_dim, int n_dim);
 
-/// FusedLinearForward with an explicit flavor, likewise.
-void FusedLinearForwardWith(const Kernel& kernel, const float* a,
-                            const float* b, const float* bias, float* c,
-                            int m_dim, int k_dim, int n_dim, bool relu);
-
 namespace isa_portable {
 extern const Kernel kKernel;
 }

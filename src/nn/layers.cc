@@ -60,8 +60,9 @@ EmbeddingTable::EmbeddingTable(int vocab_size, int dim, Rng* rng)
   NormalInit(&table_, 0.0f, 0.1f, rng);
 }
 
-Tensor EmbeddingTable::Forward(const std::vector<int>& ids) const {
-  return Gather(table_, ids);
+Tensor EmbeddingTable::Forward(const std::vector<int>& ids,
+                               std::vector<int> rows_shape) const {
+  return Gather(table_, ids, std::move(rows_shape));
 }
 
 std::vector<Tensor> EmbeddingTable::Parameters() const { return {table_}; }

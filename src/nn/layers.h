@@ -67,8 +67,10 @@ class EmbeddingTable : public Module {
  public:
   EmbeddingTable(int vocab_size, int dim, Rng* rng);
 
-  /// ids (flattened batch of documents) -> [ids.size(), dim].
-  Tensor Forward(const std::vector<int>& ids) const;
+  /// ids (flattened batch of documents) -> [ids.size(), dim], or
+  /// `rows_shape` + [dim] when given (see nn::Gather).
+  Tensor Forward(const std::vector<int>& ids,
+                 std::vector<int> rows_shape = {}) const;
 
   std::vector<Tensor> Parameters() const override;
 

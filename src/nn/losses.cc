@@ -6,8 +6,8 @@
 
 #include "common/check.h"
 #include "common/threadpool.h"
+#include "nn/elemwise.h"
 #include "nn/gemm.h"
-#include "nn/graph.h"
 #include "nn/op_kernels.h"
 
 namespace omnimatch {
@@ -29,7 +29,7 @@ float SoftmaxCrossEntropyForward(const float* logits, const int* labels,
   float* row_loss = ws->row_loss.data();
   // Row-parallel softmax; per-row losses are combined serially in index
   // order so the scalar is thread-count invariant.
-  ParallelFor(0, batch, 64, [&](int64_t b0, int64_t b1) {
+  ParallelFor(0, batch, 64, kElemWork * classes, [&](int64_t b0, int64_t b1) {
     for (int64_t b = b0; b < b1; ++b) {
       const float* row = logits + static_cast<size_t>(b) * classes;
       float* prow = probs + static_cast<size_t>(b) * classes;
@@ -66,13 +66,6 @@ void SoftmaxCrossEntropyBackward(const CrossEntropyWorkspace& ws,
 
 Tensor SoftmaxCrossEntropy(const Tensor& logits,
                            const std::vector<int>& labels) {
-  graph::OpArgs graph_args;
-  graph_args.ints = &labels;
-  const Tensor* in = &logits;
-  if (Tensor r; graph::Replay(graph::OpKind::kSoftmaxCrossEntropy, &in, 1,
-                              graph_args, &r)) {
-    return r;
-  }
   OM_CHECK_EQ(logits.ndim(), 2);
   int batch = logits.dim(0);
   int classes = logits.dim(1);
@@ -95,12 +88,10 @@ Tensor SoftmaxCrossEntropy(const Tensor& logits,
                                   dloss, GradOf(li.get()));
     };
   }
-  graph::Record(graph::OpKind::kSoftmaxCrossEntropy, &in, 1, graph_args, out);
   return out;
 }
 
 Tensor MseLoss(const Tensor& pred, const std::vector<float>& target) {
-  graph::UnsupportedOp("MseLoss");
   OM_CHECK_EQ(static_cast<size_t>(pred.numel()), target.size());
   int n = static_cast<int>(target.size());
   OM_CHECK_GT(n, 0);  // mean over an empty batch is NaN
@@ -156,7 +147,7 @@ float SupConForward(const float* z, const int* labels, int batch, int dim,
   int* pos_count = ws->pos_count.data();
 
   // 1. L2-normalize rows.
-  ParallelFor(0, batch, 8, [&](int64_t i0, int64_t i1) {
+  ParallelFor(0, batch, 8, kElemWork * dim, [&](int64_t i0, int64_t i1) {
     for (int64_t i = i0; i < i1; ++i) {
       const float* row = z + static_cast<size_t>(i) * dim;
       double sq = 0.0;
@@ -181,7 +172,7 @@ float SupConForward(const float* z, const int* labels, int batch, int dim,
   // p_ij = exp(s_ij) / sum_{a != i} exp(s_ia), with p_ii = 0; kept for
   // backward. Each anchor row is owned by one chunk, so probs/lse are
   // deterministic.
-  ParallelFor(0, batch, 8, [&](int64_t i0, int64_t i1) {
+  ParallelFor(0, batch, 8, kElemWork * batch, [&](int64_t i0, int64_t i1) {
     for (int64_t i = i0; i < i1; ++i) {
       float* prow = probs + static_cast<size_t>(i) * batch;
       const float* srow = sims + static_cast<size_t>(i) * batch;
@@ -206,7 +197,7 @@ float SupConForward(const float* z, const int* labels, int batch, int dim,
   // 3. Per-anchor loss over P(i) = {p != i : label_p == label_i}.
   // Per-anchor partials are combined serially in index order so the scalar
   // loss is independent of the thread count.
-  ParallelFor(0, batch, 8, [&](int64_t i0, int64_t i1) {
+  ParallelFor(0, batch, 8, kElemWork * batch, [&](int64_t i0, int64_t i1) {
     for (int64_t i = i0; i < i1; ++i) {
       int cnt = 0;
       double pos_sum = 0.0;
@@ -247,7 +238,7 @@ void SupConBackward(const int* labels, int batch, int dim, float temperature,
   // g_ij = dL/ds_ij for anchor i (0 on the diagonal and for anchors
   // without positives). Anchor rows are independent.
   std::fill(gmat, gmat + static_cast<size_t>(batch) * batch, 0.0f);
-  ParallelFor(0, batch, 8, [&](int64_t i0, int64_t i1) {
+  ParallelFor(0, batch, 8, kElemWork * batch, [&](int64_t i0, int64_t i1) {
     for (int64_t i = i0; i < i1; ++i) {
       int cnt = pos_count[i];
       if (cnt == 0) continue;
@@ -262,7 +253,7 @@ void SupConBackward(const int* labels, int batch, int dim, float temperature,
   });
   // dL/dẑ = (1/τ) (G + G^T) Ẑ — symmetrize, then one GEMM. The diagonal of
   // G is zero, so no j == k exclusion is needed.
-  ParallelFor(0, batch, 8, [&](int64_t k0, int64_t k1) {
+  ParallelFor(0, batch, 8, kElemWork * batch, [&](int64_t k0, int64_t k1) {
     for (int64_t k = k0; k < k1; ++k) {
       for (int j = 0; j < batch; ++j) {
         sym[static_cast<size_t>(k) * batch + j] =
@@ -276,7 +267,7 @@ void SupConBackward(const int* labels, int batch, int dim, float temperature,
   GemmNN(sym, norm_feats, dnorm, batch, batch, dim);
   // Chain through the normalization ẑ = z/||z||:
   // dz = (dẑ - (dẑ·ẑ) ẑ) / ||z||. Feature rows are independent.
-  ParallelFor(0, batch, 8, [&](int64_t k0, int64_t k1) {
+  ParallelFor(0, batch, 8, kElemWork * dim, [&](int64_t k0, int64_t k1) {
     for (int64_t k = k0; k < k1; ++k) {
       const float* zk = norm_feats + static_cast<size_t>(k) * dim;
       const float* dk = dnorm + static_cast<size_t>(k) * dim;
@@ -293,14 +284,6 @@ void SupConBackward(const int* labels, int batch, int dim, float temperature,
 
 Tensor SupConLoss(const Tensor& features, const std::vector<int>& labels,
                   float temperature) {
-  graph::OpArgs graph_args;
-  graph_args.f0 = temperature;
-  graph_args.ints = &labels;
-  const Tensor* in = &features;
-  if (Tensor r; graph::Replay(graph::OpKind::kSupConLoss, &in, 1, graph_args,
-                              &r)) {
-    return r;
-  }
   OM_CHECK_EQ(features.ndim(), 2);
   int batch = features.dim(0);
   int dim = features.dim(1);
@@ -312,8 +295,6 @@ Tensor SupConLoss(const Tensor& features, const std::vector<int>& labels,
     // before the softmax-over-A(i) pass: with an empty A(i) its
     // log-sum-exp is log(0) = -inf, a non-finite intermediate that health
     // scans would flag even though the final loss is a constant zero.
-    // Structurally degenerate: not representable as a recorded node.
-    graph::AbortRecording("SupConLoss with batch < 2");
     return Tensor::Scalar(0.0f);
   }
 
@@ -321,9 +302,7 @@ Tensor SupConLoss(const Tensor& features, const std::vector<int>& labels,
   const float loss = SupConForward(features.data().data(), labels.data(),
                                    batch, dim, temperature, ws.get());
   if (ws->valid_anchors == 0) {
-    // No positive pairs in the batch; constant zero, no gradient. A replay
-    // of this signature could later see positives, so don't compile it.
-    graph::AbortRecording("SupConLoss batch with no positive pairs");
+    // No positive pairs in the batch; constant zero, no gradient.
     return Tensor::Scalar(0.0f);
   }
 
@@ -340,7 +319,6 @@ Tensor SupConLoss(const Tensor& features, const std::vector<int>& labels,
                      ws.get(), GradOf(fi.get()));
     };
   }
-  graph::Record(graph::OpKind::kSupConLoss, &in, 1, graph_args, out);
   return out;
 }
 

@@ -11,13 +11,11 @@
 namespace omnimatch {
 namespace nn {
 
-/// The raw-pointer kernels behind every op the graph executor records
-/// (internal to nn). Each is defined next to its eager op in ops.cc or
-/// losses.cc. The eager op allocates its output, calls the forward kernel
-/// and captures the backward kernel in its closure; a replayed graph node
-/// calls the same two kernels on arena buffers (graph.cc). Replay therefore
-/// equals eager by construction. The text-CNN kernel lives in
-/// nn/text_conv.h under the same contract.
+/// The raw-pointer kernels behind the ops (internal to nn). Each is defined
+/// next to its op in ops.cc or losses.cc. The op allocates its output,
+/// calls the forward kernel and captures the backward kernel in its
+/// closure. The text-CNN kernel lives in nn/text_conv.h under the same
+/// contract.
 ///
 /// Forward kernels overwrite `out`. Backward kernels accumulate (+=) into
 /// every gradient pointer they are given; a null gradient pointer means
@@ -67,8 +65,7 @@ void GradReverseBackward(const float* dout, float lambda, float* dx,
 /// out[r, c] = mat[r, c] + row[c].
 void AddRowBroadcastForward(const float* mat, const float* row, float* out,
                             int rows, int cols);
-/// dmat += dout; drow[c] += sum over r of dout[r, c], rows ascending. The
-/// bias reduction is also the fused linear node's bias gradient.
+/// dmat += dout; drow[c] += sum over r of dout[r, c], rows ascending.
 void AddRowBroadcastBackward(const float* dout, float* dmat, float* drow,
                              int rows, int cols);
 
@@ -87,7 +84,7 @@ void ConcatColsBackward(const float* dout, int rows, int cols, int total_cols,
                         int col_offset, float* dpart);
 
 /// out[r] = table[ids[r]]. Every id is checked against [0, vocab): the ids
-/// come from outside the op, so both execution paths check them here.
+/// come from outside the op.
 void GatherForward(const float* table, int vocab, int width, const int* ids,
                    int64_t num_ids, float* out);
 /// Scatter-adds dout rows into dtable, sharded by destination row.
@@ -103,8 +100,8 @@ void MeanAxis1Backward(const float* dout, int batch, int length, int width,
 // --- Kernels with a workspace ---------------------------------------------
 //
 // The forward kernel sizes its workspace (a no-op once sized) and leaves in
-// it what the backward kernel reads. The eager closure holds one workspace
-// per call; a graph node holds one, sized when its plan is compiled.
+// it what the backward kernel reads. The op's closure holds one workspace
+// per call.
 
 /// Dropout's keep mask: 0 for a dropped element, 1/(1-p) for a kept one.
 struct DropoutWorkspace {

@@ -7,7 +7,6 @@
 #include "common/threadpool.h"
 #include "nn/elemwise.h"
 #include "nn/gemm.h"
-#include "nn/graph.h"
 #include "nn/op_kernels.h"
 #include "nn/text_conv.h"
 #include "obs/metrics.h"
@@ -19,9 +18,7 @@ namespace {
 
 using Impl = std::shared_ptr<TensorImpl>;
 
-/// Tape nodes allocated by eager ops and losses. Replayed graph steps
-/// allocate none: the ratio of this counter to steps is the zero-alloc
-/// evidence that GraphTrainerTest.ReplayedStepsAllocateNoTensorNodes pins.
+/// Tape nodes allocated by ops and losses.
 obs::Counter* NodeAllocCounter() {
   static obs::Counter* const counter =
       obs::MetricsRegistry::Global().GetCounter("nn.tensor_node_allocs");
@@ -32,21 +29,6 @@ void CheckSameShape(const Tensor& a, const Tensor& b, const char* op) {
   OM_CHECK(a.shape() == b.shape())
       << op << ": " << ShapeToString(a.shape()) << " vs "
       << ShapeToString(b.shape());
-}
-
-/// A concat hands its parts to the graph hooks in a stack array, so replay
-/// performs no heap allocation. A wider concat has no graph lowering:
-/// recording one aborts the recording, and reaching one mid-replay is fatal.
-constexpr size_t kMaxConcatParts = 16;
-
-bool ConcatHookInputs(const std::vector<Tensor>& parts,
-                      const Tensor** inputs) {
-  if (parts.size() > kMaxConcatParts) {
-    graph::UnsupportedOp("a concat of more than 16 parts");
-    return false;
-  }
-  for (size_t i = 0; i < parts.size(); ++i) inputs[i] = &parts[i];
-  return true;
 }
 
 }  // namespace
@@ -69,13 +51,6 @@ float* GradOf(TensorImpl* t) {
   return t->grad.data();
 }
 
-// Every recordable op below starts with graph::Replay, which serves the
-// call from a compiled plan when one is replaying (running the same kernel
-// on arena buffers), and ends with graph::Record, which appends the call to
-// a recording. Replay runs before the op's own shape checks: replayed
-// intermediates keep their shapes but not their data, so checks on values
-// live in the kernels, which both paths run.
-
 void AddForward(const float* a, const float* b, float* out, int64_t n) {
   ParallelElems(static_cast<size_t>(n), [&](size_t lo, size_t hi) {
     for (size_t i = lo; i < hi; ++i) out[i] = a[i] + b[i];
@@ -89,8 +64,6 @@ void AccumulateGrad(const float* dout, float* dx, int64_t n) {
 }
 
 Tensor Add(const Tensor& a, const Tensor& b) {
-  const Tensor* in[] = {&a, &b};
-  if (Tensor r; graph::Replay(graph::OpKind::kAdd, in, 2, {}, &r)) return r;
   CheckSameShape(a, b, "Add");
   Tensor out = MakeOutput(a.shape(), {a.impl(), b.impl()});
   AddForward(a.data().data(), b.data().data(), out.data().data(),
@@ -105,7 +78,6 @@ Tensor Add(const Tensor& a, const Tensor& b) {
       if (float* db = GradOf(bi.get())) AccumulateGrad(dout, db, n);
     };
   }
-  graph::Record(graph::OpKind::kAdd, in, 2, {}, out);
   return out;
 }
 
@@ -130,8 +102,6 @@ void MulBackward(const float* a, const float* b, const float* dout, float* da,
 }
 
 Tensor Mul(const Tensor& a, const Tensor& b) {
-  const Tensor* in[] = {&a, &b};
-  if (Tensor r; graph::Replay(graph::OpKind::kMul, in, 2, {}, &r)) return r;
   CheckSameShape(a, b, "Mul");
   Tensor out = MakeOutput(a.shape(), {a.impl(), b.impl()});
   MulForward(a.data().data(), b.data().data(), out.data().data(),
@@ -147,7 +117,6 @@ Tensor Mul(const Tensor& a, const Tensor& b) {
                   static_cast<int64_t>(o->data.size()));
     };
   }
-  graph::Record(graph::OpKind::kMul, in, 2, {}, out);
   return out;
 }
 
@@ -164,12 +133,6 @@ void ScaleBackward(const float* dout, float s, float* da, int64_t n) {
 }
 
 Tensor Scale(const Tensor& a, float s) {
-  graph::OpArgs args;
-  args.f0 = s;
-  const Tensor* in = &a;
-  if (Tensor r; graph::Replay(graph::OpKind::kScale, &in, 1, args, &r)) {
-    return r;
-  }
   Tensor out = MakeOutput(a.shape(), {a.impl()});
   ScaleForward(a.data().data(), s, out.data().data(), out.numel());
   if (out.requires_grad()) {
@@ -181,14 +144,13 @@ Tensor Scale(const Tensor& a, float s) {
                     static_cast<int64_t>(o->data.size()));
     };
   }
-  graph::Record(graph::OpKind::kScale, &in, 1, args, out);
   return out;
 }
 
 void AddRowBroadcastForward(const float* mat, const float* row, float* out,
                             int rows, int cols) {
   ParallelFor(0, rows, std::max<int64_t>(1, kElemGrain / cols),
-              [&](int64_t r0, int64_t r1) {
+              kElemWork * cols, [&](int64_t r0, int64_t r1) {
                 for (int64_t r = r0; r < r1; ++r) {
                   const float* src = mat + static_cast<size_t>(r) * cols;
                   float* dst = out + static_cast<size_t>(r) * cols;
@@ -206,7 +168,7 @@ void AddRowBroadcastBackward(const float* dout, float* dmat, float* drow,
     // Column reduction: each column owned by one chunk, rows walked in
     // ascending order — deterministic for any thread count.
     ParallelFor(0, cols, std::max<int64_t>(1, kElemGrain / rows),
-                [&](int64_t c0, int64_t c1) {
+                kElemWork * rows, [&](int64_t c0, int64_t c1) {
                   for (int r = 0; r < rows; ++r) {
                     const float* grow = dout + static_cast<size_t>(r) * cols;
                     for (int64_t c = c0; c < c1; ++c) drow[c] += grow[c];
@@ -216,10 +178,6 @@ void AddRowBroadcastBackward(const float* dout, float* dmat, float* drow,
 }
 
 Tensor AddRowBroadcast(const Tensor& mat, const Tensor& row) {
-  const Tensor* in[] = {&mat, &row};
-  if (Tensor r; graph::Replay(graph::OpKind::kAddRowBroadcast, in, 2, {}, &r)) {
-    return r;
-  }
   OM_CHECK_EQ(mat.ndim(), 2);
   int rows = mat.dim(0);
   int cols = mat.dim(1);
@@ -238,7 +196,6 @@ Tensor AddRowBroadcast(const Tensor& mat, const Tensor& row) {
       AddRowBroadcastBackward(dout, dmat, drow, rows, cols);
     };
   }
-  graph::Record(graph::OpKind::kAddRowBroadcast, in, 2, {}, out);
   return out;
 }
 
@@ -257,8 +214,6 @@ void ReluBackward(const float* x, const float* dout, float* dx, int64_t n) {
 }
 
 Tensor Relu(const Tensor& x) {
-  const Tensor* in = &x;
-  if (Tensor r; graph::Replay(graph::OpKind::kRelu, &in, 1, {}, &r)) return r;
   Tensor out = MakeOutput(x.shape(), {x.impl()});
   ReluForward(x.data().data(), out.data().data(), out.numel());
   if (out.requires_grad()) {
@@ -270,12 +225,10 @@ Tensor Relu(const Tensor& x) {
                    static_cast<int64_t>(o->data.size()));
     };
   }
-  graph::Record(graph::OpKind::kRelu, &in, 1, {}, out);
   return out;
 }
 
 Tensor LeakyRelu(const Tensor& x, float slope) {
-  graph::UnsupportedOp("LeakyRelu");
   Tensor out = MakeOutput(x.shape(), {x.impl()});
   const auto& xv = x.data();
   auto& ov = out.data();
@@ -305,12 +258,6 @@ void CopyForward(const float* x, float* out, int64_t n) {
 }
 
 Tensor Reshape(const Tensor& x, std::vector<int> new_shape) {
-  graph::OpArgs args;
-  args.shape = &new_shape;
-  const Tensor* in = &x;
-  if (Tensor r; graph::Replay(graph::OpKind::kReshape, &in, 1, args, &r)) {
-    return r;
-  }
   OM_CHECK_EQ(ShapeNumel(new_shape), x.numel())
       << ShapeToString(x.shape()) << " -> " << ShapeToString(new_shape);
   Tensor out = MakeOutput(std::move(new_shape), {x.impl()});
@@ -324,8 +271,6 @@ Tensor Reshape(const Tensor& x, std::vector<int> new_shape) {
                      static_cast<int64_t>(o->data.size()));
     };
   }
-  args.shape = &out.shape();  // new_shape was moved into the output
-  graph::Record(graph::OpKind::kReshape, &in, 1, args, out);
   return out;
 }
 
@@ -354,15 +299,6 @@ Tensor Dropout(const Tensor& x, float p, bool training, Rng* rng) {
   OM_CHECK(p >= 0.0f && p < 1.0f) << "dropout p=" << p;
   if (!training || p == 0.0f) return x;
   OM_CHECK(rng != nullptr);
-  // Hooks after the early return: an identity Dropout issues no op call, in
-  // recording and replay alike.
-  graph::OpArgs args;
-  args.f0 = p;
-  args.rng = rng;
-  const Tensor* in = &x;
-  if (Tensor r; graph::Replay(graph::OpKind::kDropout, &in, 1, args, &r)) {
-    return r;
-  }
   Tensor out = MakeOutput(x.shape(), {x.impl()});
   auto ws = std::make_shared<DropoutWorkspace>();
   DropoutForward(x.data().data(), p, rng, out.numel(), ws.get(),
@@ -376,7 +312,6 @@ Tensor Dropout(const Tensor& x, float p, bool training, Rng* rng) {
                       static_cast<int64_t>(o->data.size()));
     };
   }
-  graph::Record(graph::OpKind::kDropout, &in, 1, args, out);
   return out;
 }
 
@@ -395,10 +330,6 @@ void MatMulBackward(const float* a, const float* b, const float* dout,
 }
 
 Tensor MatMul(const Tensor& a, const Tensor& b) {
-  const Tensor* in[] = {&a, &b};
-  if (Tensor r; graph::Replay(graph::OpKind::kMatMul, in, 2, {}, &r)) {
-    return r;
-  }
   OM_CHECK_EQ(a.ndim(), 2);
   OM_CHECK_EQ(b.ndim(), 2);
   int m = a.dim(0), k = a.dim(1), n = b.dim(1);
@@ -415,12 +346,10 @@ Tensor MatMul(const Tensor& a, const Tensor& b) {
       MatMulBackward(ai->data.data(), bi->data.data(), dout, da, db, m, k, n);
     };
   }
-  graph::Record(graph::OpKind::kMatMul, in, 2, {}, out);
   return out;
 }
 
 Tensor MatMulNT(const Tensor& a, const Tensor& b) {
-  graph::UnsupportedOp("MatMulNT");
   OM_CHECK_EQ(a.ndim(), 2);
   OM_CHECK_EQ(b.ndim(), 2);
   int m = a.dim(0), k = a.dim(1), n = b.dim(0);
@@ -467,13 +396,6 @@ void ConcatColsBackward(const float* dout, int rows, int cols, int total_cols,
 
 Tensor ConcatCols(const std::vector<Tensor>& parts) {
   OM_CHECK(!parts.empty());
-  const Tensor* in[kMaxConcatParts];
-  const bool hooked = ConcatHookInputs(parts, in);
-  const int num_in = static_cast<int>(parts.size());
-  if (Tensor r; hooked && graph::Replay(graph::OpKind::kConcatCols, in,
-                                        num_in, {}, &r)) {
-    return r;
-  }
   int rows = parts[0].dim(0);
   int total_cols = 0;
   std::vector<Impl> parents;
@@ -504,19 +426,11 @@ Tensor ConcatCols(const std::vector<Tensor>& parts) {
       }
     };
   }
-  if (hooked) graph::Record(graph::OpKind::kConcatCols, in, num_in, {}, out);
   return out;
 }
 
 Tensor ConcatRows(const std::vector<Tensor>& parts) {
   OM_CHECK(!parts.empty());
-  const Tensor* in[kMaxConcatParts];
-  const bool hooked = ConcatHookInputs(parts, in);
-  const int num_in = static_cast<int>(parts.size());
-  if (Tensor r; hooked && graph::Replay(graph::OpKind::kConcatRows, in,
-                                        num_in, {}, &r)) {
-    return r;
-  }
   int cols = parts[0].dim(1);
   int total_rows = 0;
   std::vector<Impl> parents;
@@ -546,7 +460,6 @@ Tensor ConcatRows(const std::vector<Tensor>& parts) {
       }
     };
   }
-  if (hooked) graph::Record(graph::OpKind::kConcatRows, in, num_in, {}, out);
   return out;
 }
 
@@ -557,7 +470,7 @@ void GatherForward(const float* table, int vocab, int width, const int* ids,
         << "Gather id " << ids[r] << " of " << vocab;
   }
   ParallelFor(0, num_ids, std::max<int64_t>(1, kElemGrain / width),
-              [&](int64_t r0, int64_t r1) {
+              kElemWork * width, [&](int64_t r0, int64_t r1) {
                 for (int64_t r = r0; r < r1; ++r) {
                   std::copy(table + static_cast<size_t>(ids[r]) * width,
                             table + static_cast<size_t>(ids[r] + 1) * width,
@@ -592,20 +505,18 @@ void GatherBackward(const float* dout, const int* ids, int64_t num_ids,
   });
 }
 
-Tensor Gather(const Tensor& table, const std::vector<int>& ids) {
-  graph::OpArgs args;
-  args.ints = &ids;
-  const Tensor* in = &table;
-  if (Tensor r; graph::Replay(graph::OpKind::kGather, &in, 1, args, &r)) {
-    return r;
-  }
+Tensor Gather(const Tensor& table, const std::vector<int>& ids,
+              std::vector<int> rows_shape) {
   OM_CHECK_EQ(table.ndim(), 2);
   int vocab = table.dim(0);
   int width = table.dim(1);
   OM_CHECK(!ids.empty());
   const int64_t num_ids = static_cast<int64_t>(ids.size());
-  Tensor out =
-      MakeOutput({static_cast<int>(ids.size()), width}, {table.impl()});
+  if (rows_shape.empty()) rows_shape = {static_cast<int>(num_ids)};
+  OM_CHECK_EQ(ShapeNumel(rows_shape), num_ids)
+      << ShapeToString(rows_shape) << " rows for " << num_ids << " ids";
+  rows_shape.push_back(width);
+  Tensor out = MakeOutput(std::move(rows_shape), {table.impl()});
   GatherForward(table.data().data(), vocab, width, ids.data(), num_ids,
                 out.data().data());
   if (out.requires_grad()) {
@@ -619,12 +530,10 @@ Tensor Gather(const Tensor& table, const std::vector<int>& ids) {
                      GradOf(ti.get()));
     };
   }
-  graph::Record(graph::OpKind::kGather, &in, 1, args, out);
   return out;
 }
 
 Tensor MeanRows(const Tensor& x) {
-  graph::UnsupportedOp("MeanRows");
   OM_CHECK_EQ(x.ndim(), 2);
   int rows = x.dim(0);
   int cols = x.dim(1);
@@ -655,7 +564,6 @@ Tensor MeanRows(const Tensor& x) {
 }
 
 Tensor RowSum(const Tensor& x) {
-  graph::UnsupportedOp("RowSum");
   OM_CHECK_EQ(x.ndim(), 2);
   int rows = x.dim(0);
   int cols = x.dim(1);
@@ -689,7 +597,7 @@ void MeanAxis1Forward(const float* x, int batch, int length, int width,
   const float inv = 1.0f / static_cast<float>(length);
   const int64_t per_doc = static_cast<int64_t>(length) * width;
   ParallelFor(0, batch, std::max<int64_t>(1, kElemGrain / per_doc),
-              [&](int64_t b0, int64_t b1) {
+              kElemWork * per_doc, [&](int64_t b0, int64_t b1) {
                 for (int64_t b = b0; b < b1; ++b) {
                   float* orow = out + static_cast<size_t>(b) * width;
                   std::fill(orow, orow + width, 0.0f);
@@ -708,7 +616,7 @@ void MeanAxis1Backward(const float* dout, int batch, int length, int width,
   const float inv = 1.0f / static_cast<float>(length);
   const int64_t per_doc = static_cast<int64_t>(length) * width;
   ParallelFor(0, batch, std::max<int64_t>(1, kElemGrain / per_doc),
-              [&](int64_t b0, int64_t b1) {
+              kElemWork * per_doc, [&](int64_t b0, int64_t b1) {
                 for (int64_t b = b0; b < b1; ++b) {
                   const float* grow = dout + static_cast<size_t>(b) * width;
                   for (int l = 0; l < length; ++l) {
@@ -721,10 +629,6 @@ void MeanAxis1Backward(const float* dout, int batch, int length, int width,
 }
 
 Tensor MeanAxis1(const Tensor& x) {
-  const Tensor* in = &x;
-  if (Tensor r; graph::Replay(graph::OpKind::kMeanAxis1, &in, 1, {}, &r)) {
-    return r;
-  }
   OM_CHECK_EQ(x.ndim(), 3);
   int batch = x.dim(0);
   int length = x.dim(1);
@@ -739,12 +643,10 @@ Tensor MeanAxis1(const Tensor& x) {
       MeanAxis1Backward(dout, batch, length, width, GradOf(xi.get()));
     };
   }
-  graph::Record(graph::OpKind::kMeanAxis1, &in, 1, {}, out);
   return out;
 }
 
 Tensor Softmax(const Tensor& x) {
-  graph::UnsupportedOp("Softmax");
   OM_CHECK_EQ(x.ndim(), 2);
   int rows = x.dim(0);
   int cols = x.dim(1);
@@ -752,7 +654,7 @@ Tensor Softmax(const Tensor& x) {
   const auto& xv = x.data();
   auto& ov = out.data();
   ParallelFor(0, rows, std::max<int64_t>(1, kElemGrain / cols),
-              [&](int64_t r0, int64_t r1) {
+              kElemWork * cols, [&](int64_t r0, int64_t r1) {
                 for (int64_t r = r0; r < r1; ++r) {
                   const float* xr = xv.data() + static_cast<size_t>(r) * cols;
                   float* orow = ov.data() + static_cast<size_t>(r) * cols;
@@ -776,7 +678,7 @@ Tensor Softmax(const Tensor& x) {
       o->EnsureGrad();
       xi->EnsureGrad();
       ParallelFor(0, rows, std::max<int64_t>(1, kElemGrain / cols),
-                  [&](int64_t r0, int64_t r1) {
+                  kElemWork * cols, [&](int64_t r0, int64_t r1) {
                     for (int64_t r = r0; r < r1; ++r) {
                       const float* y =
                           o->data.data() + static_cast<size_t>(r) * cols;
@@ -797,7 +699,6 @@ Tensor Softmax(const Tensor& x) {
 }
 
 Tensor SumAll(const Tensor& x) {
-  graph::UnsupportedOp("SumAll");
   Tensor out = MakeOutput({1}, {x.impl()});
   const auto& xv = x.data();
   // Serial double accumulation: the canonical fixed-order reduction.
@@ -828,12 +729,6 @@ void GradReverseBackward(const float* dout, float lambda, float* dx,
 }
 
 Tensor GradReverse(const Tensor& x, float lambda) {
-  graph::OpArgs args;
-  args.f0 = lambda;
-  const Tensor* in = &x;
-  if (Tensor r; graph::Replay(graph::OpKind::kGradReverse, &in, 1, args, &r)) {
-    return r;
-  }
   Tensor out = MakeOutput(x.shape(), {x.impl()});
   CopyForward(x.data().data(), out.data().data(), out.numel());
   if (out.requires_grad()) {
@@ -845,7 +740,6 @@ Tensor GradReverse(const Tensor& x, float lambda) {
                           static_cast<int64_t>(o->data.size()));
     };
   }
-  graph::Record(graph::OpKind::kGradReverse, &in, 1, args, out);
   return out;
 }
 
@@ -855,19 +749,6 @@ Tensor TextConvMaxPool(const Tensor& input, const std::vector<Tensor>& weights,
   OM_CHECK_EQ(weights.size(), biases.size());
   OM_CHECK_LE(weights.size(), static_cast<size_t>(kMaxTextConvGroups))
       << "filter bank too large";
-  // Inputs in graph order: input, then (weight, bias) per group. A stack
-  // array keeps the replay path free of heap allocations.
-  const Tensor* inputs[1 + 2 * kMaxTextConvGroups];
-  int num_inputs = 0;
-  inputs[num_inputs++] = &input;
-  for (size_t g = 0; g < weights.size(); ++g) {
-    inputs[num_inputs++] = &weights[g];
-    inputs[num_inputs++] = &biases[g];
-  }
-  if (Tensor r; graph::Replay(graph::OpKind::kTextConvMaxPool, inputs,
-                              num_inputs, {}, &r)) {
-    return r;
-  }
   OM_CHECK_EQ(input.ndim(), 3);
   TextConvShape shape;
   shape.batch = input.dim(0);
@@ -919,7 +800,6 @@ Tensor TextConvMaxPool(const Tensor& input, const std::vector<Tensor>& weights,
                               dout, *ws, GradOf(xi));
     };
   }
-  graph::Record(graph::OpKind::kTextConvMaxPool, inputs, num_inputs, {}, out);
   return out;
 }
 

@@ -51,9 +51,12 @@ Tensor ConcatCols(const std::vector<Tensor>& parts);
 /// Concatenates 2-D tensors with equal column counts along rows.
 Tensor ConcatRows(const std::vector<Tensor>& parts);
 
-/// Row gather: table [V, E], ids in [0, V) -> [ids.size(), E].
-/// Backward scatter-adds into the table (embedding lookup).
-Tensor Gather(const Tensor& table, const std::vector<int>& ids);
+/// Row gather: table [V, E], ids in [0, V) -> [ids.size(), E], or
+/// `rows_shape` + [E] when given (its volume must be ids.size(); e.g.
+/// [B, L] for B documents of L tokens each). Backward scatter-adds into the
+/// table (embedding lookup).
+Tensor Gather(const Tensor& table, const std::vector<int>& ids,
+              std::vector<int> rows_shape = {});
 
 /// Mean over rows: [R, C] -> [1, C].
 Tensor MeanRows(const Tensor& x);

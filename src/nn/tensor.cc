@@ -4,7 +4,6 @@
 #include <unordered_set>
 
 #include "common/check.h"
-#include "nn/graph.h"
 
 namespace omnimatch {
 namespace nn {
@@ -135,24 +134,28 @@ float Tensor::At(int row, int col) const {
 namespace {
 
 // Post-order DFS producing a topological order of the autograd graph.
-// Iterative to survive deep chains (e.g. many-layer compositions).
-void TopologicalOrder(TensorImpl* root,
-                      std::vector<TensorImpl*>* order) {
+// Iterative to survive deep chains (e.g. many-layer compositions). The
+// order holds a reference to every node, so Backward() decides when each
+// one may die.
+void TopologicalOrder(const std::shared_ptr<TensorImpl>& root,
+                      std::vector<std::shared_ptr<TensorImpl>>* order) {
   std::unordered_set<TensorImpl*> visited;
   // Stack of (node, next-parent-index).
-  std::vector<std::pair<TensorImpl*, size_t>> stack;
-  stack.emplace_back(root, 0);
-  visited.insert(root);
+  std::vector<std::pair<const std::shared_ptr<TensorImpl>*, size_t>> stack;
+  stack.emplace_back(&root, 0);
+  visited.insert(root.get());
   while (!stack.empty()) {
     auto& [node, idx] = stack.back();
-    if (idx < node->parents.size()) {
-      TensorImpl* parent = node->parents[idx].get();
+    const std::vector<std::shared_ptr<TensorImpl>>& parents =
+        (*node)->parents;
+    if (idx < parents.size()) {
+      const std::shared_ptr<TensorImpl>* parent = &parents[idx];
       ++idx;
-      if (visited.insert(parent).second) {
+      if (visited.insert(parent->get()).second) {
         stack.emplace_back(parent, 0);
       }
     } else {
-      order->push_back(node);
+      order->push_back(*node);
       stack.pop_back();
     }
   }
@@ -164,24 +167,22 @@ void Tensor::Backward() {
   OM_CHECK(defined());
   OM_CHECK_EQ(impl_->data.size(), 1u)
       << "Backward() requires a scalar output";
-  graph::NotifyBackwardRoot(impl_.get());
-  std::vector<TensorImpl*> order;
-  TopologicalOrder(impl_.get(), &order);
+  std::vector<std::shared_ptr<TensorImpl>> order;
+  TopologicalOrder(impl_, &order);
   // Seed d(out)/d(out) = 1, then walk in reverse topological order.
   impl_->EnsureGrad();
   impl_->grad[0] = 1.0f;
   for (auto it = order.rbegin(); it != order.rend(); ++it) {
-    TensorImpl* node = *it;
+    TensorImpl* node = it->get();
     if (node->backward_fn) node->backward_fn();
-  }
-  // The tape is single-use: release every visited node's closure and parent
-  // edges now so the step graph dies here instead of living until the next
-  // step's handles drop. Compiled-graph roots keep their installed
-  // backward_fn (it is reused every replayed step).
-  for (TensorImpl* node : order) {
-    if (node->graph_persistent) continue;
+    // The tape is single-use, and every consumer of this node ran before
+    // it: nothing reads its data or gradient again. Release its closure
+    // and parent edges now, and with them, unless a caller still holds it,
+    // the node itself, so the allocator hands its buffers, still in cache,
+    // to the gradients yet to come.
     node->backward_fn = nullptr;
     node->parents.clear();
+    it->reset();
   }
 }
 

@@ -23,9 +23,6 @@ class TensorImpl {
   /// Gradient buffer; empty until EnsureGrad() is called during backward.
   std::vector<float> grad;
   bool requires_grad = false;
-  /// Set on a compiled-graph root (nn/graph.cc): its backward_fn is the
-  /// compiled backward schedule and must survive Backward()'s tape release.
-  bool graph_persistent = false;
   /// Accumulates gradients from this node into its parents. Set by ops.
   std::function<void()> backward_fn;
   /// Parents in the computation graph (inputs of the op that produced this).
@@ -43,8 +40,9 @@ class TensorImpl {
 /// `Tensor` is a cheap handle (shared_ptr) to `TensorImpl`. Ops in ops.h
 /// build a define-by-run graph; calling `Backward()` on a scalar output
 /// propagates gradients to every reachable tensor with
-/// `requires_grad == true`. The graph is freed when the output handles go
-/// out of scope.
+/// `requires_grad == true` and frees the graph as it goes, keeping only
+/// the nodes a caller still holds. A graph that never runs Backward() is
+/// freed when its output handles go out of scope.
 ///
 /// This is the paper's "PyTorch on an A100" substitute: same computational
 /// graph semantics, CPU float32 execution.
@@ -96,6 +94,8 @@ class Tensor {
 
   /// Runs reverse-mode autodiff from this tensor, which must be scalar.
   /// Gradients accumulate (+=) into every reachable requires_grad tensor.
+  /// Single-use: each node loses its backward closure and parent edges
+  /// once its gradient has been propagated.
   void Backward();
 
   /// Zeroes this tensor's gradient buffer (if allocated).

@@ -118,7 +118,11 @@ void textconv::ForwardWith(ForwardDocsFn kernel, const float* x,
           shape.length, kTextConvRowBlock + bank.max_kernel - 1)) *
       bank.width;
   const size_t arg_ints = static_cast<size_t>(shape.num_groups) * channels;
-  ParallelFor(0, shape.batch, 1, [&](int64_t b0, int64_t b1) {
+  // Per document: the multiply-adds of the [length, embed] x
+  // [embed, taps * channels] tap GEMM (padding columns not counted).
+  const int64_t doc_work =
+      2 * static_cast<int64_t>(shape.length) * embed * taps * channels;
+  ParallelFor(0, shape.batch, 1, doc_work, [&](int64_t b0, int64_t b1) {
     static thread_local std::vector<float> block;
     static thread_local std::vector<int> arg;
     if (block.size() < block_floats) block.resize(block_floats);
@@ -143,8 +147,14 @@ void TextConvMaxPoolBackward(const float* x, const TextConvShape& shape,
   auto live = [&](size_t oc) {
     return !(dout[oc] == 0.0f || out[oc] <= 0.0f);
   };
+  // Every output scatters (dx) or gathers (dW) one filter's weights.
+  int64_t filter_floats = 0;
+  for (int g = 0; g < shape.num_groups; ++g) {
+    filter_floats += static_cast<int64_t>(groups[g].kernel_size) * embed;
+  }
+  const int64_t out_work = 2 * filter_floats * channels;
   if (dx != nullptr) {
-    ParallelFor(0, batch, 1, [&](int64_t b0, int64_t b1) {
+    ParallelFor(0, batch, 1, out_work, [&](int64_t b0, int64_t b1) {
       for (int64_t b = b0; b < b1; ++b) {
         float* ddoc = dx + static_cast<size_t>(b) * length * embed;
         for (int col = 0; col < cols; ++col) {
@@ -161,7 +171,8 @@ void TextConvMaxPoolBackward(const float* x, const TextConvShape& shape,
       }
     });
   }
-  ParallelFor(0, cols, 1, [&](int64_t c0, int64_t c1) {
+  const int64_t col_work = out_work * batch / cols;
+  ParallelFor(0, cols, 1, col_work, [&](int64_t c0, int64_t c1) {
     for (int64_t col = c0; col < c1; ++col) {
       const TextConvGroup& grp = groups[col / channels];
       const int c = static_cast<int>(col % channels);

@@ -8,9 +8,8 @@ namespace nn {
 
 /// The text-CNN kernel of the Feature Extraction Module: convolution over a
 /// bank of kernel sizes, max-over-time pooling, bias and ReLU, on raw
-/// pointers. The eager op TextConvMaxPool (nn/ops.h) and the recorded-graph
-/// node kTextConvMaxPool both call these two functions, so replay equals
-/// eager by construction (DESIGN.md "Text CNN kernel").
+/// pointers, behind the op TextConvMaxPool (nn/ops.h; DESIGN.md "Text CNN
+/// kernel").
 ///
 /// Forward uses a tap decomposition. The bank's filters are repacked once
 /// per call into W_taps[E, sum_g k_g * C], column (tap_base_g + j) * C + c

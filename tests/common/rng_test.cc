@@ -110,6 +110,21 @@ TEST(RngTest, SampleDiscreteRespectsWeights) {
   EXPECT_NEAR(counts[2] / static_cast<double>(counts[0]), 3.0, 0.35);
 }
 
+TEST(RngTest, SearchCumulativeSkipsZeroWeightTies) {
+  // Weights {1, 0, 1}: index 1's running sum ties index 0's. A draw on the
+  // tie belongs to index 2; a search for the first sum not below the draw
+  // (lower_bound) would return index 0 instead.
+  const std::vector<double> prefix = {1.0, 1.0, 2.0};
+  EXPECT_EQ(Rng::SearchCumulative(prefix, 1.0), 2);
+  EXPECT_EQ(Rng::SearchCumulative(prefix, 0.0), 0);
+  EXPECT_EQ(Rng::SearchCumulative(prefix, 0.999), 0);
+  EXPECT_EQ(Rng::SearchCumulative(prefix, 1.5), 2);
+  // A leading zero weight is never drawn, and a draw at the total clamps to
+  // the last index.
+  EXPECT_EQ(Rng::SearchCumulative({0.0, 1.0}, 0.0), 1);
+  EXPECT_EQ(Rng::SearchCumulative(prefix, 2.0), 2);
+}
+
 TEST(RngTest, SampleCumulativeDrawsWhatSampleDiscreteDraws) {
   // Running sums formed in index order, zeroed weights (leading, inner and
   // trailing) included, and redone from a zeroed index on as the synthetic

@@ -5,6 +5,7 @@
 #include <atomic>
 #include <cstdint>
 #include <mutex>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -38,6 +39,34 @@ TEST(ThreadPoolTest, SmallRangeRunsInlineAsOneChunk) {
   ASSERT_EQ(chunks.size(), 1u);
   EXPECT_EQ(chunks[0].first, 3);
   EXPECT_EQ(chunks[0].second, 7);
+}
+
+TEST(ThreadPoolTest, WorkBelowSerialLimitRunsInlineAsOneChunk) {
+  ThreadPool pool(4);
+  const std::thread::id caller = std::this_thread::get_id();
+  // 100 items of 600 operations: 60,000 < kSerialWorkLimit.
+  int calls = 0;
+  pool.ParallelFor(0, 100, 1, 600, [&](int64_t b, int64_t e) {
+    ++calls;
+    EXPECT_EQ(b, 0);
+    EXPECT_EQ(e, 100);
+    EXPECT_EQ(std::this_thread::get_id(), caller);
+  });
+  EXPECT_EQ(calls, 1);
+  // 100 items of 700 operations reach the limit and are split.
+  std::atomic<int> chunks{0};
+  std::atomic<int64_t> covered{0};
+  pool.ParallelFor(0, 100, 1, 700, [&](int64_t b, int64_t e) {
+    chunks.fetch_add(1);
+    covered.fetch_add(e - b);
+  });
+  EXPECT_GT(chunks.load(), 1);
+  EXPECT_EQ(covered.load(), 100);
+  // A huge per-item estimate must not overflow into "small".
+  chunks = 0;
+  pool.ParallelFor(0, 1000, 1, INT64_MAX / 2,
+                   [&](int64_t, int64_t) { chunks.fetch_add(1); });
+  EXPECT_GT(chunks.load(), 1);
 }
 
 TEST(ThreadPoolTest, SingleThreadPoolRunsInline) {

@@ -3,7 +3,10 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -333,6 +336,65 @@ TEST(CheckpointResumeTest, CorruptedCheckpointRejectedByTrainer) {
   trainer.Train();
   std::string path = testing_util::TestTempDir() + "/ckpt_corrupt.omck";
   ASSERT_TRUE(trainer.SaveCheckpoint(path).ok());
+
+  // Fields the CRC cannot vouch for: each variant changes one field of the
+  // valid checkpoint and is written back with a valid CRC.
+  const CheckpointState valid = LoadCheckpointFile(path).value();
+  ASSERT_EQ(valid.epochs_completed, 1);
+  ASSERT_FALSE(valid.optimizer.slots.empty());
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const std::vector<std::pair<std::string,
+                              std::function<void(CheckpointState*)>>>
+      variants = {
+          {"current_lr NaN", [&](CheckpointState* s) { s->current_lr = nan; }},
+          {"current_lr -1", [](CheckpointState* s) { s->current_lr = -1.0f; }},
+          {"current_lr 0", [](CheckpointState* s) { s->current_lr = 0.0f; }},
+          {"current_lr inf",
+           [](CheckpointState* s) {
+             s->current_lr = std::numeric_limits<float>::infinity();
+           }},
+          {"guard_ema NaN", [&](CheckpointState* s) { s->guard_ema = nan; }},
+          {"sample_order all zeros",
+           [](CheckpointState* s) {
+             std::fill(s->sample_order.begin(), s->sample_order.end(), 0);
+           }},
+          {"sample_order one repeat",
+           [](CheckpointState* s) { s->sample_order[1] = s->sample_order[0]; }},
+          {"best_epoch 99", [](CheckpointState* s) { s->best_epoch = 99; }},
+          {"best_epoch 1 of 1", [](CheckpointState* s) { s->best_epoch = 1; }},
+          {"best_epoch -2", [](CheckpointState* s) { s->best_epoch = -2; }},
+          {"steps -5", [](CheckpointState* s) { s->steps = -5; }},
+          {"parameter NaN", [&](CheckpointState* s) { s->params[0][0] = nan; }},
+          {"optimizer slot NaN",
+           [&](CheckpointState* s) { s->optimizer.slots.back()[0] = nan; }},
+      };
+  const std::string variant_path =
+      testing_util::TestTempDir() + "/ckpt_variant.omck";
+  OmniMatchConfig longer = config;
+  longer.epochs = 2;
+  OmniMatchTrainer resumed(longer, &cross, split);
+  ASSERT_TRUE(resumed.Prepare().ok());
+  for (const auto& [name, mutate] : variants) {
+    CheckpointState state = valid;
+    mutate(&state);
+    ASSERT_TRUE(SaveCheckpointFile(variant_path, state).ok()) << name;
+    const Status rejected = resumed.LoadCheckpoint(variant_path);
+    EXPECT_EQ(rejected.code(), StatusCode::kInvalidArgument)
+        << name << ": " << rejected.ToString();
+  }
+  std::remove(variant_path.c_str());
+
+  // The rejected loads left no trace: resuming the valid checkpoint now
+  // trains exactly as a trainer that never saw them.
+  ASSERT_TRUE(resumed.LoadCheckpoint(path).ok());
+  EXPECT_EQ(resumed.epochs_completed(), 1);
+  const TrainStats after_rejections = resumed.Train();
+  OmniMatchTrainer clean(longer, &cross, split);
+  ASSERT_TRUE(clean.Prepare().ok());
+  ASSERT_TRUE(clean.LoadCheckpoint(path).ok());
+  const TrainStats clean_stats = clean.Train();
+  EXPECT_EQ(after_rejections.total_loss, clean_stats.total_loss);
+  EXPECT_EQ(after_rejections.steps, clean_stats.steps);
 
   std::string bytes = ReadFileToString(path).value();
   bytes[bytes.size() / 3] ^= 0x40;

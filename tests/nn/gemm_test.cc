@@ -9,6 +9,8 @@
 #include "common/rng.h"
 #include "common/threadpool.h"
 #include "nn/gemm/gemm_kernel.h"
+#include "nn/ops.h"
+#include "nn/tensor.h"
 
 namespace omnimatch {
 namespace nn {
@@ -196,27 +198,6 @@ TEST(GemmTest, EveryIsaFlavorIsBitIdentical) {
   }
 }
 
-TEST(GemmTest, FusedLinearEveryIsaFlavorIsBitIdentical) {
-  Rng rng(18);
-  for (const GemmShape& s : FlavorShapes()) {
-    std::vector<float> a = RandomVec(static_cast<size_t>(s.m) * s.k, &rng);
-    std::vector<float> b = RandomVec(static_cast<size_t>(s.k) * s.n, &rng);
-    std::vector<float> bias = RandomVec(static_cast<size_t>(s.n), &rng);
-    // Nonzero initial C: the fused kernel must overwrite it.
-    std::vector<float> c0 = RandomVec(static_cast<size_t>(s.m) * s.n, &rng);
-    for (bool relu : {false, true}) {
-      ASSERT_TRUE(FlavorsBitIdentical(
-          c0, [&](const gemm::Kernel& kernel, float* c) {
-            gemm::FusedLinearForwardWith(kernel, a.data(), b.data(),
-                                         bias.data(), c, s.m, s.k, s.n,
-                                         relu);
-          }))
-          << "relu " << relu << ", shape " << s.m << "x" << s.k << "x"
-          << s.n;
-    }
-  }
-}
-
 // The two suites below first pinned the int8 head's dispatch and epilogue.
 // That head is gone; the same contracts hold for the float kernels, so the
 // tests keep their names and check the float path.
@@ -243,14 +224,13 @@ TEST(QuantizedLinearTest, ReluEpilogueMatchesFloatSemantics) {
   // A pre-activation that is exactly zero or negative must produce +0.0f
   // under ReLU.
   for (float x : {0.0f, -1.0f}) {
-    const float w = 1.0f;
-    const float b = 0.0f;
-    float y = -1.0f;
-    FusedLinearForward(&x, &w, &b, &y, 1, 1, 1, /*relu=*/true);
-    EXPECT_EQ(y, 0.0f) << "x = " << x;
-    EXPECT_FALSE(std::signbit(y)) << "x = " << x;
+    Tensor z = MatMul(Tensor::FromData({1, 1}, {x}),
+                      Tensor::FromData({1, 1}, {1.0f}));
+    Tensor y = Relu(AddRowBroadcast(z, Tensor::FromData({1}, {0.0f})));
+    EXPECT_EQ(y.data()[0], 0.0f) << "x = " << x;
+    EXPECT_FALSE(std::signbit(y.data()[0])) << "x = " << x;
   }
-  // On a real shape the fused epilogue equals GemmNN onto zeros, then
+  // On a real shape the linear layer's ops equal GemmNN onto zeros, then
   // `v = c + bias; v > 0 ? v : 0`, bit for bit.
   Rng rng(19);
   const int m = 37, k = 65, n = 45;
@@ -266,10 +246,10 @@ TEST(QuantizedLinearTest, ReluEpilogueMatchesFloatSemantics) {
       v = v > 0.0f ? v : 0.0f;
     }
   }
-  std::vector<float> got = RandomVec(want.size(), &rng);
-  FusedLinearForward(a.data(), b.data(), bias.data(), got.data(), m, k, n,
-                     /*relu=*/true);
-  EXPECT_EQ(want, got);
+  Tensor got = Relu(AddRowBroadcast(
+      MatMul(Tensor::FromData({m, k}, a), Tensor::FromData({k, n}, b)),
+      Tensor::FromData({n}, bias)));
+  EXPECT_EQ(want, got.data());
 }
 
 }  // namespace

@@ -112,6 +112,19 @@ TEST(TensorTest, DeepChainBackwardDoesNotOverflowStack) {
   EXPECT_FLOAT_EQ(x.grad()[0], 1.0f);
 }
 
+TEST(TensorTest, TapeReleasedAfterBackward) {
+  // Backward() drops each visited node's closure and parent edges, so the
+  // step graph dies immediately, not at handle drop.
+  Tensor x = Tensor::FromData({2, 2}, {1.0f, -2.0f, 3.0f, -4.0f},
+                              /*requires_grad=*/true);
+  Tensor y = SumAll(Relu(x));
+  y.Backward();
+  EXPECT_EQ(y.impl()->backward_fn, nullptr);
+  EXPECT_TRUE(y.impl()->parents.empty());
+  EXPECT_EQ(x.grad()[0], 1.0f);
+  EXPECT_EQ(x.grad()[1], 0.0f);
+}
+
 TEST(ShapeTest, NumelAndToString) {
   EXPECT_EQ(ShapeNumel({2, 3, 4}), 24);
   EXPECT_EQ(ShapeToString({2, 3}), "[2, 3]");

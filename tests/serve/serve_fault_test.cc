@@ -875,7 +875,9 @@ struct MetricsOn {
 };
 
 // Overload plus hot swap with every serve probe point armed: bursts past
-// max_queue, and three candidates swapped in while a burst is still queued —
+// max_queue (the first while every executor is stalled, so admission control
+// itself rejects), and three candidates swapped in while a burst is still
+// queued —
 // a corrupt copy of B and B under an injected snapshot_load fault (both roll
 // back), then B itself (installs). Every request is answered exactly once;
 // every score is finite and either bit-identical to the single-threaded
@@ -905,11 +907,13 @@ TEST(SnapshotSwapTest, OverloadWithMidTrafficSwapsAnswersEveryRequest) {
   const std::vector<float> ref_b = ScoreAll(w.snapshot_b, pool);
 
   // Counter-based firings: three admissions rejected, three batches forced
-  // cached-only, three forced global-mean, two slowed.
+  // cached-only, three forced global-mean, and the first four batches (one
+  // per executor) stalled for 100 ms, then two more slowed by 5 ms.
   ASSERT_TRUE(FaultInjector::Global()
                   .ArmFromString("queue_admit@2:count=3;"
                                  "executor_score@4:mag=1,count=3;"
                                  "executor_score@10:mag=2,count=3;"
+                                 "serve_slow@0:mag=100,count=4;"
                                  "serve_slow@6:mag=5,count=2")
                   .ok());
   MetricsOn metrics;
@@ -928,11 +932,13 @@ TEST(SnapshotSwapTest, OverloadWithMidTrafficSwapsAnswersEveryRequest) {
   InferenceServer server(w.snapshot_a, options);
   SnapshotManager manager(&server);
 
-  constexpr size_t kBursts = 3, kBurst = 300;
+  // The stalled executors hold at most 4 x max_batch = 128 requests, so the
+  // first burst's 512 pass max_queue whatever the machine's speed.
+  constexpr size_t kBursts = 3, kFirstBurst = 512, kBurst = 300;
   std::vector<std::future<ScoreResult>> futures;
   for (size_t burst = 0; burst < kBursts; ++burst) {
     const size_t first = futures.size();
-    for (size_t i = 0; i < kBurst; ++i) {
+    for (size_t i = 0; i < (burst == 0 ? kFirstBurst : kBurst); ++i) {
       const ScoreRequest& p = pool[futures.size() % pool.size()];
       futures.push_back(server.ScoreAsync(p.user, p.item));
     }
@@ -956,11 +962,13 @@ TEST(SnapshotSwapTest, OverloadWithMidTrafficSwapsAnswersEveryRequest) {
     for (size_t i = first; i < futures.size(); ++i) futures[i].wait();
   }
 
+  int64_t overloaded = 0;
   for (size_t i = 0; i < futures.size(); ++i) {
     const ScoreResult r = futures[i].get();
     if (r.status == RequestStatus::kDeadlineExceeded ||
         r.status == RequestStatus::kOverloaded) {
       EXPECT_FALSE(r.has_score()) << "request " << i;
+      if (r.status == RequestStatus::kOverloaded) ++overloaded;
       continue;
     }
     ASSERT_NE(RequestStatus::kShuttingDown, r.status) << "request " << i;
@@ -979,6 +987,9 @@ TEST(SnapshotSwapTest, OverloadWithMidTrafficSwapsAnswersEveryRequest) {
 
   const InferenceServer::Stats s = server.stats();
   ExpectLedgerBalances(s, futures.size());
+  // Capacity rejections beyond the three injected queue_admit ones.
+  EXPECT_EQ(overloaded, s.rejected_overloaded);
+  EXPECT_GT(overloaded, 3);
   EXPECT_GT(s.batches_dispatched, 0);
   EXPECT_EQ(1, manager.swaps());
   EXPECT_EQ(2, manager.rollbacks());
