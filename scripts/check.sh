@@ -114,20 +114,21 @@ run_sanitizer() {
     --gtest_filter='ServeFaultEnvTest.*'
 }
 
-case "${MODE}" in
-  release)  run_release ;;
-  portable) run_portable ;;
-  tsan)    run_sanitizer thread common_test nn_test data_test obs_test serve_test serve_fault_test ;;
-  asan)    run_sanitizer address common_test nn_test core_test data_test text_test obs_test serve_test serve_fault_test ;;
-  ubsan)   run_sanitizer undefined common_test nn_test core_test data_test text_test obs_test serve_test serve_fault_test ;;
-  all)
-    run_release
-    run_portable
-    run_sanitizer thread common_test nn_test data_test obs_test serve_test serve_fault_test
-    run_sanitizer address common_test nn_test core_test data_test text_test obs_test serve_test serve_fault_test
-    run_sanitizer undefined common_test nn_test core_test data_test text_test obs_test serve_test serve_fault_test
-    ;;
-  *) echo "usage: $0 [all|release|portable|tsan|asan|ubsan]" >&2 ; exit 2 ;;
-esac
+# Each lane's suite list is written once; `all` runs every lane in turn.
+run_mode() {
+  case "$1" in
+    release)  run_release ;;
+    portable) run_portable ;;
+    tsan)     run_sanitizer thread common_test nn_test data_test obs_test serve_test serve_fault_test ;;
+    asan)     run_sanitizer address common_test nn_test core_test data_test text_test obs_test serve_test serve_fault_test ;;
+    ubsan)    run_sanitizer undefined common_test nn_test core_test data_test text_test obs_test serve_test serve_fault_test ;;
+    all)
+      for lane in release portable tsan asan ubsan; do run_mode "${lane}"; done
+      ;;
+    *) echo "usage: $0 [all|release|portable|tsan|asan|ubsan]" >&2 ; exit 2 ;;
+  esac
+}
+
+run_mode "${MODE}"
 
 echo "OK (${MODE})"

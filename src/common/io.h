@@ -32,13 +32,13 @@ Status WriteFileAtomic(const std::string& path, std::string_view data);
 ///   bytes 4-7   format version (u32)
 ///   bytes 8-15  payload size in bytes (u64)
 ///   bytes 16-19 CRC-32 of the payload (u32)
-/// followed by exactly `payload size` payload bytes. OMCK checkpoints and
-/// OMWT weight files share this framing; each names its own magic, version
-/// and the noun its error messages use.
+/// followed by exactly `payload size` payload bytes. OMCK checkpoints use
+/// this framing; a format names its magic, version and the noun its error
+/// messages use.
 struct FrameFormat {
   char magic[4];
   uint32_t version;
-  const char* noun;  // "checkpoint", "weight file"
+  const char* noun;  // e.g. "checkpoint"
 };
 
 /// Writes the header for `payload`, then the payload itself, with the

@@ -1,5 +1,6 @@
 #include "core/checkpoint.h"
 
+#include <cmath>
 #include <filesystem>
 #include <system_error>
 
@@ -220,6 +221,31 @@ Result<CheckpointState> LoadCheckpointFile(const std::string& path) {
     return Status::InvalidArgument(path + ": trailing bytes after sections");
   }
   return state;
+}
+
+Status ValidateParameters(const std::string& path, const char* label,
+                          const std::vector<std::vector<float>>& values,
+                          const std::vector<nn::Tensor>& model_params) {
+  if (values.size() != model_params.size()) {
+    return Status::InvalidArgument(StrFormat(
+        "%s: checkpoint holds %zu %s tensors, model has %zu", path.c_str(),
+        values.size(), label, model_params.size()));
+  }
+  for (size_t i = 0; i < values.size(); ++i) {
+    if (values[i].size() != model_params[i].data().size()) {
+      return Status::InvalidArgument(
+          StrFormat("%s: %s %zu has %zu values, model expects %zu",
+                    path.c_str(), label, i, values[i].size(),
+                    model_params[i].data().size()));
+    }
+    for (float v : values[i]) {
+      if (!std::isfinite(v)) {
+        return Status::InvalidArgument(
+            StrFormat("%s: non-finite %s value", path.c_str(), label));
+      }
+    }
+  }
+  return Status::OK();
 }
 
 Result<std::string> FindLatestCheckpoint(const std::string& dir) {

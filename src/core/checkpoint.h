@@ -10,6 +10,7 @@
 #include "common/status.h"
 #include "core/guard.h"
 #include "nn/optimizer.h"
+#include "nn/tensor.h"
 
 namespace omnimatch {
 namespace core {
@@ -83,6 +84,17 @@ Status SaveCheckpointFile(const std::string& path,
 /// structurally wrong (bad magic, unknown version, size mismatch, CRC
 /// failure, truncated sections) and IoError when the file cannot be read.
 Result<CheckpointState> LoadCheckpointFile(const std::string& path);
+
+/// The one check every parameter set read from a checkpoint passes before
+/// it is installed, by the trainer on resume and by a serving snapshot:
+/// `values` must hold one tensor per entry of `model_params` (a model's
+/// Parameters()), each of that tensor's size, and every value finite.
+/// Changes neither side. Returns InvalidArgument naming `path` and `label`
+/// ("parameter" for the live set, "best-epoch parameter" for the best-epoch
+/// set).
+Status ValidateParameters(const std::string& path, const char* label,
+                          const std::vector<std::vector<float>>& values,
+                          const std::vector<nn::Tensor>& model_params);
 
 /// Scans `dir` for files named like SaveCheckpoint's periodic output
 /// (checkpoint_epoch<N>.omck) and returns the path with the highest epoch.

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
-#include <fstream>
 #include <limits>
 #include <unordered_set>
 
@@ -530,16 +529,6 @@ void RestoreParams(std::vector<nn::Tensor>& params,
   for (size_t i = 0; i < params.size(); ++i) params[i].data() = snapshot[i];
 }
 
-/// True when every value of every buffer is finite.
-bool AllFinite(const std::vector<std::vector<float>>& buffers) {
-  for (const std::vector<float>& buffer : buffers) {
-    for (float v : buffer) {
-      if (!std::isfinite(v)) return false;
-    }
-  }
-  return true;
-}
-
 /// glibc keeps freed heap pages resident in its arenas, one per thread that
 /// allocated; hand them back to the OS. The main thread cannot reuse what
 /// another thread's arena holds free.
@@ -781,65 +770,6 @@ eval::Metrics OmniMatchTrainer::Evaluate(const std::vector<int>& users) {
   return result.ok() ? result.value() : eval::Metrics{};
 }
 
-/// OMWT weight files: the parameter payload in the CRC-framed file format
-/// checkpoints use, so a torn write, a bit flip or trailing garbage is
-/// rejected on load.
-constexpr FrameFormat kWeightsFormat = {{'O', 'M', 'W', 'T'}, 1, "weight file"};
-
-Status OmniMatchTrainer::SaveWeights(const std::string& path) const {
-  OM_CHECK(prepared_) << "call Prepare() first";
-  std::vector<nn::Tensor> params = model_->Parameters();
-  ByteWriter body;
-  body.Write<uint64_t>(params.size());
-  for (const nn::Tensor& p : params) {
-    body.WriteVector(p.data());
-  }
-  return WriteFramedFile(path, kWeightsFormat, body.buffer());
-}
-
-Status OmniMatchTrainer::LoadWeights(const std::string& path) {
-  OM_CHECK(prepared_) << "call Prepare() first";
-  Result<std::string> file = ReadFileToString(path);
-  if (!file.ok()) return file.status();
-  Result<std::string_view> payload =
-      ParseFramedFile(path, file.value(), kWeightsFormat);
-  if (!payload.ok()) return payload.status();
-
-  std::vector<nn::Tensor> params = model_->Parameters();
-  ByteReader r(payload.value());
-  uint64_t count = 0;
-  if (!r.Read(&count)) {
-    return Status::InvalidArgument(path + ": truncated weight payload");
-  }
-  if (count != params.size()) {
-    return Status::InvalidArgument(
-        StrFormat("%s holds %llu parameters, model has %zu", path.c_str(),
-                  static_cast<unsigned long long>(count), params.size()));
-  }
-  // Parse EVERYTHING into staging before touching the model: a shape
-  // mismatch halfway through must not leave half-restored parameters.
-  std::vector<std::vector<float>> staged(params.size());
-  for (size_t i = 0; i < params.size(); ++i) {
-    if (!r.ReadVector(&staged[i])) {
-      return Status::InvalidArgument(path + ": truncated weight payload");
-    }
-    if (staged[i].size() != params[i].data().size()) {
-      return Status::InvalidArgument(
-          StrFormat("%s: parameter %zu has %zu values, model expects %zu",
-                    path.c_str(), i, staged[i].size(),
-                    params[i].data().size()));
-    }
-  }
-  if (!r.exhausted()) {
-    return Status::InvalidArgument(path +
-                                   ": trailing bytes after weight payload");
-  }
-  for (size_t i = 0; i < params.size(); ++i) {
-    params[i].data() = std::move(staged[i]);
-  }
-  return Status::OK();
-}
-
 Status OmniMatchTrainer::SaveCheckpoint(const std::string& path) const {
   OM_CHECK(prepared_) << "call Prepare() first";
   CheckpointState state;
@@ -884,29 +814,11 @@ Status OmniMatchTrainer::LoadCheckpoint(const std::string& path) {
                "(fingerprint mismatch)");
   }
   std::vector<nn::Tensor> params = model_->Parameters();
-  if (state.params.size() != params.size()) {
-    return Status::InvalidArgument(StrFormat(
-        "%s: checkpoint holds %zu parameter tensors, model has %zu",
-        path.c_str(), state.params.size(), params.size()));
-  }
-  for (size_t i = 0; i < params.size(); ++i) {
-    if (state.params[i].size() != params[i].data().size()) {
-      return Status::InvalidArgument(
-          StrFormat("%s: parameter %zu has %zu values, model expects %zu",
-                    path.c_str(), i, state.params[i].size(),
-                    params[i].data().size()));
-    }
-  }
-  if (!state.best_params.empty() &&
-      state.best_params.size() != params.size()) {
-    return Status::InvalidArgument(path +
-                                   ": best-epoch snapshot shape mismatch");
-  }
-  for (size_t i = 0; i < state.best_params.size(); ++i) {
-    if (state.best_params[i].size() != params[i].data().size()) {
-      return Status::InvalidArgument(path +
-                                     ": best-epoch snapshot shape mismatch");
-    }
+  OM_RETURN_IF_ERROR(ValidateParameters(path, "parameter", state.params,
+                                        params));
+  if (!state.best_params.empty()) {
+    OM_RETURN_IF_ERROR(ValidateParameters(path, "best-epoch parameter",
+                                          state.best_params, params));
   }
   if (state.sample_order.size() != train_samples_.size()) {
     return Status::InvalidArgument(StrFormat(
@@ -947,11 +859,12 @@ Status OmniMatchTrainer::LoadCheckpoint(const std::string& path) {
   if (!std::isfinite(state.guard_ema)) {
     return Status::InvalidArgument(path + ": guard loss average not finite");
   }
-  if (!AllFinite(state.params) || !AllFinite(state.best_params)) {
-    return Status::InvalidArgument(path + ": non-finite parameter value");
-  }
-  if (!AllFinite(state.optimizer.slots)) {
-    return Status::InvalidArgument(path + ": non-finite optimizer state");
+  for (const std::vector<float>& slot : state.optimizer.slots) {
+    for (float v : slot) {
+      if (!std::isfinite(v)) {
+        return Status::InvalidArgument(path + ": non-finite optimizer state");
+      }
+    }
   }
   if (state.model_rngs.size() != model_->RngStates().size()) {
     return Status::InvalidArgument(StrFormat(

@@ -124,20 +124,6 @@ class OmniMatchTrainer {
   /// normal evaluation isolates the Algorithm 1 contribution.
   void UseOracleTargetDocs(const std::vector<int>& users);
 
-  /// Persists the trained weights (all model parameters, in Parameters()
-  /// order) to a binary OMWT file. The architecture itself is not stored:
-  /// load into a trainer Prepared with the same config and data. Crash-safe
-  /// like SaveCheckpoint: staged to a tmp file, fsync'd, renamed into
-  /// place, with a CRC-32 over the payload — a crash leaves the old file or
-  /// the new one, never a torn half-write.
-  Status SaveWeights(const std::string& path) const;
-
-  /// Restores weights saved by SaveWeights. Fails with InvalidArgument when
-  /// the parameter count or any shape differs, when the checksum does not
-  /// match, or when the file is truncated or carries trailing bytes; the
-  /// model is untouched unless the whole file validates.
-  Status LoadWeights(const std::string& path);
-
   /// Writes a crash-safe, CRC-protected checkpoint of the FULL training
   /// state: parameters, optimizer accumulators, both RNG streams, the
   /// epoch-shuffle permutation, the loss/validation traces and the

@@ -86,13 +86,7 @@ class Scorer {
   /// until LRU pressure cleared them). Safe to call while executors score.
   void SetSnapshot(std::shared_ptr<const ModelSnapshot> snapshot);
 
-  /// The current snapshot, by reference. Only meaningful when no concurrent
-  /// SetSnapshot can run (tests, single-owner setups); prefer
-  /// CurrentSnapshot() otherwise.
-  const ModelSnapshot& snapshot() const { return *CurrentSnapshot(); }
-
   const UserEmbeddingCache& cache() const { return cache_; }
-  UserEmbeddingCache& mutable_cache() { return cache_; }
 
  private:
   /// Looks up each user's entry. With `admit_missing`, computes and caches

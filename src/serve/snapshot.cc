@@ -4,7 +4,6 @@
 
 #include "common/check.h"
 #include "common/rng.h"
-#include "common/string_util.h"
 #include "core/checkpoint.h"
 #include "nn/tensor.h"
 #include "obs/trace.h"
@@ -66,18 +65,17 @@ bool ServingCorpus::Matches(const core::OmniMatchConfig& config,
 
 Result<std::shared_ptr<const ModelSnapshot>> ModelSnapshot::Load(
     const core::OmniMatchConfig& config, const data::CrossDomainDataset* cross,
-    data::ColdStartSplit split, const std::string& checkpoint_path,
-    const Options& options) {
+    data::ColdStartSplit split, const std::string& checkpoint_path) {
   Result<std::shared_ptr<const ServingCorpus>> corpus =
       ServingCorpus::Build(config, cross, std::move(split));
   if (!corpus.ok()) return corpus.status();
-  return Load(config, std::move(corpus).value(), checkpoint_path, options);
+  return Load(config, std::move(corpus).value(), checkpoint_path);
 }
 
 Result<std::shared_ptr<const ModelSnapshot>> ModelSnapshot::Load(
     const core::OmniMatchConfig& config,
     std::shared_ptr<const ServingCorpus> corpus,
-    const std::string& checkpoint_path, const Options& options) {
+    const std::string& checkpoint_path) {
   OM_CHECK(corpus != nullptr);
   OM_CHECK_EQ(corpus->config_fingerprint(), config.Fingerprint());
 
@@ -97,7 +95,7 @@ Result<std::shared_ptr<const ModelSnapshot>> ModelSnapshot::Load(
         ": checkpoint was written under a different config (fingerprint "
         "mismatch)");
   }
-  const bool use_best = options.prefer_best_params && !state.best_params.empty();
+  const bool use_best = !state.best_params.empty();
   std::vector<std::vector<float>>& chosen =
       use_best ? state.best_params : state.params;
 
@@ -112,19 +110,9 @@ Result<std::shared_ptr<const ModelSnapshot>> ModelSnapshot::Load(
   snapshot->model_ = std::make_unique<core::OmniMatchModel>(
       config, snapshot->vocabulary().size(), &init_rng);
   std::vector<nn::Tensor> params = snapshot->model_->Parameters();
-  if (chosen.size() != params.size()) {
-    return Status::InvalidArgument(StrFormat(
-        "%s: checkpoint holds %zu parameter tensors, model has %zu",
-        checkpoint_path.c_str(), chosen.size(), params.size()));
-  }
-  for (size_t i = 0; i < params.size(); ++i) {
-    if (chosen[i].size() != params[i].data().size()) {
-      return Status::InvalidArgument(StrFormat(
-          "%s: parameter %zu has %zu values, model expects %zu",
-          checkpoint_path.c_str(), i, chosen[i].size(),
-          params[i].data().size()));
-    }
-  }
+  OM_RETURN_IF_ERROR(core::ValidateParameters(
+      checkpoint_path, use_best ? "best-epoch parameter" : "parameter", chosen,
+      params));
   for (size_t i = 0; i < params.size(); ++i) {
     params[i].data() = std::move(chosen[i]);
     // Inference never backpropagates; dropping requires_grad keeps the
@@ -140,12 +128,6 @@ Result<std::shared_ptr<const ModelSnapshot>> ModelSnapshot::Load(
                                        state.epochs_completed, state.steps,
                                        use_best);
   return std::shared_ptr<const ModelSnapshot>(std::move(snapshot));
-}
-
-Result<std::shared_ptr<const ModelSnapshot>> ModelSnapshot::Load(
-    const core::OmniMatchConfig& config, const data::CrossDomainDataset* cross,
-    data::ColdStartSplit split, const std::string& checkpoint_path) {
-  return Load(config, cross, std::move(split), checkpoint_path, Options());
 }
 
 std::vector<std::vector<int>> ModelSnapshot::BuildColdUserDocs(

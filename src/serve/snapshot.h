@@ -117,37 +117,28 @@ class ServingCorpus {
 /// a swap.
 class ModelSnapshot {
  public:
-  struct Options {
-    /// Use the checkpoint's best-epoch parameters when it carries them
-    /// (select_best_epoch runs); fall back to the live parameters
-    /// otherwise.
-    bool prefer_best_params = true;
-  };
-
   /// Loads a snapshot for serving the given scenario on a freshly built
   /// ServingCorpus (ServingCorpus::Build). `cross` must outlive the
   /// snapshot (the dataset indices back online Algorithm 1 admission).
-  /// Fails with InvalidArgument on a fingerprint or shape mismatch,
-  /// propagates I/O and corruption errors from the checkpoint reader.
-  static Result<std::shared_ptr<const ModelSnapshot>> Load(
-      const core::OmniMatchConfig& config,
-      const data::CrossDomainDataset* cross, data::ColdStartSplit split,
-      const std::string& checkpoint_path, const Options& options);
-  /// Load with default Options (an overload because a nested struct's
-  /// default member initializers cannot back a default argument inside the
-  /// enclosing class).
+  /// Installs the checkpoint's best-epoch parameters when it carries them
+  /// (select_best_epoch runs), its live parameters otherwise. Fails with
+  /// InvalidArgument on a fingerprint mismatch or when the installed set
+  /// fails core::ValidateParameters (tensor count, sizes, a non-finite
+  /// value); propagates I/O and corruption errors from the checkpoint
+  /// reader.
   static Result<std::shared_ptr<const ModelSnapshot>> Load(
       const core::OmniMatchConfig& config,
       const data::CrossDomainDataset* cross, data::ColdStartSplit split,
       const std::string& checkpoint_path);
   /// Loads a checkpoint onto an existing corpus, which must have been built
   /// for `config` (same fingerprint; checked). Reads the checkpoint,
-  /// installs its parameters — the whole cost of a hot swap between checkpoints of one scenario. The
-  /// overloads above build a corpus and come here.
+  /// checks and installs its parameters — the whole cost of a hot swap
+  /// between checkpoints of one scenario. The overload above builds a
+  /// corpus and comes here.
   static Result<std::shared_ptr<const ModelSnapshot>> Load(
       const core::OmniMatchConfig& config,
       std::shared_ptr<const ServingCorpus> corpus,
-      const std::string& checkpoint_path, const Options& options);
+      const std::string& checkpoint_path);
 
   /// Stable identity of (config, checkpoint progress); cache key component.
   uint64_t version() const { return version_; }

@@ -25,6 +25,11 @@ obs::Counter* SwapRollbackCounter() {
   return c;
 }
 
+/// Golden-probe grid: kProbeUsers × kProbeItems requests (fewer when the
+/// snapshot holds fewer users or items).
+constexpr int kProbeUsers = 4;
+constexpr int kProbeItems = 4;
+
 /// The `n` smallest keys of `map` in ascending order — a probe set that is
 /// a pure function of the snapshot contents.
 template <typename Map>
@@ -39,16 +44,9 @@ std::vector<int> SmallestKeys(const Map& map, int n) {
 
 }  // namespace
 
-SnapshotManager::SnapshotManager(InferenceServer* server,
-                                 const Options& options)
-    : server_(server), options_(options) {
+SnapshotManager::SnapshotManager(InferenceServer* server) : server_(server) {
   OM_CHECK(server_ != nullptr);
-  OM_CHECK_GE(options_.probe_users, 0);
-  OM_CHECK_GE(options_.probe_items, 0);
 }
-
-SnapshotManager::SnapshotManager(InferenceServer* server)
-    : SnapshotManager(server, Options()) {}
 
 Status SnapshotManager::SwapFromCheckpoint(
     const core::OmniMatchConfig& config, const data::CrossDomainDataset* cross,
@@ -61,10 +59,9 @@ Status SnapshotManager::SwapFromCheckpoint(
       server_->scorer().CurrentSnapshot()->corpus();
   Result<std::shared_ptr<const ModelSnapshot>> loaded =
       corpus->Matches(config, cross, split)
-          ? ModelSnapshot::Load(config, std::move(corpus), checkpoint_path,
-                                options_.snapshot_options)
+          ? ModelSnapshot::Load(config, std::move(corpus), checkpoint_path)
           : ModelSnapshot::Load(config, cross, std::move(split),
-                                checkpoint_path, options_.snapshot_options);
+                                checkpoint_path);
   if (!loaded.ok()) {
     std::lock_guard<std::mutex> lock(mu_);
     ++rollbacks_;
@@ -105,9 +102,9 @@ Status SnapshotManager::SwapTo(
 Status SnapshotManager::ValidateProbes(
     const std::shared_ptr<const ModelSnapshot>& candidate) {
   const std::vector<int> users =
-      SmallestKeys(candidate->user_target_docs(), options_.probe_users);
+      SmallestKeys(candidate->user_target_docs(), kProbeUsers);
   const std::vector<int> items =
-      SmallestKeys(candidate->item_docs(), options_.probe_items);
+      SmallestKeys(candidate->item_docs(), kProbeItems);
   if (users.empty() || items.empty()) return Status::OK();
 
   std::vector<ScoreRequest> probes;

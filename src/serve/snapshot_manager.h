@@ -35,34 +35,27 @@ namespace serve {
 /// scenario gets a fresh corpus, exactly as ModelSnapshot::Load builds it.
 ///
 /// Rollback is therefore trivial and implicit: on ANY failure — unreadable
-/// or corrupt file, fingerprint mismatch, non-finite or out-of-range probe
-/// scores, or an injected "snapshot_load" fault (common/fault.h) — the
-/// candidate is discarded, the incumbent keeps serving, and the attempt is
-/// counted in rollbacks() / serve.swap.rollback. There is no window in
-/// which requests could observe a bad model.
+/// or corrupt file, fingerprint mismatch, a wrongly shaped or non-finite
+/// parameter (core::ValidateParameters, run by ModelSnapshot::Load),
+/// non-finite or out-of-range probe scores, or an injected "snapshot_load"
+/// fault (common/fault.h) — the candidate is discarded, the incumbent
+/// keeps serving, and the attempt is counted in rollbacks() /
+/// serve.swap.rollback. There is no window in which requests could observe
+/// a bad model.
 ///
 /// Golden-probe validation: the probe set is derived from the candidate
-/// itself (the lowest probe_users user ids with frozen target documents ×
-/// the lowest probe_items item ids), scored twice at full fidelity.
+/// itself (a fixed 4 × 4 grid: the 4 lowest user ids with frozen target
+/// documents × the 4 lowest item ids), scored twice at full fidelity.
 /// Every score must be finite and inside [1, num_rating_classes], and the
 /// two runs must agree bit-for-bit — a cheap end-to-end exercise of the
-/// embedding, extractor, and head parameters that catches the classic
-/// corruption modes (NaN/Inf poisoning, truncated tensors) without needing
-/// stored reference values.
+/// embedding, extractor, and head parameters that catches what a
+/// per-value check cannot (finite parameters whose forward overflows or
+/// leaves the rating range) without needing stored reference values.
 ///
 /// Thread-safe; swaps serialize against each other, never against scoring.
 class SnapshotManager {
  public:
-  struct Options {
-    /// Golden-probe grid: probe_users × probe_items requests (capped by
-    /// what the snapshot holds). 0 disables probe validation.
-    int probe_users = 4;
-    int probe_items = 4;
-    ModelSnapshot::Options snapshot_options;
-  };
-
   /// `server` must outlive the manager.
-  SnapshotManager(InferenceServer* server, const Options& options);
   explicit SnapshotManager(InferenceServer* server);
 
   /// Loads, validates, and — on success — atomically installs the
@@ -89,7 +82,6 @@ class SnapshotManager {
   Status ValidateProbes(const std::shared_ptr<const ModelSnapshot>& candidate);
 
   InferenceServer* const server_;
-  const Options options_;
 
   mutable std::mutex mu_;
   int64_t swaps_ = 0;

@@ -342,6 +342,7 @@ TEST(CheckpointResumeTest, CorruptedCheckpointRejectedByTrainer) {
   const CheckpointState valid = LoadCheckpointFile(path).value();
   ASSERT_EQ(valid.epochs_completed, 1);
   ASSERT_FALSE(valid.optimizer.slots.empty());
+  ASSERT_FALSE(valid.best_params.empty());
   const float nan = std::numeric_limits<float>::quiet_NaN();
   const std::vector<std::pair<std::string,
                               std::function<void(CheckpointState*)>>>
@@ -365,6 +366,12 @@ TEST(CheckpointResumeTest, CorruptedCheckpointRejectedByTrainer) {
           {"best_epoch -2", [](CheckpointState* s) { s->best_epoch = -2; }},
           {"steps -5", [](CheckpointState* s) { s->steps = -5; }},
           {"parameter NaN", [&](CheckpointState* s) { s->params[0][0] = nan; }},
+          {"parameter one value short",
+           [](CheckpointState* s) { s->params.back().pop_back(); }},
+          {"parameter tensor missing",
+           [](CheckpointState* s) { s->params.pop_back(); }},
+          {"best parameter NaN",
+           [&](CheckpointState* s) { s->best_params.back()[0] = nan; }},
           {"optimizer slot NaN",
            [&](CheckpointState* s) { s->optimizer.slots.back()[0] = nan; }},
       };

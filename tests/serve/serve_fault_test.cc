@@ -15,18 +15,21 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <functional>
 #include <future>
 #include <limits>
 #include <memory>
 #include <string>
 #include <thread>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/fault.h"
 #include "common/io.h"
+#include "core/checkpoint.h"
 #include "core/trainer.h"
 #include "data/splits.h"
 #include "data/synthetic.h"
@@ -564,13 +567,11 @@ TEST(SnapshotSwapTest, SameScenarioSwapSharesCorpusBitIdentically) {
   FaultGuard guard;
   FaultWorld& w = World();
   const std::vector<ScoreRequest> pairs = CorpusPairs();
-  SnapshotManager::Options options;
   Result<std::shared_ptr<const ModelSnapshot>> incumbent =
-      ModelSnapshot::Load(w.config, &w.cross, w.split, w.checkpoint_a,
-                          options.snapshot_options);
+      ModelSnapshot::Load(w.config, &w.cross, w.split, w.checkpoint_a);
   ASSERT_TRUE(incumbent.ok()) << incumbent.status().ToString();
   InferenceServer server(incumbent.value(), InferenceServer::Options());
-  SnapshotManager manager(&server, options);
+  SnapshotManager manager(&server);
 
   const Status swapped = manager.SwapFromCheckpoint(w.config, &w.cross,
                                                     w.split, w.checkpoint_b);
@@ -579,8 +580,8 @@ TEST(SnapshotSwapTest, SameScenarioSwapSharesCorpusBitIdentically) {
       server.scorer().CurrentSnapshot();
   EXPECT_EQ(&incumbent.value()->item_docs(), &candidate->item_docs());
 
-  Result<std::shared_ptr<const ModelSnapshot>> fresh = ModelSnapshot::Load(
-      w.config, &w.cross, w.split, w.checkpoint_b, options.snapshot_options);
+  Result<std::shared_ptr<const ModelSnapshot>> fresh =
+      ModelSnapshot::Load(w.config, &w.cross, w.split, w.checkpoint_b);
   ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
   EXPECT_NE(&fresh.value()->item_docs(), &candidate->item_docs());
   EXPECT_EQ(fresh.value()->version(), candidate->version());
@@ -657,9 +658,11 @@ TEST(SnapshotSwapTest, FingerprintMismatchRollsBackOnSharedCorpus) {
 // Corrupt OMCK files through the live server: one checkpoint swept with a
 // stride of truncations and single-bit flips, with every section boundary
 // (frame header, each section's tag, size and body) cut and flipped on
-// both sides, each variant swapped in while traffic flows. Every variant
-// must roll back with a Status, and the incumbent must keep answering kOk
-// with the bits of its single-threaded reference.
+// both sides, each variant swapped in while traffic flows, then resealed
+// copies with a non-finite or short parameter. Every variant must roll back
+// with a Status (kInvalidArgument for the resealed ones), and the
+// incumbent must keep answering kOk with the bits of its single-threaded
+// reference.
 TEST(SnapshotSwapTest, CorruptCheckpointSweepRollsBackUnderTraffic) {
   FaultGuard guard;
   FaultWorld& w = World();
@@ -758,12 +761,40 @@ TEST(SnapshotSwapTest, CorruptCheckpointSweepRollsBackUnderTraffic) {
         << (v.cut != SIZE_MAX ? "cut at " + std::to_string(v.cut)
                               : "flip at " + std::to_string(v.flip_at));
   }
+  // Fields the CRC cannot vouch for: B resealed (valid frame) with a
+  // parameter the load's parameter check must reject.
+  const core::CheckpointState valid =
+      core::LoadCheckpointFile(w.checkpoint_b).value();
+  const std::vector<std::pair<std::string,
+                              std::function<void(core::CheckpointState*)>>>
+      resealed = {
+          {"NaN in last parameter",
+           [](core::CheckpointState* s) {
+             s->params.back()[0] = std::numeric_limits<float>::quiet_NaN();
+           }},
+          {"+inf in first parameter",
+           [](core::CheckpointState* s) {
+             s->params.front()[0] = std::numeric_limits<float>::infinity();
+           }},
+          {"parameter one value short",
+           [](core::CheckpointState* s) { s->params.back().pop_back(); }},
+      };
+  for (const auto& [name, mutate] : resealed) {
+    core::CheckpointState state = valid;
+    mutate(&state);
+    EXPECT_TRUE(core::SaveCheckpointFile(path, state).ok()) << name;
+    const Status swapped =
+        manager.SwapFromCheckpoint(w.config, &w.cross, w.split, path);
+    EXPECT_EQ(StatusCode::kInvalidArgument, swapped.code())
+        << name << ": " << swapped.ToString();
+  }
   stop = true;
   for (std::thread& th : submitters) th.join();
   server.Shutdown();
   std::remove(path.c_str());
 
-  EXPECT_EQ(static_cast<int64_t>(variants.size()), manager.rollbacks());
+  EXPECT_EQ(static_cast<int64_t>(variants.size() + resealed.size()),
+            manager.rollbacks());
   EXPECT_EQ(0, manager.swaps());
   EXPECT_EQ(w.snapshot_a->version(), manager.active_version());
   EXPECT_EQ(0, wrong.load()) << "of " << answered.load() << " answers";

@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <future>
 #include <iterator>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -19,6 +20,7 @@
 
 #include "common/fault.h"
 #include "common/threadpool.h"
+#include "core/checkpoint.h"
 #include "core/string_documents.h"
 #include "core/trainer.h"
 #include "data/splits.h"
@@ -173,6 +175,32 @@ TEST(ModelSnapshotTest, LoadRejectsMissingFile) {
       w.config, &w.cross, w.split,
       testing_util::TestTempDir() + "/nonexistent.omck");
   ASSERT_FALSE(loaded.ok());
+}
+
+// A first load checks the parameters it installs as a trainer resume does:
+// a checkpoint resealed with a non-finite value (valid CRC) is rejected
+// before any server can score from it.
+TEST(ModelSnapshotTest, FirstLoadRejectsNonFiniteParameters) {
+  ServeWorld& w = World();
+  const core::CheckpointState valid =
+      core::LoadCheckpointFile(w.checkpoint_path).value();
+  ASSERT_TRUE(valid.best_params.empty());
+  const std::string path = testing_util::TestTempDir() + "/nonfinite.omck";
+  for (const bool last : {true, false}) {
+    core::CheckpointState state = valid;
+    if (last) {
+      state.params.back()[0] = std::numeric_limits<float>::quiet_NaN();
+    } else {
+      state.params.front()[0] = std::numeric_limits<float>::infinity();
+    }
+    ASSERT_TRUE(core::SaveCheckpointFile(path, state).ok());
+    Result<std::shared_ptr<const ModelSnapshot>> loaded =
+        ModelSnapshot::Load(w.config, &w.cross, w.split, path);
+    ASSERT_FALSE(loaded.ok()) << (last ? "NaN in last" : "+inf in first");
+    EXPECT_EQ(StatusCode::kInvalidArgument, loaded.status().code())
+        << loaded.status().ToString();
+  }
+  std::remove(path.c_str());
 }
 
 // Building a snapshot's corpus runs the trainer's Prepare(), which applies
@@ -463,12 +491,13 @@ TEST(InferenceServerTest, CoalescesBurstIntoFewBatches) {
   }
   server.Shutdown();
 
-  EXPECT_EQ(static_cast<int64_t>(pairs.size() + 1), server.requests_served());
+  const InferenceServer::Stats stats = server.stats();
+  EXPECT_EQ(static_cast<int64_t>(pairs.size() + 1), stats.requests_served);
   // The stalled batch, then the backlog in full batches of max_batch.
   const int64_t full_batches =
       (static_cast<int64_t>(pairs.size()) + options.max_batch - 1) /
       options.max_batch;
-  EXPECT_EQ(1 + full_batches, server.batches_dispatched());
+  EXPECT_EQ(1 + full_batches, stats.batches_dispatched);
 
   Scorer reference(w.snapshot, 256);
   for (size_t i = 0; i < pairs.size(); ++i) {
@@ -519,7 +548,7 @@ TEST(InferenceServerTest, TracedBatchRecordsQueueWaitSpan) {
               spans.end());
   // One span per dispatched batch, one histogram sample per request.
   ASSERT_EQ(2u, spans.size());
-  EXPECT_EQ(2, server.batches_dispatched());
+  EXPECT_EQ(2, server.stats().batches_dispatched);
   EXPECT_EQ(waits_before + 4, waits->Count());
   // Each span ends when its batch leaves the queue: the stalled batch's
   // before its 50 ms sleep, the backlog's after it. The backlog's span
@@ -575,9 +604,10 @@ TEST(InferenceServerTest, ConcurrentSubmittersGetBitIdenticalScores) {
 
   // Blocking submitters never fill the queue, so every request is served
   // on the full tier.
+  const InferenceServer::Stats stats = server.stats();
   EXPECT_EQ(static_cast<int64_t>(kThreads * kRounds * pairs.size()),
-            server.requests_served());
-  EXPECT_EQ(server.requests_served(), server.stats().served_full);
+            stats.requests_served);
+  EXPECT_EQ(stats.requests_served, stats.served_full);
   for (int t = 0; t < kThreads; ++t) {
     for (int round = 0; round < kRounds; ++round) {
       for (size_t i = 0; i < pairs.size(); ++i) {
